@@ -20,6 +20,7 @@ from .combinatorics import (
     cycle_one_way_class_count,
     double_edge_class_count,
     expected_moment_expansion,
+    nu_coefficients,
     nu_moment,
     order_one_coeff,
     self_loop_class_count,
@@ -44,17 +45,16 @@ from .montecarlo import (
     EnsembleSampler,
     custom_sampler,
     empirical_moments,
-    estimate_correction,
     estimate_corrections,
     goe_sampler,
     gue_sampler,
     rademacher_sampler,
-    richardson_correction,
     richardson_corrections,
     sample_matrix,
 )
 from .series import (
     TruncatedRationalSeries,
+    catalan_identities,
     catalan_series,
     s_components,
     s_total,
@@ -68,6 +68,7 @@ from .walks import (
     WalkClass,
     canonical_words,
     canonicalize,
+    check_word_length,
     classify_walk,
     count_classes,
     enumerate_canonical_words,
@@ -76,6 +77,7 @@ from .walks import (
     goe_model,
     gue_model,
     rademacher_model,
+    select_classes,
     walk_classes,
 )
 

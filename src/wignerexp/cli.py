@@ -20,56 +20,64 @@ by command-line flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
 from . import measure, montecarlo, series, walks
 
-_DEFAULTS = {
-    "ensemble": "goe",
-    "kmax": 8,
-    "n": [100],
-    "samples": 1000,
-    "seed": 1,
-    "format": "csv",
-    "out": None,
-    "order": 40,
-}
+_ENSEMBLES = (*comb.PRESETS, "custom")
+_FORMATS = ("csv", "json")
+_PARAM_KEYS = tuple(f.name for f in fields(comb.EnsembleParams))
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Effective configuration of one run.
+
+    Every field after ``command`` is a config key: a ``--config`` file may set
+    it, the flag of the same name overrides the file, and the field default
+    applies otherwise.  Output echoes the keys in field order, ``out`` aside.
+    """
+
     command: str
-    ensemble: str
-    params: comb.EnsembleParams
-    kmax: int
-    n_list: tuple[int, ...]
-    samples: int
-    seed: int
-    fmt: str
-    out: str | None
-    order: int
+    ensemble: str = "goe"
+    r: int | None = None
+    sigma2: Fraction | None = None
+    s2: Fraction | None = None
+    alpha: Fraction | None = None
+    kmax: int = 8
+    n: tuple[int, ...] = (100,)
+    samples: int = 1000
+    seed: int = 1
+    format: str = "csv"
+    out: str | None = None
+    order: int = 40
+
+    @cached_property
+    def params(self) -> comb.EnsembleParams:
+        return comb.EnsembleParams(self.r, self.sigma2, self.s2, self.alpha)
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "ensemble": self.ensemble,
-            "r": self.params.r,
-            "sigma2": str(self.params.sigma2),
-            "s2": str(self.params.s2),
-            "alpha": str(self.params.alpha),
-            "kmax": self.kmax,
-            "n": list(self.n_list),
-            "samples": self.samples,
-            "seed": self.seed,
-            "format": self.fmt,
-            "order": self.order,
-        }
+        echo = {}
+        for key in ("command", *_KEYS):
+            value = getattr(self, key)
+            if isinstance(value, Fraction):
+                value = str(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            echo[key] = value
+        del echo["out"]
+        return echo
+
+
+_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 
 
 class ConfigError(ValueError):
@@ -79,7 +87,7 @@ class ConfigError(ValueError):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with defaults for any flag")
-    common.add_argument("--ensemble", choices=["goe", "gue", "rademacher", "custom"])
+    common.add_argument("--ensemble", choices=_ENSEMBLES)
     common.add_argument("--r", type=int, help="1 = real entries, 0 = complex (custom ensemble)")
     common.add_argument("--sigma2", help="off-diagonal variance, exact rational like 1 or 5/4")
     common.add_argument("--s2", help="diagonal variance, exact rational")
@@ -88,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, action="append", help="matrix size (repeatable)")
     common.add_argument("--samples", type=int, help="Monte Carlo sample count")
     common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--format", choices=["csv", "json"], dest="fmt")
+    common.add_argument("--format", choices=_FORMATS)
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--order", type=int, help="series truncation order")
 
@@ -101,7 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("moments", parents=[common], help="exact moment tables")
 
     p_check = sub.add_parser("check", parents=[common], help="exact identity suite")
-    p_check.add_argument("--walks-kmax", type=int, default=10, help="walk-count checks up to this word length")
+    p_check.add_argument(
+        "--walks-kmax",
+        type=int,
+        default=10,
+        help=f"walk-count checks up to this word length (2..{walks.MAX_WORD_LENGTH})",
+    )
     p_check.add_argument(
         "--inject-fault",
         action="store_true",
@@ -109,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="dump classified walk classes")
-    p_enum.add_argument("--k", type=int, required=True, help="word length (at most 12)")
+    p_enum.add_argument(
+        "--k", type=int, required=True, help=f"word length (at most {walks.MAX_WORD_LENGTH})"
+    )
     p_enum.add_argument("--v", type=int, help="filter on vertex count")
     p_enum.add_argument("--e", type=int, help="filter on edge count")
     p_enum.add_argument("--cycle-type", choices=list(walks.CYCLE_TYPES), help="filter on walk structure")
@@ -126,73 +141,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - {"ensemble", "r", "sigma2", "s2", "alpha", "kmax", "n",
-                                   "samples", "seed", "format", "out", "order"}
-        if unknown:
-            raise ConfigError(f"unknown config-file keys: {sorted(unknown)}")
-        if "format" in file_cfg:
-            file_cfg["fmt"] = file_cfg.pop("format")
-        merged.update(file_cfg)
-    if "fmt" not in merged:
-        merged["fmt"] = merged.pop("format")
-    for key in ("ensemble", "r", "sigma2", "s2", "alpha", "kmax", "n", "samples",
-                "seed", "fmt", "out", "order"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    merged.pop("format", None)
-    return merged
+def _file_settings(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            settings = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    if not isinstance(settings, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = set(settings) - set(_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config-file keys: {sorted(unknown)}")
+    return settings
 
 
-def _resolve_params(merged: dict) -> comb.EnsembleParams:
-    name = merged["ensemble"]
-    explicit = {key: merged.get(key) for key in ("r", "sigma2", "s2", "alpha")}
+def _checked(key: str, value, ok: bool, want: str):
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no 1
+
+
+def _resolve_params(settings: dict) -> dict:
+    """The four parameter keys: a preset's values, or all four given for custom."""
+    name = settings["ensemble"]
+    given = [key for key in _PARAM_KEYS if settings.get(key) is not None]
     if name != "custom":
-        given = [key for key, val in explicit.items() if val is not None]
         if given:
             raise ConfigError(
                 f"flags {given} only apply with --ensemble custom; "
                 f"preset '{name}' fixes all four parameters"
             )
-        return comb.PRESETS[name]
-    missing = [key for key, val in explicit.items() if val is None]
+        return {key: getattr(comb.PRESETS[name], key) for key in _PARAM_KEYS}
+    missing = [key for key in _PARAM_KEYS if key not in given]
     if missing:
-        raise ConfigError(f"--ensemble custom requires --r --sigma2 --s2 --alpha (missing {missing})")
-    return comb.EnsembleParams(
-        r=int(explicit["r"]),
-        sigma2=Fraction(str(explicit["sigma2"])),
-        s2=Fraction(str(explicit["s2"])),
-        alpha=Fraction(str(explicit["alpha"])),
-    )
+        flags = " ".join(f"--{key}" for key in _PARAM_KEYS)
+        raise ConfigError(f"--ensemble custom requires {flags} (missing {missing})")
+    return {key: Fraction(str(settings[key])) for key in _PARAM_KEYS[1:]}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = _merged(args)
-    params = _resolve_params(merged)
-    n_list = tuple(int(n) for n in merged["n"])
-    if any(n < 1 for n in n_list):
-        raise ConfigError(f"matrix sizes must be positive, got {list(n_list)}")
-    if merged["kmax"] < 0:
-        raise ConfigError(f"kmax must be nonnegative, got {merged['kmax']}")
-    if merged["order"] < 2:
-        raise ConfigError(f"series order must be at least 2, got {merged['order']}")
-    return RunConfig(
-        command=args.command,
-        ensemble=merged["ensemble"],
-        params=params,
-        kmax=int(merged["kmax"]),
-        n_list=n_list,
-        samples=int(merged["samples"]),
-        seed=int(merged["seed"]),
-        fmt=merged["fmt"],
-        out=merged["out"],
-        order=int(merged["order"]),
-    )
+    """Merge built-in defaults, the --config file and flags, then validate."""
+    settings = _file_settings(args.config) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
+    ensemble = settings.setdefault("ensemble", RunConfig.ensemble)
+    _checked("ensemble", ensemble, ensemble in _ENSEMBLES, f"one of {list(_ENSEMBLES)}")
+    fmt = settings.get("format", RunConfig.format)
+    _checked("format", fmt, fmt in _FORMATS, f"one of {list(_FORMATS)}")
+    settings.update(_resolve_params(settings))
+    for key in ("r", "kmax", "samples", "seed", "order"):
+        if key in settings:
+            _checked(key, settings[key], _is_int(settings[key]), "an integer")
+    if "n" in settings:
+        n = settings["n"]
+        ok = isinstance(n, list) and all(map(_is_int, n))
+        settings["n"] = tuple(_checked("n", n, ok, "a list of integers"))
+    out = settings.get("out")
+    _checked("out", out, out is None or isinstance(out, str), "a path")
+    config = RunConfig(command=args.command, **settings)
+    if any(size < 1 for size in config.n):
+        raise ConfigError(f"matrix sizes must be positive, got {list(config.n)}")
+    if config.kmax < 0:
+        raise ConfigError(f"kmax must be nonnegative, got {config.kmax}")
+    if config.order < 2:
+        raise ConfigError(f"series order must be at least 2, got {config.order}")
+    config.params  # surfaces parameter errors before any work
+    return config
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -204,36 +221,38 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each line and a LF to the file `out`, or to stdout; streams."""
+    try:
+        with (
+            open(out, "w", encoding="utf-8", newline="\n")
+            if out is not None
+            else contextlib.nullcontext(sys.stdout)
+        ) as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 def _render(
     config: RunConfig,
     columns: Sequence[str],
     rows: Iterable[dict],
-    head_comments: Sequence[str] = (),
-    tail_comments: Sequence[str] = (),
+    head_comments: Iterable[str] = (),
+    tail_comments: Iterable[str] = (),
     extra_json: dict | None = None,
-) -> str:
-    rows = list(rows)
-    if config.fmt == "json":
-        payload = {"config": config.echo()}
-        if extra_json:
-            payload.update(extra_json)
-        payload["rows"] = rows
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["# config: " + json.dumps(config.echo(), sort_keys=True)]
-    lines.extend(f"# {comment}" for comment in head_comments)
-    lines.append(",".join(columns))
+) -> Iterator[str]:
+    """Output lines; CSV consumes `rows`, then `tail_comments`, one at a time."""
+    if config.format == "json":
+        payload = {"config": config.echo(), **(extra_json or {}), "rows": list(rows)}
+        yield json.dumps(payload, indent=2)
+        return
+    yield "# config: " + json.dumps(config.echo(), sort_keys=True)
+    yield from (f"# {comment}" for comment in head_comments)
+    yield ",".join(columns)
     for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in columns))
-    lines.extend(f"# {comment}" for comment in tail_comments)
-    return "\n".join(lines) + "\n"
+        yield ",".join(_cell(row[col]) for col in columns)
+    yield from (f"# {comment}" for comment in tail_comments)
 
 
 def _fmt15(value: Fraction | float) -> str:
@@ -245,14 +264,14 @@ def _fmt15(value: Fraction | float) -> str:
 
 def cmd_moments(config: RunConfig) -> int:
     columns = ["k", "sc", "nu", "nu_dec"]
-    for n in config.n_list:
+    for n in config.n:
         columns += [f"m_n{n}", f"m_n{n}_dec"]
     rows = []
     for k in range(config.kmax + 1):
         sc = comb.semicircle_moment(k)
         nu = comb.nu_moment(k, config.params)
         row = {"k": k, "sc": str(sc), "nu": str(nu), "nu_dec": _fmt15(nu)}
-        for n in config.n_list:
+        for n in config.n:
             m = comb.expected_moment_expansion(k, n, config.params)
             row[f"m_n{n}"] = str(m)
             row[f"m_n{n}_dec"] = _fmt15(m)
@@ -261,37 +280,9 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
-def _series_identity_checks(order: int, fault_index: int | None):
-    one = series.TruncatedRationalSeries.one(order)
-    x = series.TruncatedRationalSeries.monomial(1, order)
-    t = series.catalan_series(order)
-    if fault_index is not None:
-        t = t + series.TruncatedRationalSeries.monomial(fault_index, order)
-    d = one - x * t * t
-    t3 = t**3
-    t5 = t3 * t * t
-
-    def mismatch(lhs, rhs):
-        idx = lhs.first_difference(rhs)
-        return (idx is None), ("" if idx is None else f"first failing coefficient index {idx}")
-
-    checks = []
-    ok, detail = mismatch(t, one + x * t * t)
-    checks.append(("series: T equals 1 + x T^2", ok, detail))
-    ok, detail = mismatch(t * (one - x * t), one)
-    checks.append(("series: T (1 - x T) equals 1", ok, detail))
-    ok, detail = mismatch((t.derivative() * d.truncate(order - 1)), t3.truncate(order - 1))
-    checks.append(("series: T' (1 - x T^2) equals T^3", ok, detail))
-    lhs = t.derivative().derivative()
-    rhs = (2 * t5 / (d * d) + 2 * t5 / d**3).truncate(order - 2)
-    ok, detail = mismatch(lhs, rhs)
-    checks.append(("series: T'' equals 2T^5/(1-xT^2)^2 + 2T^5/(1-xT^2)^3", ok, detail))
-    t4, t7 = t3 * t, t5 * t * t
-    x2, x3, d2 = x * x, x * x * x, d * d
-    combo = -(x * t4) / d2 + 2 * ((x3 * t7) / d2) + 2 * ((x2 * t5) / d) + (x * t3) / d
-    ok, detail = mismatch(combo, series.TruncatedRationalSeries.zero(order))
-    checks.append(("series: four-term cancellation vanishes", ok, detail))
-    return checks
+def _agreement(lhs, rhs) -> tuple[bool, str]:
+    idx = lhs.first_difference(rhs)
+    return idx is None, "" if idx is None else f"first failing coefficient index {idx}"
 
 
 def _coefficient_checks(order: int, params: comb.EnsembleParams):
@@ -299,13 +290,8 @@ def _coefficient_checks(order: int, params: comb.EnsembleParams):
     total = series.s_total(order, params)
     parts = series.s_components(order, params)
     summed = parts[0] + parts[1] + parts[2] + parts[3]
-    idx = summed.first_difference(total)
     checks.append(
-        (
-            "series: S1+S2+S3+S4 equals the reduced closed form",
-            idx is None,
-            "" if idx is None else f"first failing coefficient index {idx}",
-        )
+        ("series: S1+S2+S3+S4 equals the reduced closed form", *_agreement(summed, total))
     )
     bad = ""
     ok = True
@@ -363,44 +349,37 @@ def identity_suite(
     walks_kmax: int = 10,
     fault_index: int | None = None,
 ):
-    checks = _series_identity_checks(order, fault_index)
+    t = series.catalan_series(order)
+    if fault_index is not None:
+        t = t + series.TruncatedRationalSeries.monomial(fault_index, order)
+    checks = [
+        (f"series: {name}", *_agreement(lhs, rhs))
+        for name, lhs, rhs in series.catalan_identities(t)
+    ]
     checks += _coefficient_checks(order, params)
     checks += _walk_count_checks(walks_kmax)
     return checks
 
 
 def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
+    if not 2 <= walks_kmax <= walks.MAX_WORD_LENGTH:
+        raise ConfigError(
+            f"--walks-kmax must be within 2..{walks.MAX_WORD_LENGTH}, got {walks_kmax}"
+        )
     fault = 7 if inject_fault else None
     checks = identity_suite(config.order, config.params, walks_kmax, fault)
-    failures = 0
+    lines = []
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        line = f"{status}  {name}"
-        if detail:
-            line += f"  ({detail})"
-        print(line)
-    print(f"{len(checks) - failures}/{len(checks)} identities hold")
-    return 0 if failures == 0 else 1
-
-
-def _filtered_classes(k: int, v, e, cycle_type):
-    for cls in walks.enumerate_canonical_words(k):
-        if v is not None and cls.v != v:
-            continue
-        if e is not None and cls.e != e:
-            continue
-        if cycle_type is not None and cls.cycle_type != cycle_type:
-            continue
-        yield cls
+        line = f"{'PASS' if ok else 'FAIL'}  {name}"
+        lines.append(f"{line}  ({detail})" if detail else line)
+    passed = sum(ok for _, ok, _ in checks)
+    lines.append(f"{passed}/{len(checks)} identities hold")
+    _emit(lines, config.out)
+    return 0 if passed == len(checks) else 1
 
 
 def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
-    if k < 1 or k > walks.MAX_WORD_LENGTH:
-        raise ConfigError(
-            f"word length must be within 1..{walks.MAX_WORD_LENGTH} "
-            f"(class counts grow like Bell numbers), got {k}"
-        )
+    walks.check_word_length(k)
     if config.ensemble == "custom":
         raise ConfigError(
             "enumeration expectations need full entry moment tables; "
@@ -408,11 +387,14 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
         )
     model = walks.PRESET_MODELS[config.ensemble]()
     columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
+    classes = walks.select_classes(walks.enumerate_canonical_words(k), v, e, cycle_type)
+    totals: dict[tuple[int, int], int] = {}
 
     def rows():
-        for cls in _filtered_classes(k, v, e, cycle_type):
+        for cls in classes:
+            totals[(cls.v, cls.e)] = totals.get((cls.v, cls.e), 0) + 1
             value = walks.expected_word_product(cls, model)
-            yield cls, {
+            yield {
                 "word": "-".join(map(str, cls.canonical_word)),
                 "v": cls.v,
                 "e": cls.e,
@@ -421,42 +403,23 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
                 "exp_den": value.denominator,
             }
 
-    totals: dict[tuple[int, int], int] = {}
-    total = 0
-    if config.fmt == "json":
-        collected = []
-        for cls, row in rows():
-            collected.append(row)
-            totals[(cls.v, cls.e)] = totals.get((cls.v, cls.e), 0) + 1
-            total += 1
+    if config.format == "json":
+        collected = list(rows())
         extra = {
             "summary": {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())},
-            "total_classes": total,
+            "total_classes": len(collected),
         }
         _emit(_render(config, columns, collected, extra_json=extra), config.out)
         return 0
 
     # CSV streams one line per class: class counts grow like Bell numbers,
-    # so the full table must never be materialized
-    def lines():
-        yield "# config: " + json.dumps(config.echo(), sort_keys=True)
-        yield ",".join(columns)
-        nonlocal total
-        for cls, row in rows():
-            totals[(cls.v, cls.e)] = totals.get((cls.v, cls.e), 0) + 1
-            total += 1
-            yield ",".join(_cell(row[col]) for col in columns)
+    # so the full table must never be materialized; the footer is read last
+    def footer():
         for (vv, ee), count in sorted(totals.items()):
-            yield f"# count[v={vv},e={ee}]={count}"
-        yield f"# total_classes={total}"
+            yield f"count[v={vv},e={ee}]={count}"
+        yield f"total_classes={sum(totals.values())}"
 
-    if config.out is None:
-        for line in lines():
-            sys.stdout.write(line + "\n")
-    else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines():
-                fh.write(line + "\n")
+    _emit(_render(config, columns, rows(), tail_comments=footer()), config.out)
     return 0
 
 
@@ -472,7 +435,7 @@ def cmd_mc(config: RunConfig) -> int:
     ks = list(range(2, config.kmax + 1, 2))
     columns = ["method", "k", "n", "samples", "point", "stderr", "reference", "z"]
     rows = []
-    for n in config.n_list:
+    for n in config.n:
         direct = montecarlo.estimate_corrections(ks, n, config.samples, sampler, config.seed)
         combined = montecarlo.richardson_corrections(ks, n, sampler, config.samples, config.seed)
         for method, records in (("estimate", direct), ("richardson", combined)):
@@ -562,7 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "stieltjes":
             return cmd_stieltjes(config, args.radius, args.points)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

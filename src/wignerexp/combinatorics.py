@@ -188,34 +188,46 @@ def term4_coeff(l: int, params: EnsembleParams) -> Fraction:
     )
 
 
+def nu_coefficients(params: EnsembleParams) -> tuple[Fraction, Fraction, Fraction]:
+    """Even coefficients (c4, c2, c0) of the correction measure's polynomial part.
+
+    With a = alpha/sigma2^2 and s = s2/sigma2,
+
+        c4 = a - 2 - r,  c2 = s - 4a + 7 + 3r,  c0 = 2 (a - s - 1).
+
+    The measure is then atoms of mass r/4 at +-2, an arcsine part with
+    coefficient -r/2, and (c4 x^4 + c2 x^2 + c0) / 2 times the arcsine weight
+    1 / (pi sqrt(4 - x^2)) on [-2, 2].
+    """
+    a = params.fourth_ratio
+    s = params.diag_ratio
+    r = params.r
+    return a - 2 - r, s - 4 * a + 7 + 3 * r, 2 * (a - s - 1)
+
+
 def nu_moment(k: int, params: EnsembleParams) -> Fraction:
     """k-th moment of the signed correction measure, exactly.
 
-    The measure consists of atoms of mass r/4 at +-2, an arcsine part with
-    coefficient -r/2, and a polynomial multiple of the arcsine weight with
-    even coefficients c4, c2, c0.  Using the arcsine moment identity
+    Using the arcsine moment identity
     int x^(2m) / (pi sqrt(4 - x^2)) dx = C(2m, m) over [-2, 2] (validated
     against quadrature in the measure module), the moment of order k = 2l is
 
         (r/2) (4^l - C(2l, l))
         + (1/2) [ c4 C(2l+4, l+2) + c2 C(2l+2, l+1) + c0 C(2l, l) ]
 
-    with c4 = a - 2 - r, c2 = s - 4a + 7 + 3r, c0 = 2(a - s - 1), where
-    a = alpha/sigma2^2 and s = s2/sigma2.  Odd moments vanish.
+    with (c4, c2, c0) from ``nu_coefficients``.  Odd moments vanish.
     """
     if k < 0:
         raise ValueError(f"moment index must be nonnegative, got {k}")
     if k % 2 == 1:
         return Fraction(0)
     l = k // 2
-    a = params.fourth_ratio
-    s = params.diag_ratio
-    r = params.r
-    atoms_minus_arcsine = Fraction(r, 2) * (4**l - math.comb(2 * l, l))
+    c4, c2, c0 = nu_coefficients(params)
+    atoms_minus_arcsine = Fraction(params.r, 2) * (4**l - math.comb(2 * l, l))
     poly = (
-        (a - 2 - r) * math.comb(2 * l + 4, l + 2)
-        + (s - 4 * a + 7 + 3 * r) * math.comb(2 * l + 2, l + 1)
-        + 2 * (a - s - 1) * math.comb(2 * l, l)
+        c4 * math.comb(2 * l + 4, l + 2)
+        + c2 * math.comb(2 * l + 2, l + 1)
+        + c0 * math.comb(2 * l, l)
     )
     return atoms_minus_arcsine + Fraction(1, 2) * poly
 

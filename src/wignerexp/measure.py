@@ -5,9 +5,8 @@ The correction measure has three pieces, all supported on [-2, 2]:
   * atoms of mass r/4 at x = +2 and x = -2,
   * an arcsine component with coefficient -r/2,
   * the polynomial density (c4 x^4 + c2 x^2 + c0) / 2 times the arcsine
-    weight 1 / (pi sqrt(4 - x^2)), with
-        c4 = a - 2 - r,  c2 = s - 4a + 7 + 3r,  c0 = 2 (a - s - 1),
-    where a = alpha/sigma2^2 and s = s2/sigma2.
+    weight 1 / (pi sqrt(4 - x^2)), with (c4, c2, c0) from
+    ``combinatorics.nu_coefficients``.
 
 Quadrature uses the substitution x = 2 cos(theta), which turns the arcsine
 weight into the uniform measure on [0, pi]; midpoint sampling in theta is
@@ -29,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import EnsembleParams
+from .combinatorics import EnsembleParams, nu_coefficients
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,14 @@ class SignedMeasureNu:
 
     @classmethod
     def from_params(cls, params: EnsembleParams) -> "SignedMeasureNu":
-        a = params.fourth_ratio
-        s = params.diag_ratio
-        r = params.r
+        c4, c2, c0 = nu_coefficients(params)
         return cls(
             params=params,
-            c4=a - 2 - r,
-            c2=s - 4 * a + 7 + 3 * r,
-            c0=2 * (a - s - 1),
-            atom_mass=Fraction(r, 4),
-            arcsine_coeff=Fraction(-r, 2),
+            c4=c4,
+            c2=c2,
+            c0=c0,
+            atom_mass=Fraction(params.r, 4),
+            arcsine_coeff=Fraction(-params.r, 2),
         )
 
     def density_polynomial(self, x):
@@ -143,16 +140,17 @@ def nu_stieltjes(z: complex, params: EnsembleParams) -> complex:
     1/sqrt(z^2-4); the polynomial part rides on powers of the semicircle
     transform H:
 
-        (H^2 / sqrt(z^2 - 4)) ((a - 2 - r) H^2 + s - 1 - r).
+        (H^2 / sqrt(z^2 - 4)) (c4 H^2 + c2 + 4 c4),
+
+    where c2 + 4 c4 = s - 1 - r in terms of a = alpha/sigma2^2 and s = s2/sigma2.
     """
     z = _require_off_cut(z)
     sq = _sqrt_outside(z)
     h = 0.5 * (z - sq)
     r = params.r
-    a = float(params.fourth_ratio)
-    s = float(params.diag_ratio)
+    c4, c2, _ = nu_coefficients(params)
     atom_and_arcsine = 0.5 * r * (0.5 * (1.0 / (z - 2.0) + 1.0 / (z + 2.0)) - 1.0 / sq)
-    poly = (h * h / sq) * ((a - 2.0 - r) * h * h + (s - 1.0 - r))
+    poly = (h * h / sq) * (float(c4) * h * h + float(c2 + 4 * c4))
     return atom_and_arcsine + poly
 
 

@@ -219,13 +219,6 @@ def estimate_corrections(
     return out
 
 
-def estimate_correction(
-    k: int, n: int, samples: int, sampler: EnsembleSampler, seed: int
-) -> CorrectionEstimate:
-    """Monte Carlo estimate of n (m_k(n) - Cat(k/2)) at a single size."""
-    return estimate_corrections((k,), n, samples, sampler, seed)[0]
-
-
 def richardson_corrections(
     ks: Sequence[int],
     n: int,
@@ -254,10 +247,3 @@ def richardson_corrections(
             )
         )
     return out
-
-
-def richardson_correction(
-    k: int, n: int, sampler: EnsembleSampler, samples: int, seed: int
-) -> CorrectionEstimate:
-    """Single-index Richardson combination across sizes n and 2n."""
-    return richardson_corrections((k,), n, sampler, samples, seed)[0]

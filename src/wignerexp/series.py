@@ -263,21 +263,53 @@ def s_total(order: int, params: EnsembleParams) -> TruncatedRationalSeries:
     return r * ((x3 * t7) / (d * d)) + ((x * t3) / d) * bracket
 
 
+def catalan_identities(
+    t: TruncatedRationalSeries,
+) -> list[tuple[str, TruncatedRationalSeries, TruncatedRationalSeries]]:
+    """The identities the Catalan series satisfies, as (name, lhs, rhs) triples.
+
+    Evaluated on the given series `t` (order >= 2), so a perturbed T shows in
+    every identity that involves it.  Sides that take derivatives are compared
+    at the orders the derivatives leave reliable.
+    """
+    order = t.order
+    if order < 2:
+        raise ValueError(f"the identities need truncation order >= 2, got {order}")
+    one = TruncatedRationalSeries.one(order)
+    x = TruncatedRationalSeries.monomial(1, order)
+    t2 = t * t
+    d = one - x * t2
+    d2 = d * d
+    t3 = t2 * t
+    t4 = t3 * t
+    t5 = t4 * t
+    t7 = t5 * t2
+    x2 = x * x
+    x3 = x2 * x
+    combo = -(x * t4) / d2 + 2 * ((x3 * t7) / d2) + 2 * ((x2 * t5) / d) + (x * t3) / d
+    return [
+        ("T equals 1 + x T^2", t, one + x * t2),
+        ("T (1 - x T) equals 1", t * (one - x * t), one),
+        (
+            "T' (1 - x T^2) equals T^3",
+            t.derivative() * d.truncate(order - 1),
+            t3.truncate(order - 1),
+        ),
+        (
+            "T'' equals 2T^5/(1-xT^2)^2 + 2T^5/(1-xT^2)^3",
+            t.derivative().derivative(),
+            (2 * t5 / d2 + 2 * t5 / (d2 * d)).truncate(order - 2),
+        ),
+        ("four-term cancellation vanishes", combo, TruncatedRationalSeries.zero(order)),
+    ]
+
+
 def verify_cancellation(order: int) -> bool:
     """Check the four-term identity behind the complex-Gaussian nullity.
 
-    Returns True iff
-        -x T^4/(1-xT^2)^2 + 2 x^3 T^7/(1-xT^2)^2
-        + 2 x^2 T^5/(1-xT^2) + x T^3/(1-xT^2)
-    vanishes identically up to the truncation order.
+    True iff the last of ``catalan_identities`` (the combination of x T^3,
+    x^2 T^5, x^3 T^7 and x T^4 over powers of 1 - x T^2) vanishes identically
+    at the truncation order (>= 2).
     """
-    t, x, d = _building_blocks(order)
-    t3 = t**3
-    t4 = t3 * t
-    t5 = t4 * t
-    t7 = t5 * t * t
-    x2 = x * x
-    x3 = x2 * x
-    d2 = d * d
-    combo = -(x * t4) / d2 + 2 * ((x3 * t7) / d2) + 2 * ((x2 * t5) / d) + (x * t3) / d
+    _, combo, _ = catalan_identities(catalan_series(order))[-1]
     return combo.is_zero

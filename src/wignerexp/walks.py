@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import EnsembleParams
 
@@ -180,7 +180,7 @@ _class_cache: dict[int, tuple[WalkClass, ...]] = {}
 
 def walk_classes(k: int) -> tuple[WalkClass, ...]:
     """All classes of length k, memoized for small k."""
-    _check_length(k)
+    check_word_length(k)
     cached = _class_cache.get(k)
     if cached is not None:
         return cached
@@ -190,7 +190,8 @@ def walk_classes(k: int) -> tuple[WalkClass, ...]:
     return classes
 
 
-def _check_length(k: int) -> None:
+def check_word_length(k: int) -> None:
+    """Raise ValueError unless 1 <= k <= ``MAX_WORD_LENGTH``."""
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
     if k > MAX_WORD_LENGTH:
@@ -200,6 +201,24 @@ def _check_length(k: int) -> None:
         )
 
 
+def select_classes(
+    classes: Iterable[WalkClass],
+    v: int | None = None,
+    e: int | None = None,
+    cycle_type: str | None = None,
+) -> Iterator[WalkClass]:
+    """The classes matching every given (v, e, cycle_type), lazily, in order."""
+    if cycle_type is not None and cycle_type not in CYCLE_TYPES:
+        raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
+    return (
+        cls
+        for cls in classes
+        if (v is None or cls.v == v)
+        and (e is None or cls.e == e)
+        and (cycle_type is None or cls.cycle_type == cycle_type)
+    )
+
+
 def count_classes(
     k: int,
     v: int | None = None,
@@ -207,18 +226,7 @@ def count_classes(
     cycle_type: str | None = None,
 ) -> int:
     """Number of classes of length k matching the given (v, e, cycle_type)."""
-    if cycle_type is not None and cycle_type not in CYCLE_TYPES:
-        raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
-    count = 0
-    for cls in walk_classes(k):
-        if v is not None and cls.v != v:
-            continue
-        if e is not None and cls.e != e:
-            continue
-        if cycle_type is not None and cls.cycle_type != cycle_type:
-            continue
-        count += 1
-    return count
+    return sum(1 for _ in select_classes(walk_classes(k), v, e, cycle_type))
 
 
 # -- entry moment models ---------------------------------------------------
@@ -407,9 +415,7 @@ def _expectation_sums(k: int, model: MomentModel) -> tuple[tuple[int, Fraction],
     return tuple(sorted(sums.items()))
 
 
-def exact_moment(
-    k: int, n: int, model: MomentModel, sigma2: Fraction | None = None
-) -> Fraction:
+def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
     """Exact expected moment of the empirical spectral measure at size n.
 
     Even k only: the normalization n^(1 + k/2) sigma^k stays rational.  The
@@ -423,12 +429,10 @@ def exact_moment(
             "exact finite-size moments are rational for even k only; odd moments "
             "vanish for symmetric entry distributions"
         )
-    _check_length(k)
+    check_word_length(k)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    if sigma2 is None:
-        sigma2 = model.sigma2
     total = Fraction(0)
     for v, value in _expectation_sums(k, model):
         total += math.prod(n - i for i in range(v)) * value
-    return total / (Fraction(n) ** (1 + k // 2) * Fraction(sigma2) ** (k // 2))
+    return total / (Fraction(n) ** (1 + k // 2) * model.sigma2 ** (k // 2))

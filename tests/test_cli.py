@@ -1,6 +1,7 @@
 """CLI surface: subcommands, validation, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -229,3 +230,84 @@ def test_stieltjes_radius_guard(capsys):
     code, _, err = run_cli(capsys, "stieltjes", "--radius", "1.5")
     assert code == 2
     assert "radius" in err
+
+
+# -- bad input -----------------------------------------------------------------------
+
+
+def _config_file(tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_text(content)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "config-n-not-a-list": lambda tmp: ["moments", "--config", _config_file(tmp, '{"n": 64}')],
+    "config-kmax-string": lambda tmp: ["moments", "--config", _config_file(tmp, '{"kmax": "8"}')],
+    "config-floats": lambda tmp: [
+        "moments", "--config", _config_file(tmp, '{"n": [64.7], "samples": 2.9}')
+    ],
+    "config-not-an-object": lambda tmp: ["moments", "--config", _config_file(tmp, "[1, 2]")],
+    "config-missing": lambda tmp: ["moments", "--config", str(tmp / "absent.json")],
+    "out-unwritable": lambda tmp: ["moments", "--out", str(tmp / "no-dir" / "m.csv")],
+    "enumerate-out-unwritable": lambda tmp: [
+        "enumerate", "--k", "4", "--out", str(tmp / "no-dir" / "e.csv")
+    ],
+    "walks-kmax-above-bound": lambda tmp: ["check", "--walks-kmax", "14"],
+    "walks-kmax-zero": lambda tmp: ["check", "--walks-kmax", "0"],
+    "walks-kmax-negative": lambda tmp: ["check", "--walks-kmax", "-3"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_error_line(capsys, tmp_path, case):
+    code, out, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# -- golden output ---------------------------------------------------------------------
+
+# SHA-256 of stdout, fixed when the output format and the Monte Carlo stream were
+# last changed on purpose; a deliberate change updates these and says so in
+# CHANGES.md.  The mc digest also pins numpy's generator streams and the float
+# rounding of 16 x 16 matrix products.
+GOLDEN = {
+    "mc-goe-json": (
+        ["mc", "--ensemble", "goe", "--kmax", "4", "--n", "16", "--samples", "200",
+         "--seed", "5", "--format", "json"],
+        0, "0f4fc8f8cbb148d5ae27c403c8f84961e0dc4cdfed69285e36b236d9fef33d24",
+    ),
+    "check": (
+        ["check", "--order", "16", "--walks-kmax", "6"],
+        0, "413a6892bd2ff130dbfc9d531296d77eb78d7f2b2188fd3ae26fbab6c0db4e51",
+    ),
+    "check-fault": (
+        ["check", "--order", "16", "--walks-kmax", "6", "--inject-fault"],
+        1, "84d1370e067d9afd944294c93336b3621417af6b180e6b007ddc7a82df0d6e96",
+    ),
+    "enumerate": (
+        ["enumerate", "--k", "6"],
+        0, "701243a3a1db9c567254a1b3b9bd06f189ccf82e697ed29818aa2d9d172af5ed",
+    ),
+    "moments": (
+        ["moments"], 0, "64a7163cb18731642a88eb1c27c71a3e54af8dcaab6f46631741c29e8c1fd28a"
+    ),
+    "density": (
+        ["density"], 0, "ba39e861110fc7f4d8513973b2f988c019ddaa076a4a6402313ebdc7bb9db797"
+    ),
+    "stieltjes-rademacher": (
+        ["stieltjes", "--ensemble", "rademacher"],
+        0, "9ba33d7c016708175ed230b38d1651d38758bb165ee8acaf66fbf6f292969101",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_stdout(capsys, case):
+    argv, want_code, digest = GOLDEN[case]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,7 +10,6 @@ from wignerexp import (
     GUE,
     RADEMACHER,
     empirical_moments,
-    estimate_correction,
     estimate_corrections,
     exact_moment,
     goe_model,
@@ -20,7 +19,7 @@ from wignerexp import (
     nu_moment,
     rademacher_model,
     rademacher_sampler,
-    richardson_correction,
+    richardson_corrections,
     sample_matrix,
     semicircle_moment,
 )
@@ -132,7 +131,7 @@ def test_estimate_matches_exact_finite_size_value():
     ]
     for name, k, n, samples in cases:
         sampler, model = SAMPLERS[name]
-        est = estimate_correction(k, n, samples, sampler, seed=20260810)
+        (est,) = estimate_corrections([k], n, samples, sampler, seed=20260810)
         exact = _exact_correction(k, n, model)
         assert est.reference == float(nu_moment(k, sampler.params))
         if est.stderr == 0.0:
@@ -145,15 +144,15 @@ def test_estimate_matches_exact_finite_size_value():
 def test_rademacher_second_moment_has_no_fluctuation():
     # trace(X^2) is deterministic for +-1 entries, so the estimate is exact
     sampler, _ = SAMPLERS["rademacher"]
-    est = estimate_correction(2, 16, 200, sampler, seed=3)
+    (est,) = estimate_corrections([2], 16, 200, sampler, seed=3)
     assert est.point == 0.0 and est.stderr == 0.0
     assert est.z_score == 0.0
 
 
 def test_estimates_are_reproducible_and_batch_consistent():
     sampler, _ = SAMPLERS["goe"]
-    a = estimate_correction(4, 24, 300, sampler, seed=11)
-    b = estimate_correction(4, 24, 300, sampler, seed=11)
+    (a,) = estimate_corrections([4], 24, 300, sampler, seed=11)
+    (b,) = estimate_corrections([4], 24, 300, sampler, seed=11)
     assert (a.point, a.stderr) == (b.point, b.stderr)
     batch = estimate_corrections([2, 4, 6], 24, 300, sampler, seed=11)
     assert batch[1].point == a.point and batch[1].stderr == a.stderr
@@ -162,27 +161,27 @@ def test_estimates_are_reproducible_and_batch_consistent():
 def test_estimate_validation():
     sampler, _ = SAMPLERS["goe"]
     with pytest.raises(ValueError):
-        estimate_correction(3, 16, 100, sampler, seed=1)
+        estimate_corrections([3], 16, 100, sampler, seed=1)
     with pytest.raises(ValueError):
-        estimate_correction(4, 16, 1, sampler, seed=1)
+        estimate_corrections([4], 16, 1, sampler, seed=1)
     with pytest.raises(ValueError):
         estimate_corrections([], 16, 100, sampler, seed=1)
 
 
 def test_richardson_cancels_finite_size_bias():
     sampler, model = SAMPLERS["goe"]
-    rich = richardson_correction(4, 32, sampler, 2000, seed=20260810)
+    (rich,) = richardson_corrections([4], 32, sampler, 2000, seed=20260810)
     assert rich.reference == 5.0
     assert abs(rich.point - 5.0) <= 4 * rich.stderr
     # the combined standard error dominates each single-size one
-    single = estimate_correction(4, 64, 2000, sampler, seed=20260810)
+    (single,) = estimate_corrections([4], 64, 2000, sampler, seed=20260810)
     assert rich.stderr >= single.stderr
 
 
 def test_richardson_replay_is_bit_identical():
     sampler, _ = SAMPLERS["gue"]
-    a = richardson_correction(4, 16, sampler, 300, seed=77)
-    b = richardson_correction(4, 16, sampler, 300, seed=77)
+    (a,) = richardson_corrections([4], 16, sampler, 300, seed=77)
+    (b,) = richardson_corrections([4], 16, sampler, 300, seed=77)
     assert (a.point, a.stderr, a.reference) == (b.point, b.stderr, b.reference)
 
 
