@@ -49,10 +49,12 @@ from .montecarlo import (
     goe_sampler,
     gue_sampler,
     rademacher_sampler,
+    richardson_combine,
     richardson_corrections,
     sample_matrix,
 )
 from .series import (
+    MAX_SERIES_ORDER,
     TruncatedRationalSeries,
     catalan_identities,
     catalan_series,

@@ -12,7 +12,8 @@ density    tabulated semicircle and correction densities on (-2, 2)
 stieltjes  both Stieltjes transforms on a circle |z| = radius > 2
 
 Output is CSV (comma delimiter, header row, LF endings) or JSON (one object
-with a ``config`` echo and a ``rows`` array).  Every output embeds the
+with a ``config`` echo and a ``rows`` array; an infinite or NaN number, such
+as the z of a zero-variance row, is written as null).  Every output embeds the
 effective configuration, and config-file keys (--config, JSON) are overridden
 by command-line flags.
 """
@@ -206,8 +207,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"matrix sizes must be positive, got {list(config.n)}")
     if config.kmax < 0:
         raise ConfigError(f"kmax must be nonnegative, got {config.kmax}")
-    if config.order < 2:
-        raise ConfigError(f"series order must be at least 2, got {config.order}")
+    if not 2 <= config.order <= series.MAX_SERIES_ORDER:
+        raise ConfigError(
+            f"series order must be within 2..{series.MAX_SERIES_ORDER}, got {config.order}"
+        )
     config.params  # surfaces parameter errors before any work
     return config
 
@@ -219,6 +222,21 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _finite_or_null(value):
+    """`value` with every infinite or NaN float replaced by None (JSON null).
+
+    RFC 8259 JSON has no Infinity or NaN, which json.dumps would otherwise
+    write, e.g. for the z of a zero-variance row whose point is off by rounding.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -245,7 +263,7 @@ def _render(
     """Output lines; CSV consumes `rows`, then `tail_comments`, one at a time."""
     if config.format == "json":
         payload = {"config": config.echo(), **(extra_json or {}), "rows": list(rows)}
-        yield json.dumps(payload, indent=2)
+        yield json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
         return
     yield "# config: " + json.dumps(config.echo(), sort_keys=True)
     yield from (f"# {comment}" for comment in head_comments)
@@ -434,10 +452,15 @@ def cmd_mc(config: RunConfig) -> int:
     sampler = montecarlo.PRESET_SAMPLERS[config.ensemble]()
     ks = list(range(2, config.kmax + 1, 2))
     columns = ["method", "k", "n", "samples", "point", "stderr", "reference", "z"]
+    # one stream per distinct size: a size's 2n partner may be another's n
+    estimates = {
+        size: montecarlo.estimate_corrections(ks, size, config.samples, sampler, config.seed)
+        for size in sorted({*config.n, *(2 * n for n in config.n)})
+    }
     rows = []
     for n in config.n:
-        direct = montecarlo.estimate_corrections(ks, n, config.samples, sampler, config.seed)
-        combined = montecarlo.richardson_corrections(ks, n, sampler, config.samples, config.seed)
+        direct = estimates[n]
+        combined = montecarlo.richardson_combine(direct, estimates[2 * n])
         for method, records in (("estimate", direct), ("richardson", combined)):
             for rec in records:
                 rows.append(

@@ -3,14 +3,27 @@
 Matrices are sampled as X = W / (sigma sqrt(n)) with independent entries on
 and above the diagonal; per-sample moments are traces of matrix powers
 (trace(X^k)/n equals the k-th moment of the empirical spectral measure
-exactly, no eigensolver involved).  The size-n correction estimate averages
-n (trace(X^k)/n - Cat(k/2)); a Richardson combination across sizes n and 2n
-cancels the leading finite-size bias, leaving the correction-measure moment.
+exactly, no eigensolver involved), taken from the powers up to X^(k/2)
+alone through tr X^(2m) = <X^m, X^m> and tr X^(2m+1) = <X^m, X^(m+1)>.
+The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2)); a
+Richardson combination across sizes n and 2n cancels the leading
+finite-size bias, leaving the correction-measure moment.
+
+GOE and GUE estimates sample the tridiagonal models of Dumitriu and
+Edelman ("Matrix models for beta ensembles", J. Math. Phys. 2002) instead
+of dense matrices: Householder reduction of the dense Gaussian matrix gives
+a symmetric tridiagonal matrix with the same spectrum, independent
+Gaussian diagonal and chi-distributed off-diagonal, so a sample costs
+O(n kmax) and chunks of samples are processed as arrays.  ``sample_matrix``
+still returns the dense matrix, and Rademacher and custom ensembles are
+estimated from dense matrices.
 
 Reproducibility: sample i draws from a generator seeded by the sequence
 (seed, n) spawned at index i, so the stream is a pure function of
 (seed, n, preset, samples) and independent of how the index range would be
-partitioned across workers.
+partitioned across workers.  For GOE and GUE that stream feeds the
+tridiagonal draw (n normals, then n - 1 chi-square variates), for the
+other ensembles the dense one.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import (
     GOE,
@@ -31,6 +45,15 @@ from .combinatorics import (
     nu_moment,
 )
 
+# samples per spawned batch of generators; bounds the memory of the
+# SeedSequence children and of the banded power arrays
+_CHUNK = 64
+# custom_sampler pilot: draws per entry kind, its own stream, and the
+# number of standard errors a claimed moment may miss by
+_PILOT_DRAWS = 20_000
+_PILOT_SEED = 0x9E3779B9
+_PILOT_SE = 6.0
+
 
 @dataclass(frozen=True)
 class EnsembleSampler:
@@ -39,42 +62,73 @@ class EnsembleSampler:
     offdiag(rng, size) draws strictly-upper-triangle entries (complex iff
     params.r == 0); diag(rng, size) draws real diagonal entries.  Both must
     be centered with the advertised second and fourth moments.
+
+    tridiagonal(rng, n), where the ensemble has one, draws the diagonal
+    (length n) and off-diagonal (length n - 1) of a real symmetric
+    tridiagonal matrix, on the scale of W, whose spectrum has the law of
+    the dense matrix's.
     """
 
     params: EnsembleParams
     preset: str
     offdiag: Callable[[np.random.Generator, int], np.ndarray]
     diag: Callable[[np.random.Generator, int], np.ndarray]
+    tridiagonal: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def complex_entries(self) -> bool:
         return self.params.r == 0
 
 
+def _chi_degrees(n: int, beta: int) -> np.ndarray:
+    """Degrees of freedom beta (n - j) of off-diagonal j = 1 .. n-1."""
+    return beta * np.arange(n - 1, 0, -1)
+
+
 def goe_sampler() -> EnsembleSampler:
-    """Real Gaussian: off-diagonal N(0, 1), diagonal N(0, 2)."""
+    """Real Gaussian: off-diagonal N(0, 1), diagonal N(0, 2).
+
+    Tridiagonal model: diagonal N(0, 2), off-diagonal j distributed as
+    chi with n - j degrees of freedom (the norm of the n - j Gaussians
+    below the diagonal that a Householder step folds into one entry).
+    """
     sqrt2 = math.sqrt(2.0)
+
+    def tridiagonal(rng: np.random.Generator, n: int):
+        diag = sqrt2 * rng.standard_normal(n)
+        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 1)))
+
     return EnsembleSampler(
         params=GOE,
         preset="goe",
         offdiag=lambda rng, size: rng.standard_normal(size),
         diag=lambda rng, size: sqrt2 * rng.standard_normal(size),
+        tridiagonal=tridiagonal,
     )
 
 
 def gue_sampler() -> EnsembleSampler:
-    """Complex Gaussian: off-diagonal (X + iY)/sqrt(2), diagonal N(0, 1)."""
+    """Complex Gaussian: off-diagonal (X + iY)/sqrt(2), diagonal N(0, 1).
+
+    Tridiagonal model: diagonal N(0, 1), off-diagonal j distributed as
+    sqrt(chi2_{2(n-j)} / 2), the norm of n - j entries with E|w|^2 = 1.
+    """
 
     def offdiag(rng: np.random.Generator, size: int) -> np.ndarray:
         re = rng.standard_normal(size)
         im = rng.standard_normal(size)
         return (re + 1j * im) / math.sqrt(2.0)
 
+    def tridiagonal(rng: np.random.Generator, n: int):
+        diag = rng.standard_normal(n)
+        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 2)) / 2.0)
+
     return EnsembleSampler(
         params=GUE,
         preset="gue",
         offdiag=offdiag,
         diag=lambda rng, size: rng.standard_normal(size),
+        tridiagonal=tridiagonal,
     )
 
 
@@ -87,8 +141,48 @@ def rademacher_sampler() -> EnsembleSampler:
     return EnsembleSampler(params=RADEMACHER, preset="rademacher", offdiag=signs, diag=signs)
 
 
+def _pilot_miss(samples: np.ndarray, claim: float) -> float | None:
+    """z of the pilot mean against the claim if beyond _PILOT_SE, else None."""
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    if se == 0.0:  # constant entries such as +-1: only rounding may differ
+        return None if math.isclose(mean, claim, rel_tol=1e-9, abs_tol=1e-12) else math.inf
+    z = (mean - claim) / se
+    return None if abs(z) <= _PILOT_SE else z
+
+
 def custom_sampler(params: EnsembleParams, offdiag, diag) -> EnsembleSampler:
-    """Wrap user-supplied entry generators; the params quadruple is trusted."""
+    """Wrap user-supplied entry generators after a pilot check of ``params``.
+
+    A pilot of _PILOT_DRAWS entries of each kind, from a generator of its
+    own (run streams do not move), must show mean 0, E|w|^2 = sigma2,
+    E w^2 = sigma2 for real (r = 1) and 0 for complex entries,
+    E|w|^4 = alpha, and diagonal mean 0 and variance s2, each within
+    _PILOT_SE standard errors estimated from the pilot.  A miss raises
+    ValueError naming the moment.
+    """
+    rng = np.random.default_rng(_PILOT_SEED)
+    off = np.asarray(offdiag(rng, _PILOT_DRAWS))
+    d = np.asarray(diag(rng, _PILOT_DRAWS))
+    sq = np.abs(off) ** 2
+    square = off * off
+    checks = [
+        ("off-diagonal mean (real part)", off.real, 0.0),
+        ("off-diagonal mean (imaginary part)", np.imag(off), 0.0),
+        ("E|w|^2", sq, float(params.sigma2)),
+        ("E w^2 (real part)", square.real, float(params.sigma2) if params.r == 1 else 0.0),
+        ("E w^2 (imaginary part)", np.imag(square), 0.0),
+        ("E|w|^4", sq * sq, float(params.alpha)),
+        ("diagonal mean", d, 0.0),
+        ("diagonal variance", d * d, float(params.s2)),
+    ]
+    for name, samples, claim in checks:
+        z = _pilot_miss(samples, claim)
+        if z is not None:
+            raise ValueError(
+                f"custom sampler does not match its parameters: {name} claimed {claim!r}, "
+                f"pilot of {_PILOT_DRAWS} draws gives z = {z:.3g}"
+            )
     return EnsembleSampler(params=params, preset="custom", offdiag=offdiag, diag=diag)
 
 
@@ -123,22 +217,29 @@ class CorrectionEstimate:
 
 
 @lru_cache(maxsize=64)
-def _triu(n: int):
-    iu = np.triu_indices(n, 1)
-    return iu, (iu[1], iu[0])
+def _scatter_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the strict upper triangle and of its mirror image."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, j * n + i
+
+
+def _scale(sampler: EnsembleSampler, n: int) -> float:
+    """sigma sqrt(n), the divisor taking W to X."""
+    return math.sqrt(float(sampler.params.sigma2)) * math.sqrt(n)
 
 
 def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) -> np.ndarray:
     dtype = complex if sampler.complex_entries else float
-    w = np.zeros((n, n), dtype=dtype)
+    # the same divisions, element for element, as dividing the assembled W
+    scale = _scale(sampler, n)
+    w = np.zeros(n * n, dtype=dtype)
     if n > 1:
-        upper, lower = _triu(n)
-        off = sampler.offdiag(rng, upper[0].size)
+        upper, lower = _scatter_indices(n)
+        off = np.asarray(sampler.offdiag(rng, upper.size), dtype=dtype) / scale
         w[upper] = off
         w[lower] = np.conj(off)
-    w[np.arange(n), np.arange(n)] = sampler.diag(rng, n)
-    sigma = math.sqrt(float(sampler.params.sigma2))
-    return w / (sigma * math.sqrt(n))
+    w[:: n + 1] = np.asarray(sampler.diag(rng, n), dtype=dtype) / scale
+    return w.reshape(n, n)
 
 
 def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
@@ -148,22 +249,100 @@ def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     return _build_matrix(n, sampler, np.random.default_rng(seed))
 
 
+def _half_power_traces(x, ks: Sequence[int], times, inner) -> list:
+    """tr X^k for each k >= 2 in ascending ``ks``, X Hermitian.
+
+    Only the powers up to X^ceil(kmax/2) are formed, by ``times(P) = P X``:
+    tr X^(2m) = <X^m, X^m> and tr X^(2m+1) = <X^m, X^(m+1)>, with
+    ``inner(A, B)`` the Frobenius product tr(A^H B).  kmax = 10 takes four
+    products instead of nine.
+    """
+    powers = [None, x]
+    out = []
+    for k in ks:
+        m, odd = divmod(k, 2)
+        while len(powers) <= m + odd:
+            powers.append(times(powers[-1]))
+        out.append(inner(powers[m], powers[m + odd]))
+    return out
+
+
+def _dense_traces(x: np.ndarray, ks: Sequence[int]) -> list[float]:
+    return _half_power_traces(x, ks, lambda p: p @ x, lambda a, b: float(np.vdot(a, b).real))
+
+
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
-    """[trace(X^j)/n for j = 1..kmax] by iterated matrix multiplication."""
+    """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from half powers."""
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     n = x.shape[0]
-    out = []
-    power = x
-    for j in range(1, kmax + 1):
-        out.append(float(np.trace(power).real) / n)
-        if j < kmax:
-            power = power @ x
-    return out
+    traces = [float(np.trace(x).real), *_dense_traces(x, range(2, kmax + 1))]
+    return [t / n for t in traces]
+
+
+def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
+    """tr T^k for a batch of symmetric tridiagonal T, k >= 2 ascending.
+
+    ``diag`` has shape (S, n) and ``off`` shape (S, n - 1).  T^m has
+    bandwidth m and is held as its 2m + 1 diagonals, array P of shape
+    (S, 2m + 1, n) with P[s, m + o, i] = (T_s^m)[i, i + o] and zeros outside
+    the matrix, so (P T)[i, i + o] = P_{o-1}[i] b[i+o-1] + P_o[i] a[i+o]
+    + P_{o+1}[i] b[i+o] costs O(S m n).  Returns one length-S array per k.
+    """
+    samples, n = diag.shape
+    reach = -(-ks[-1] // 2)  # highest power formed, and the widest offset
+    # a[i + o] and b[i + o] for |o| <= reach as windows over zero-padded rows
+    a_pad = np.zeros((samples, n + 2 * reach))
+    b_pad = np.zeros_like(a_pad)
+    a_pad[:, reach : reach + n] = diag
+    b_pad[:, reach : reach + n - 1] = off
+    a_win = sliding_window_view(a_pad, n, axis=1)  # [s, reach + o, i] = a[i + o]
+    b_win = sliding_window_view(b_pad, n, axis=1)
+    centre = reach
+
+    def times(p: np.ndarray) -> np.ndarray:
+        m = p.shape[1] // 2
+        q = np.zeros((samples, 2 * m + 3, n))
+        q[:, 1:-1] += p * a_win[:, centre - m : centre + m + 1]
+        q[:, 2:] += p * b_win[:, centre - m : centre + m + 1]
+        q[:, :-2] += p * b_win[:, centre - m - 1 : centre + m]
+        return q
+
+    def inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        edge = (q.shape[1] - p.shape[1]) // 2
+        return np.einsum("sri,sri->s", p, q[:, edge : q.shape[1] - edge])
+
+    return _half_power_traces(times(np.ones((samples, 1, n))), ks, times, inner)
 
 
 def _seed_root(seed: int, n: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed) & (2**64 - 1), n))
+
+
+def _chunk_traces(ks, n, sampler, rngs) -> np.ndarray:
+    """tr X^k for each k (rows) and each generator's sample (columns)."""
+    if sampler.tridiagonal is None:
+        return np.array([_dense_traces(_build_matrix(n, sampler, rng), ks) for rng in rngs]).T
+    draws = [sampler.tridiagonal(rng, n) for rng in rngs]
+    scale = _scale(sampler, n)
+    diag = np.array([d for d, _ in draws]) / scale
+    off = np.array([o for _, o in draws]) / scale
+    return np.array(_tridiagonal_traces(diag, off, ks))
+
+
+def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:
+    """tr X^k per k (rows) and sample (columns); sample i from child i of (seed, n).
+
+    Children are spawned a chunk at a time; SeedSequence counts the children
+    it has spawned, so the stream equals that of one spawn(samples).
+    """
+    root = _seed_root(seed, n)
+    out = np.empty((len(ks), samples))
+    for start in range(0, samples, _CHUNK):
+        children = root.spawn(min(_CHUNK, samples - start))
+        rngs = [np.random.default_rng(child) for child in children]
+        out[:, start : start + len(rngs)] = _chunk_traces(ks, n, sampler, rngs)
+    return out
 
 
 def estimate_corrections(
@@ -188,24 +367,10 @@ def estimate_corrections(
         raise ValueError(f"need at least two samples for a standard error, got {samples}")
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    kmax = ks[-1]
-    wanted = set(ks)
-    sc = {k: float(catalan(k // 2)) for k in ks}
-    values = np.empty((len(ks), samples))
-    children = _seed_root(seed, n).spawn(samples)
-    for i, child in enumerate(children):
-        x = _build_matrix(n, sampler, np.random.default_rng(child))
-        power = x
-        traces = {}
-        for j in range(2, kmax + 1):
-            power = power @ x
-            if j in wanted:
-                traces[j] = float(np.trace(power).real)
-        for row, k in enumerate(ks):
-            values[row, i] = n * (traces[k] / n - sc[k])
+    traces = _sample_traces(ks, n, samples, sampler, seed)
     out = []
     for row, k in enumerate(ks):
-        ys = values[row]
+        ys = n * (traces[row] / n - float(catalan(k // 2)))
         out.append(
             CorrectionEstimate(
                 k=k,
@@ -214,6 +379,31 @@ def estimate_corrections(
                 point=float(ys.mean()),
                 stderr=float(ys.std(ddof=1)) / math.sqrt(samples),
                 reference=float(nu_moment(k, sampler.params)),
+            )
+        )
+    return out
+
+
+def richardson_combine(
+    low: Sequence[CorrectionEstimate], high: Sequence[CorrectionEstimate]
+) -> list[CorrectionEstimate]:
+    """2 * high - low per index, from estimates at sizes n (low) and 2n (high)."""
+    out = []
+    for lo, hi in zip(low, high, strict=True):
+        if (hi.k, hi.n, hi.samples) != (lo.k, 2 * lo.n, lo.samples):
+            raise ValueError(
+                f"Richardson pairs need equal k and samples at sizes n and 2n, got "
+                f"(k={lo.k}, n={lo.n}, samples={lo.samples}) and "
+                f"(k={hi.k}, n={hi.n}, samples={hi.samples})"
+            )
+        out.append(
+            CorrectionEstimate(
+                k=lo.k,
+                n=lo.n,
+                samples=lo.samples,
+                point=2.0 * hi.point - lo.point,
+                stderr=math.hypot(2.0 * hi.stderr, lo.stderr),
+                reference=lo.reference,
             )
         )
     return out
@@ -234,16 +424,4 @@ def richardson_corrections(
     """
     low = estimate_corrections(ks, n, samples, sampler, seed)
     high = estimate_corrections(ks, 2 * n, samples, sampler, seed)
-    out = []
-    for lo, hi in zip(low, high):
-        out.append(
-            CorrectionEstimate(
-                k=lo.k,
-                n=n,
-                samples=samples,
-                point=2.0 * hi.point - lo.point,
-                stderr=math.hypot(2.0 * hi.stderr, lo.stderr),
-                reference=lo.reference,
-            )
-        )
-    return out
+    return richardson_combine(low, high)

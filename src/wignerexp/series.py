@@ -28,6 +28,9 @@ from fractions import Fraction
 from .combinatorics import EnsembleParams, catalan
 
 _SCALARS = (int, Fraction)
+# the largest order the command line accepts: the identity suite's time grows
+# about 3.8x per doubling of the order (some 13 s at 320 on a 2-core host)
+MAX_SERIES_ORDER = 320
 
 
 @dataclass(frozen=True)

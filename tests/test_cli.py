@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,6 +190,29 @@ def test_mc_output_file_deterministic(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_mc_json_is_strict(capsys):
+    # k=2 rows of +-1 entries have stderr exactly 0 and a point off by
+    # rounding, so their z is infinite: written as null, not Infinity
+    code, out, _ = run_cli(
+        capsys, "mc", "--ensemble", "rademacher", "--kmax", "2", "--n", "32",
+        "--samples", "50", "--seed", "3", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    nulls = [row for row in rows if row["z"] is None]
+    assert nulls and all(row["stderr"] == 0.0 and row["point"] != 0.0 for row in nulls)
+    code, out, _ = run_cli(
+        capsys, "mc", "--ensemble", "rademacher", "--kmax", "2", "--n", "32",
+        "--samples", "50", "--seed", "3",
+    )
+    assert code == 0
+    assert {row["z"] for row in parse_csv(out) if row["stderr"] == "0.0"} == {"inf"}
+
+
 def test_mc_rejects_custom(capsys):
     code, _, err = run_cli(
         capsys, "mc", "--ensemble", "custom",
@@ -256,6 +282,8 @@ BAD_INPUTS = {
     "walks-kmax-above-bound": lambda tmp: ["check", "--walks-kmax", "14"],
     "walks-kmax-zero": lambda tmp: ["check", "--walks-kmax", "0"],
     "walks-kmax-negative": lambda tmp: ["check", "--walks-kmax", "-3"],
+    "order-above-bound": lambda tmp: ["check", "--order", "321"],
+    "order-far-above-bound": lambda tmp: ["check", "--order", "1280"],
 }
 
 
@@ -272,13 +300,23 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
 
 # SHA-256 of stdout, fixed when the output format and the Monte Carlo stream were
 # last changed on purpose; a deliberate change updates these and says so in
-# CHANGES.md.  The mc digest also pins numpy's generator streams and the float
-# rounding of 16 x 16 matrix products.
+# CHANGES.md.  The mc digests also pin numpy's generator streams and the float
+# rounding of the banded (GOE, GUE) and 16 x 16 dense (Rademacher) products.
 GOLDEN = {
     "mc-goe-json": (
         ["mc", "--ensemble", "goe", "--kmax", "4", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "0f4fc8f8cbb148d5ae27c403c8f84961e0dc4cdfed69285e36b236d9fef33d24",
+        0, "aa33426297fa255d04faab80984892919adbfc21afefba1d8fd06d4bcfcb3bda",
+    ),
+    "mc-gue-json": (
+        ["mc", "--ensemble", "gue", "--kmax", "4", "--n", "16", "--samples", "200",
+         "--seed", "5", "--format", "json"],
+        0, "eadcfd2091a00bd158e309b55337458fc5319953cd73b1d9067d669e5ff0e699",
+    ),
+    "mc-rademacher-json": (
+        ["mc", "--ensemble", "rademacher", "--kmax", "6", "--n", "16", "--samples", "200",
+         "--seed", "5", "--format", "json"],
+        0, "28236e6bf2a7cd7bb2d79161948b264d1961a6c61f97946123d433f06c6c44fa",
     ),
     "check": (
         ["check", "--order", "16", "--walks-kmax", "6"],
@@ -311,3 +349,15 @@ def test_golden_stdout(capsys, case):
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wignerexp", "moments", "--kmax", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [row["nu"] for row in parse_csv(proc.stdout)] == ["0", "0", "1"]

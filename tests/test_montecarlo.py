@@ -1,5 +1,7 @@
 """Sampling, trace moments, correction estimates. Everything is seeded."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,8 @@ from wignerexp import (
     GOE,
     GUE,
     RADEMACHER,
+    EnsembleParams,
+    custom_sampler,
     empirical_moments,
     estimate_corrections,
     exact_moment,
@@ -19,10 +23,13 @@ from wignerexp import (
     nu_moment,
     rademacher_model,
     rademacher_sampler,
+    richardson_combine,
     richardson_corrections,
     sample_matrix,
     semicircle_moment,
 )
+from wignerexp import montecarlo
+from wignerexp.cli import main
 
 SAMPLERS = {
     "goe": (goe_sampler(), goe_model()),
@@ -200,3 +207,188 @@ def test_odd_moments_stay_centered():
             values = np.asarray(values)
             se = values.std(ddof=1) / math.sqrt(len(values))
             assert abs(values.mean()) <= 4 * se
+
+
+# -- sampler streams and custom samplers -------------------------------------------
+
+# SHA-256 of sample_matrix(n, sampler, 20261018).tobytes(), computed before the
+# matrix build was rewritten: the dense stream and its rounding are pinned
+MATRIX_DIGESTS = {
+    ("goe", 1): "0ae7ed074ae9beb78bf11444e5559080fb60b462dea8cab314630cdca9cababd",
+    ("goe", 2): "31289615a7446af77024e701887c9b3bb8415ec43cb592d2cc084fcb1c5cff76",
+    ("goe", 17): "b5d3b3802b7f5ea526ee790c9e3add6efb9316a9cdc500a949a12e7c85bd4d2e",
+    ("goe", 128): "53fbf05a73600fe3387279748423a9ada3a1a03664ceaa245f6c1de713e660d3",
+    ("gue", 1): "2f6e02003b015c8bf709aa9bad7b6bcf43ba439035c723d34474c087f556e657",
+    ("gue", 2): "fd0369f3192a9252c73a55ea22c5c8ab780770db8be5b4e92ccf7264b80dddf6",
+    ("gue", 17): "fedf2ace3c62a5b2563cfe2d546ce6ecc598de521ebc2313cc44cbbe26966187",
+    ("gue", 128): "e154bc578553aa4771c80d74681a0ddbc4f06940fe39ea3b3c4fc417f9271b6b",
+    ("rademacher", 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ("rademacher", 2): "701d8abe4f930906dc0c0b025ea8220f9ba3b981e7a4e31eabe738e3a6696a61",
+    ("rademacher", 17): "e57e862f25c9939fabf18d226a6cbcf7c769cafca2867318ae5ee228a23d7dcc",
+    ("rademacher", 128): "0029a1e041b64530522ebe2e9a5c273cb70f04501aec919098dd96d9aca42e61",
+}
+
+
+@pytest.mark.parametrize("name,n", list(MATRIX_DIGESTS))
+def test_sample_matrix_bytes_are_pinned(name, n):
+    x = sample_matrix(n, SAMPLERS[name][0], 20261018)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == MATRIX_DIGESTS[(name, n)]
+
+
+def test_custom_sampler_accepts_matching_generators():
+    gaussian = custom_sampler(
+        GOE,
+        lambda rng, size: rng.standard_normal(size),
+        lambda rng, size: math.sqrt(2.0) * rng.standard_normal(size),
+    )
+    assert gaussian.preset == "custom" and gaussian.tridiagonal is None
+    signs = lambda rng, size: 2.0 * rng.integers(0, 2, size) - 1.0  # noqa: E731
+    custom_sampler(RADEMACHER, signs, signs)  # zero-variance moments: float slack
+
+
+def _normal(rng, size):
+    return rng.standard_normal(size)
+
+
+def _complex_normal(rng, size):
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "params,offdiag,moment",
+    [
+        # unit-variance entries claimed to have variance 2
+        (EnsembleParams(1, 2, 2, 12), _normal, r"E\|w\|\^2 claimed 2\.0"),
+        # complex entries claimed real, and real entries claimed complex
+        (EnsembleParams(1, 1, 1, 2), _complex_normal, r"E w\^2 \(real part\) claimed 1\.0"),
+        (EnsembleParams(0, 1, 1, 3), _normal, r"E w\^2 \(real part\) claimed 0\.0"),
+    ],
+)
+def test_custom_sampler_rejects_false_parameters(params, offdiag, moment):
+    with pytest.raises(ValueError, match=moment + r", pilot of \d+ draws gives z = "):
+        custom_sampler(params, offdiag, _normal)
+
+
+# -- half-power and banded traces ---------------------------------------------------
+
+
+def _product_chain_moments(x, kmax):
+    """trace(X^j)/n for j = 1..kmax by the full chain of products."""
+    n = x.shape[0]
+    out, power = [], x
+    for j in range(1, kmax + 1):
+        out.append(float(np.trace(power).real) / n)
+        power = power @ x
+    return out
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+def test_half_power_moments_match_product_chain(name):
+    for n, seed in ((1, 4), (2, 5), (24, 6), (64, 7)):
+        x = sample_matrix(n, SAMPLERS[name][0], seed)
+        want = _product_chain_moments(x, 11)
+        got = empirical_moments(x, 11)
+        scale = max(abs(v) for v in want)
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
+
+
+def _dense_tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def test_banded_traces_match_dense_powers():
+    rng = np.random.default_rng(31)
+    ks = list(range(2, 12))
+    for n in (1, 2, 3, 5, 16):
+        diag = rng.standard_normal((7, n))
+        off = rng.standard_normal((7, n - 1))
+        got = np.array(montecarlo._tridiagonal_traces(diag, off, ks))
+        assert got.shape == (len(ks), 7)
+        for s in range(7):
+            t = _dense_tridiagonal(diag[s], off[s])
+            want = [np.trace(np.linalg.matrix_power(t, k)) for k in ks]
+            assert np.allclose(got[:, s], want, rtol=1e-12, atol=1e-12)
+        # a subset of indices, as estimate_corrections asks for them
+        assert np.array_equal(
+            np.array(montecarlo._tridiagonal_traces(diag, off, [4, 10])), got[[2, 8]]
+        )
+
+
+def test_tridiagonal_models_match_exact_moments():
+    # the tridiagonal models carry the finite-n moments of the dense ensembles
+    for name in ("goe", "gue"):
+        sampler, model = SAMPLERS[name]
+        assert sampler.tridiagonal is not None
+        for n in (2, 3, 17):
+            for est in estimate_corrections([2, 4, 6], n, 4000, sampler, seed=4242):
+                exact = _exact_correction(est.k, n, model)
+                assert abs(est.point - exact) <= 4 * est.stderr
+    assert SAMPLERS["rademacher"][0].tridiagonal is None
+
+
+def _one_at_a_time(ks, n, samples, sampler, seed):
+    """tr X^k per sample from child i of (seed, n), by dense matrix powers."""
+    scale = math.sqrt(float(sampler.params.sigma2) * n)
+    rows = []
+    for child in np.random.SeedSequence((seed, n)).spawn(samples):
+        if sampler.tridiagonal is not None:
+            diag, off = sampler.tridiagonal(np.random.default_rng(child), n)
+            x = _dense_tridiagonal(diag, off) / scale
+        else:
+            x = sample_matrix(n, sampler, child)
+        rows.append([np.trace(np.linalg.matrix_power(x, k)).real for k in ks])
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+def test_chunk_boundaries_leave_the_stream_alone(name, samples):
+    sampler = SAMPLERS[name][0]
+    ks, n, seed = [2, 4, 6], 12, 90210
+    want = _one_at_a_time(ks, n, samples, sampler, seed)
+    got = montecarlo._sample_traces(ks, n, samples, sampler, seed)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    if samples < 2:
+        return
+    for est, traces in zip(estimate_corrections(ks, n, samples, sampler, seed), want):
+        ys = traces - n * float(semicircle_moment(est.k))
+        assert est.point == pytest.approx(ys.mean(), rel=1e-9, abs=1e-9)
+        assert est.stderr == pytest.approx(
+            ys.std(ddof=1) / math.sqrt(samples), rel=1e-9, abs=1e-12
+        )
+
+
+# -- one stream per size --------------------------------------------------------------
+
+
+def test_richardson_combine_needs_matching_pairs():
+    sampler = SAMPLERS["goe"][0]
+    low = estimate_corrections([2, 4], 8, 20, sampler, seed=1)
+    with pytest.raises(ValueError, match="sizes n and 2n"):
+        richardson_combine(low, low)
+    high = estimate_corrections([2, 4], 16, 20, sampler, seed=1)
+    assert richardson_combine(low, high) == richardson_corrections([2, 4], 8, sampler, 20, 1)
+
+
+def _mc_rows(capsys, *sizes, ensemble):
+    argv = ["mc", "--ensemble", ensemble, "--kmax", "4", "--samples", "40", "--seed", "8",
+            "--format", "json"]
+    for n in sizes:
+        argv += ["--n", str(n)]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize("ensemble", ["goe", "rademacher"])
+def test_mc_sizes_share_streams_without_changing_rows(capsys, ensemble):
+    both = _mc_rows(capsys, 32, 64, ensemble=ensemble)
+    singles = _mc_rows(capsys, 32, ensemble=ensemble) + _mc_rows(capsys, 64, ensemble=ensemble)
+    assert both == singles
+    sampler = SAMPLERS[ensemble][0]
+    records = []
+    for n in (32, 64):
+        records += estimate_corrections([2, 4], n, 40, sampler, 8)
+        records += richardson_corrections([2, 4], n, sampler, 40, 8)
+    assert [(row["k"], row["n"], row["point"], row["stderr"]) for row in both] == [
+        (rec.k, rec.n, rec.point, rec.stderr) for rec in records
+    ]
