@@ -447,8 +447,15 @@ def cmd_mc(config: RunConfig) -> int:
             "Monte Carlo needs entry generators; use a preset ensemble or the "
             "library custom_sampler API"
         )
-    if config.kmax < 2:
-        raise ConfigError(f"mc needs kmax >= 2, got {config.kmax}")
+    # every resource bound before the first draw of any size
+    largest = 2 * max(config.n)
+    for name, value, high in (
+        ("kmax", config.kmax, montecarlo.MAX_KMAX),
+        ("samples", config.samples, montecarlo.MAX_SAMPLES),
+        ("the largest size sampled, 2 max(n),", largest, montecarlo.MAX_MATRIX_SIZE),
+    ):
+        if not 2 <= value <= high:
+            raise ConfigError(f"mc needs {name} within 2..{high}, got {value}")
     sampler = montecarlo.PRESET_SAMPLERS[config.ensemble]()
     ks = list(range(2, config.kmax + 1, 2))
     columns = ["method", "k", "n", "samples", "point", "stderr", "reference", "z"]

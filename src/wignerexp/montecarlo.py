@@ -48,6 +48,16 @@ from .combinatorics import (
 # samples per spawned batch of generators; bounds the memory of the
 # SeedSequence children and of the banded power arrays
 _CHUNK = 64
+# bounds on a command-line run, checked before the first draw: the largest
+# moment index, the samples per size, and the largest size sampled (2 max(n)).
+# At the bounds the arrays alive at once stay under 512 MiB: the trace array
+# (16 rows of 10^6 floats, 122 MiB), the scatter-index cache (16 MiB) and the
+# larger of one chunk's band arrays (163 MiB peak) and a dense sample's power
+# list (265 MiB peak for complex entries, 137 MiB for real), peaks measured
+# with tracemalloc
+MAX_KMAX = 32
+MAX_SAMPLES = 1_000_000
+MAX_MATRIX_SIZE = 1024
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
 _PILOT_DRAWS = 20_000
@@ -216,7 +226,9 @@ class CorrectionEstimate:
         return (self.point - self.reference) / self.stderr
 
 
-@lru_cache(maxsize=64)
+# two sizes: a run samples one size at a time, and one entry holds 8 n^2
+# bytes (8 MiB at MAX_MATRIX_SIZE), so more would break the memory budget
+@lru_cache(maxsize=2)
 def _scatter_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the strict upper triangle and of its mirror image."""
     i, j = np.triu_indices(n, 1)

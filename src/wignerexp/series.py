@@ -1,4 +1,4 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with exact integer or rational coefficients.
 
 This is the generating-series route to the 1/n moment correction.  The
 Catalan series T satisfies T = 1 + x T^2, and each of the four walk
@@ -12,12 +12,15 @@ families has a closed form in T and 1/(1 - x T^2):
 Their sum collapses, after a four-term cancellation that encodes the
 vanishing of the correction for the complex Gaussian ensemble, to
 
-    S = r x^3 T^7 / (1 - x T^2)^2
-        + (x T^3 / (1 - x T^2)) ((a - 2) x T^2 + s - 1)
+    S = r A + (a - 2) B + (s - 1) C,
+    A = x^3 T^7 / (1 - x T^2)^2,  B = x^2 T^5 / (1 - x T^2),  C = x T^3 / (1 - x T^2)
 
-with a = alpha/sigma2^2 and s = s2/sigma2.  All arithmetic is closed at a
-fixed truncation order with Fraction coefficients, so every identity check
-below is a literal coefficient comparison, not an approximation.
+with a = alpha/sigma2^2 and s = s2/sigma2.  T, x and D = 1 - x T^2 have
+integer coefficients and D has constant term 1, so A, B, C and every
+Catalan identity stay in Python ints; the ensemble parameters enter once,
+as rational scalars on the finished series.  Coefficients are ints or
+Fractions, never floats, so every identity check below is a literal
+coefficient comparison, not an approximation.
 """
 
 from __future__ import annotations
@@ -28,37 +31,31 @@ from fractions import Fraction
 from .combinatorics import EnsembleParams, catalan
 
 _SCALARS = (int, Fraction)
-# the largest order the command line accepts: the identity suite's time grows
-# about 3.8x per doubling of the order (some 13 s at 320 on a 2-core host)
+# the largest order the command line accepts: the identity suite's series part
+# grows about 5x per doubling of the order (some 0.5 s at 320, and 1 s for the
+# whole `check --order 320 --walks-kmax 2` command, on a 2-core host)
 MAX_SERIES_ORDER = 320
 
 
 @dataclass(frozen=True)
 class TruncatedRationalSeries:
-    """Coefficients of x^0 .. x^N, exact rationals; immutable value type."""
+    """Coefficients of x^0 .. x^N, each an int or a Fraction; immutable value type."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        for c in self.coeffs:
+            if not isinstance(c, _SCALARS):
+                raise TypeError(f"series coefficients must be int or Fraction, got {c!r}")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedRationalSeries":
-        """Build from an iterable, zero-padding up to `order` if given."""
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if len(cs) > order + 1:
-                raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @classmethod
     def zero(cls, order: int) -> "TruncatedRationalSeries":
-        return cls(tuple([Fraction(0)] * (order + 1)))
+        return cls((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedRationalSeries":
@@ -68,8 +65,8 @@ class TruncatedRationalSeries:
     def monomial(cls, exponent: int, order: int) -> "TruncatedRationalSeries":
         if not 0 <= exponent <= order:
             raise ValueError(f"monomial exponent {exponent} outside order {order}")
-        cs = [Fraction(0)] * (order + 1)
-        cs[exponent] = Fraction(1)
+        cs = [0] * (order + 1)
+        cs[exponent] = 1
         return cls(tuple(cs))
 
     # -- inspection --------------------------------------------------------
@@ -78,7 +75,7 @@ class TruncatedRationalSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, j: int) -> Fraction:
+    def coeff(self, j: int) -> int | Fraction:
         if not 0 <= j <= self.order:
             raise IndexError(f"coefficient index {j} outside truncation order {self.order}")
         return self.coeffs[j]
@@ -116,9 +113,7 @@ class TruncatedRationalSeries:
                 tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
             )
         if isinstance(other, _SCALARS):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return TruncatedRationalSeries(tuple(cs))
+            return TruncatedRationalSeries((self.coeffs[0] + other, *self.coeffs[1:]))
         return NotImplemented
 
     __radd__ = __add__
@@ -140,7 +135,7 @@ class TruncatedRationalSeries:
         if isinstance(other, TruncatedRationalSeries):
             self._check_order(other)
             n = self.order
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
@@ -163,13 +158,12 @@ class TruncatedRationalSeries:
                 raise ZeroDivisionError(
                     "series division needs a divisor with nonzero constant term"
                 )
-            n = self.order
-            q = [Fraction(0)] * (n + 1)
-            for j in range(n + 1):
-                acc = self.coeffs[j]
-                for i in range(j):
-                    acc -= q[i] * other.coeffs[j - i]
-                q[j] = acc / b0
+            # 1/b0 is b0 itself for a unit, which keeps integer series integer
+            inverse = b0 if b0 in (1, -1) else 1 / Fraction(b0)
+            q = []
+            for j, c in enumerate(self.coeffs):
+                acc = c - sum(qi * b for qi, b in zip(q, other.coeffs[j:0:-1]))
+                q.append(acc * inverse)
             return TruncatedRationalSeries(tuple(q))
         if isinstance(other, _SCALARS):
             return TruncatedRationalSeries(tuple(a / Fraction(other) for a in self.coeffs))
@@ -209,15 +203,18 @@ def catalan_series(order: int) -> TruncatedRationalSeries:
     """
     if order < 1:
         raise ValueError(f"truncation order must be >= 1, got {order}")
-    return TruncatedRationalSeries(tuple(Fraction(catalan(j)) for j in range(order + 1)))
+    return TruncatedRationalSeries(tuple(catalan(j) for j in range(order + 1)))
 
 
-def _building_blocks(order: int):
-    """T, x, and D = 1 - x T^2 at the requested order."""
+def _blocks(order: int):
+    """The integer series (A, B, C, D) of the module docstring, D = 1 - x T^2."""
     t = catalan_series(order)
     x = TruncatedRationalSeries.monomial(1, order)
-    d = TruncatedRationalSeries.one(order) - x * t * t
-    return t, x, d
+    xt2 = x * t * t
+    d = 1 - xt2
+    c = (x * t * t * t) / d
+    b = xt2 * c
+    return (xt2 * b) / d, b, c, d
 
 
 def s_components(
@@ -233,37 +230,20 @@ def s_components(
     Coefficient l of S_i equals the corresponding termN_coeff(l) from the
     combinatorics module; that equality is part of the verification suite.
     """
-    t, x, d = _building_blocks(order)
-    a = params.fourth_ratio
-    s = params.diag_ratio
-    r = params.r
-    t3 = t**3
-    t5 = t3 * t * t
-    t7 = t5 * t * t
-    x3 = x * x * x
-    s1 = -(x * t3) / d**3
-    s2 = a * (x * x * t5) / d
-    s3 = s * (x * t3) / d
-    s4 = (x3 * t7) / d**3 + (2 + r) * ((x3 * t7) / (d * d))
-    return s1, s2, s3, s4
+    a, b, c, d = _blocks(order)
+    s1 = -(c / (d * d))
+    s4 = a / d + (2 + params.r) * a
+    return s1, params.fourth_ratio * b, params.diag_ratio * c, s4
 
 
 def s_total(order: int, params: EnsembleParams) -> TruncatedRationalSeries:
-    """Reduced closed form of S1 + S2 + S3 + S4.
+    """Reduced closed form r A + (a - 2) B + (s - 1) C of S1 + S2 + S3 + S4.
 
     Coefficient l is the full 1/n correction to moment 2l; it vanishes
     identically for the complex Gaussian ensemble.
     """
-    t, x, d = _building_blocks(order)
-    a = params.fourth_ratio
-    s = params.diag_ratio
-    r = params.r
-    t2 = t * t
-    t3 = t2 * t
-    t7 = t3 * t2 * t2
-    x3 = x * x * x
-    bracket = (a - 2) * (x * t2) + (s - 1) * TruncatedRationalSeries.one(order)
-    return r * ((x3 * t7) / (d * d)) + ((x * t3) / d) * bracket
+    a, b, c, _ = _blocks(order)
+    return params.r * a + (params.fourth_ratio - 2) * b + (params.diag_ratio - 1) * c
 
 
 def catalan_identities(

@@ -404,7 +404,8 @@ def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
     return result
 
 
-@lru_cache(maxsize=None)
+# bounded: the key is a MomentModel, and callers may build fresh models
+@lru_cache(maxsize=64)
 def _expectation_sums(k: int, model: MomentModel) -> tuple[tuple[int, Fraction], ...]:
     """Per vertex count v, the sum of E[W_c] over classes of length k."""
     sums: dict[int, Fraction] = {}

@@ -7,10 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from wignerexp.cli import main
+from wignerexp import PRESETS, montecarlo
+from wignerexp.cli import RunConfig, main
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +110,84 @@ def test_config_file_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, "moments", "--config", str(cfg))
     assert code == 2
     assert "banana" in err
+
+
+# one strategy per config key; sigma2^2 <= 4 <= alpha keeps custom params valid
+_FRACTIONS = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
+OUT_NAMES = ("file-out.txt", "flag-out.txt", "other-out.txt")
+KEY_VALUES = {
+    "ensemble": st.sampled_from([*PRESETS, "custom"]),
+    "r": st.integers(0, 1),
+    "sigma2": _FRACTIONS,
+    "s2": _FRACTIONS,
+    "alpha": st.fractions(min_value=4, max_value=12, max_denominator=8),
+    "kmax": st.integers(0, 12),
+    "n": st.lists(st.integers(1, 500), min_size=1, max_size=3),
+    "samples": st.integers(2, 10**6),
+    "seed": st.integers(0, 2**32),
+    "format": st.sampled_from(["csv", "json"]),
+    "out": st.sampled_from(OUT_NAMES),
+    "order": st.integers(2, 320),
+}
+PARAM_KEYS = ("r", "sigma2", "s2", "alpha")
+
+
+def _drawn(data, key, values, where, tmp_path):
+    value = data.draw(values, label=f"{key} {where}")
+    return str(tmp_path / value) if key == "out" else value
+
+
+def _as_flag(key, value):
+    if key == "n":
+        return [arg for size in value for arg in ("--n", str(size))]
+    return [f"--{key}", str(value)]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_flag_beats_file_beats_default(capsys, tmp_path, data):
+    file_values, argv, want = {}, ["moments"], {"command": "moments"}
+    for key, values in KEY_VALUES.items():
+        if key in PARAM_KEYS:
+            # a preset fixes all four parameters, custom needs each of them
+            custom = want["ensemble"] == "custom"
+            sources = ["file", "flag", "both"] if custom else ["default"]
+        else:
+            sources = ["default", "file", "flag", "both"]
+        source = data.draw(st.sampled_from(sources), label=f"{key} source")
+        value = getattr(RunConfig, key)
+        if source in ("file", "both"):
+            value = _drawn(data, key, values, "in file", tmp_path)
+            file_values[key] = str(value) if isinstance(value, Fraction) else value
+        if source in ("flag", "both"):
+            value = _drawn(data, key, values, "flag", tmp_path)
+            argv += _as_flag(key, value)
+        if key in PARAM_KEYS and source == "default":
+            value = getattr(PRESETS[want["ensemble"]], key)
+        if key == "out":
+            out = value
+        else:
+            want[key] = str(value) if isinstance(value, Fraction) else value
+    want["n"] = list(want["n"])
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(file_values))
+    for name in OUT_NAMES:
+        (tmp_path / name).unlink(missing_ok=True)
+
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(config_path))
+    assert code == 0, err
+    if out is None:
+        text = stdout
+    else:
+        assert stdout == ""
+        text = Path(out).read_text()
+    if want["format"] == "json":
+        echo = json.loads(text)["config"]
+    else:
+        echo = json.loads(text.splitlines()[0][len("# config: "):])
+    assert echo == want
 
 
 # -- check --------------------------------------------------------------------------
@@ -213,6 +296,15 @@ def test_mc_json_is_strict(capsys):
     assert {row["z"] for row in parse_csv(out) if row["stderr"] == "0.0"} == {"inf"}
 
 
+def test_mc_runs_at_its_bounds(capsys):
+    code, out, _ = run_cli(
+        capsys, "mc", "--kmax", str(montecarlo.MAX_KMAX),
+        "--n", str(montecarlo.MAX_MATRIX_SIZE // 2), "--samples", "2",
+    )
+    assert code == 0
+    assert len(parse_csv(out)) == montecarlo.MAX_KMAX  # k = 2..kmax, two methods
+
+
 def test_mc_rejects_custom(capsys):
     code, _, err = run_cli(
         capsys, "mc", "--ensemble", "custom",
@@ -284,6 +376,11 @@ BAD_INPUTS = {
     "walks-kmax-negative": lambda tmp: ["check", "--walks-kmax", "-3"],
     "order-above-bound": lambda tmp: ["check", "--order", "321"],
     "order-far-above-bound": lambda tmp: ["check", "--order", "1280"],
+    "mc-samples-huge": lambda tmp: [
+        "mc", "--kmax", "4", "--n", "8", "--samples", "100000000000000"
+    ],
+    "mc-n-huge": lambda tmp: ["mc", "--kmax", "4", "--n", "100000000", "--samples", "10"],
+    "mc-kmax-above-bound": lambda tmp: ["mc", "--kmax", "34", "--n", "8"],
 }
 
 

@@ -392,3 +392,11 @@ def test_mc_sizes_share_streams_without_changing_rows(capsys, ensemble):
     assert [(row["k"], row["n"], row["point"], row["stderr"]) for row in both] == [
         (rec.k, rec.n, rec.point, rec.stderr) for rec in records
     ]
+
+
+def test_scatter_index_cache_keeps_few_sizes():
+    # one cached size holds 8 n^2 bytes, so a run over many sizes must not keep them all
+    sampler = rademacher_sampler()
+    for n in range(100, 110):
+        sample_matrix(n, sampler, 0)
+    assert montecarlo._scatter_indices.cache_info().currsize <= 2

@@ -11,6 +11,7 @@ from wignerexp import (
     GOE,
     GUE,
     TruncatedRationalSeries as Series,
+    catalan_identities,
     catalan_series,
     nu_moment,
     order_one_coeff,
@@ -24,6 +25,8 @@ from wignerexp import (
 )
 
 from conftest import random_valid_params
+from wignerexp.cli import main
+from wignerexp.series import MAX_SERIES_ORDER
 
 
 def S(*coeffs):
@@ -62,6 +65,26 @@ def test_division():
     q = t / d
     assert q * d == t
     assert q.coeff(0) == 1
+
+
+def test_division_by_non_unit_constant_is_exact():
+    q = Series((1, 0, 0)) / Series((2, 1, 0))
+    assert q == Series((Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)))
+    assert all(type(c) is Fraction for c in q.coeffs)
+
+
+def test_float_coefficients_raise():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Series((1, 0.5, 0))
+    with pytest.raises(TypeError):
+        Series((1, 2)) + 0.5
+
+
+def test_scalars_keep_their_type():
+    a = Series((1, 2, 3))
+    assert all(type(c) is int for c in (a * 2 + 1 - a).coeffs)
+    assert all(type(c) is Fraction for c in (a * Fraction(1, 3)).coeffs)
+    assert Series((1, 2)) == Series((Fraction(1), Fraction(2)))
 
 
 def test_division_by_noninvertible_raises():
@@ -139,6 +162,23 @@ def test_division_round_trip(a, b):
 
 def test_catalan_series_coefficients():
     assert catalan_series(4) == S(1, 1, 2, 5, 14)
+
+
+def test_catalan_series_and_identities_stay_integer():
+    order = 160
+    t = catalan_series(order)
+    d = 1 - Series.monomial(1, order) * t * t
+    sides = [t, d]
+    for _, lhs, rhs in catalan_identities(t):
+        sides += [lhs, rhs]
+    assert all(type(c) is int for side in sides for c in side.coeffs)
+
+
+def test_check_at_max_order(capsys):
+    code = main(["check", "--order", str(MAX_SERIES_ORDER), "--walks-kmax", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "10/10 identities hold"
 
 
 @pytest.mark.parametrize("order", [2, 5, 17, 40])

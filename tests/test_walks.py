@@ -34,6 +34,7 @@ from wignerexp import (
     semicircle_moment,
     walk_classes,
 )
+from wignerexp import walks
 
 # -- oracles -------------------------------------------------------------------
 
@@ -296,3 +297,13 @@ def test_correction_residual_shrinks_with_n():
                     assert nxt == 0
                 else:
                     assert abs(nxt) <= abs(prev) / 8
+
+
+def test_expectation_cache_is_bounded():
+    # equal models share a cache entry, but each fresh table is a new key
+    cache_info = walks._expectation_sums.cache_info
+    maxsize = cache_info().maxsize
+    assert maxsize is not None and maxsize >= 32
+    for order in range(4, 6 + maxsize):
+        assert exact_moment(2, 3, goe_model(order)) == Fraction(4, 3)
+    assert cache_info().currsize == maxsize
