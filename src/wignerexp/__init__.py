@@ -80,7 +80,6 @@ from .walks import (
     gue_model,
     rademacher_model,
     select_classes,
-    walk_classes,
 )
 
 __version__ = "0.1.0"

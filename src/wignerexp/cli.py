@@ -457,12 +457,17 @@ def cmd_mc(config: RunConfig) -> int:
         if not 2 <= value <= high:
             raise ConfigError(f"mc needs {name} within 2..{high}, got {value}")
     sampler = montecarlo.PRESET_SAMPLERS[config.ensemble]()
+    # one stream per distinct size: a size's 2n partner may be another's n
+    sizes = sorted({*config.n, *(2 * n for n in config.n)})
+    seconds = montecarlo.estimated_seconds(sampler, config.kmax, sizes, config.samples)
+    if seconds > montecarlo.MAX_RUN_SECONDS:
+        budget = montecarlo.MAX_RUN_SECONDS
+        raise ConfigError(f"mc would take about {seconds:.3g} s, over its {budget} s budget")
     ks = list(range(2, config.kmax + 1, 2))
     columns = ["method", "k", "n", "samples", "point", "stderr", "reference", "z"]
-    # one stream per distinct size: a size's 2n partner may be another's n
     estimates = {
         size: montecarlo.estimate_corrections(ks, size, config.samples, sampler, config.seed)
-        for size in sorted({*config.n, *(2 * n for n in config.n)})
+        for size in sizes
     }
     rows = []
     for n in config.n:

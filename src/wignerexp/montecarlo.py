@@ -58,6 +58,10 @@ _CHUNK = 64
 MAX_KMAX = 32
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
+# bound on a command-line run's ``estimated_seconds``, checked with the above;
+# its unit costs were measured with one BLAS thread on a 2-core host, for real
+# entries, and read 0.85 to 2.3 times the actual time at n = 8..1024
+MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
 _PILOT_DRAWS = 20_000
@@ -340,6 +344,14 @@ def _chunk_traces(ks, n, sampler, rngs) -> np.ndarray:
     diag = np.array([d for d, _ in draws]) / scale
     off = np.array([o for _, o in draws]) / scale
     return np.array(_tridiagonal_traces(diag, off, ks))
+
+
+def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int], samples: int):
+    """Wall time of ``samples`` draws per size up to ``kmax``; see ``MAX_RUN_SECONDS``."""
+    m = -(-kmax // 2)  # the highest power formed
+    if sampler.tridiagonal is not None:
+        return samples * sum(60e-6 + 40e-9 * n * m * (m + 1) / 2 for n in sizes)
+    return samples * sum(100e-6 + 35e-9 * n**2 + 0.06e-9 * n**3 * (m - 1) for n in sizes)
 
 
 def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:

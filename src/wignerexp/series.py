@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import EnsembleParams, catalan
 
@@ -206,6 +207,8 @@ def catalan_series(order: int) -> TruncatedRationalSeries:
     return TruncatedRationalSeries(tuple(catalan(j) for j in range(order + 1)))
 
 
+# the most recent order, shared by s_total and s_components: series are immutable
+@lru_cache(maxsize=1)
 def _blocks(order: int):
     """The integer series (A, B, C, D) of the module docstring, D = 1 - x T^2."""
     t = catalan_series(order)

@@ -20,6 +20,14 @@ where v is the number of distinct letters and E[W_c] is the product of
 entry moments read off the edge traversal counts.  The entry distribution
 enters only through its moment tables (``MomentModel``); built-in models
 cover the real and complex Gaussian ensembles and real Rademacher entries.
+
+Each word length is enumerated once into tallies: the class count per
+(v, e, cycle_type), and one representative with a class count per v and
+multiset of edge patterns (is_loop, fwd, bwd), over the classes whose every
+edge is crossed at least twice.  A pattern fixes its edge's moment factor,
+and an edge crossed once gives a first moment, which ``MomentModel`` holds
+at zero (entries are centered), so ``exact_moment`` needs only those
+representatives: at k = 10, 67 stand for 4,900 of the 115,975 classes.
 """
 
 from __future__ import annotations
@@ -28,12 +36,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams
 
 MAX_WORD_LENGTH = 12
-_CACHED_WORD_LENGTH = 10  # class lists are memoized up to here
 
 TREE = "tree"
 SELF_LOOP = "self-loop"
@@ -41,6 +49,8 @@ CYCLE_ONE_WAY = "cycle-one-way"
 CYCLE_BOTH_WAYS = "cycle-both-ways"
 OTHER = "other"
 CYCLE_TYPES = (TREE, SELF_LOOP, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS, OTHER)
+# the key a class is counted under; select_classes filters it like a class
+_Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 
 
 class MissingMomentError(LookupError):
@@ -100,39 +110,19 @@ def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
-def _cycle_edges(edges) -> list[tuple[int, int]]:
-    """Edges of the unique cycle of a connected unicyclic loop-free graph."""
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    alive = set(adj)
-    leaves = [u for u in alive if len(adj[u]) == 1]
-    while leaves:
-        u = leaves.pop()
-        alive.discard(u)
-        (w,) = adj.pop(u)
-        adj[w].discard(u)
-        if len(adj[w]) == 1 and w in alive:
-            leaves.append(w)
-    return [(a, b) for a, b in edges if a in alive and b in alive]
-
-
 def _cycle_type(v, e, traversals, has_loop) -> str:
     if e == v - 1:
         return TREE
     if has_loop:
         return SELF_LOOP
-    if e != v:
+    if e != v or any(f + b != 2 for f, b in traversals.values()):
         return OTHER
-    if any(f + b != 2 for f, b in traversals.values()):
-        return OTHER
-    patterns = {traversals[edge] for edge in _cycle_edges(traversals.keys())}
-    if all(min(p) == 0 for p in patterns):
+    # a closed walk is a circulation: equal flow each way over a bridge, one
+    # net flow round the cycle, so the cycle is run one way iff some edge is
+    # crossed (2, 0) or (0, 2)
+    if any(f != b for f, b in traversals.values()):
         return CYCLE_ONE_WAY
-    if patterns == {(1, 1)}:
-        return CYCLE_BOTH_WAYS
-    return OTHER
+    return CYCLE_BOTH_WAYS
 
 
 def _classify_canonical(word: tuple[int, ...]) -> WalkClass:
@@ -175,21 +165,6 @@ def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
         yield _classify_canonical(word)
 
 
-_class_cache: dict[int, tuple[WalkClass, ...]] = {}
-
-
-def walk_classes(k: int) -> tuple[WalkClass, ...]:
-    """All classes of length k, memoized for small k."""
-    check_word_length(k)
-    cached = _class_cache.get(k)
-    if cached is not None:
-        return cached
-    classes = tuple(enumerate_canonical_words(k))
-    if k <= _CACHED_WORD_LENGTH:
-        _class_cache[k] = classes
-    return classes
-
-
 def check_word_length(k: int) -> None:
     """Raise ValueError unless 1 <= k <= ``MAX_WORD_LENGTH``."""
     if k < 1:
@@ -201,13 +176,30 @@ def check_word_length(k: int) -> None:
         )
 
 
+@lru_cache(maxsize=MAX_WORD_LENGTH)
+def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int], ...]]:
+    """The read-only tallies of the module docstring; k is checked, so <= MAX_WORD_LENGTH keys."""
+    check_word_length(k)
+    shapes: dict[_Shape, int] = {}
+    weighted: dict[tuple, tuple[WalkClass, int]] = {}
+    for cls in enumerate_canonical_words(k):
+        shape = _Shape(cls.v, cls.e, cls.cycle_type)
+        shapes[shape] = shapes.get(shape, 0) + 1
+        traversals = cls.edge_traversals
+        if all(f + b >= 2 for f, b in traversals.values()):
+            key = (cls.v, tuple(sorted((i == j, *fb) for (i, j), fb in traversals.items())))
+            rep, count = weighted.get(key, (cls, 0))
+            weighted[key] = (rep, count + 1)
+    return MappingProxyType(shapes), tuple(weighted.values())
+
+
 def select_classes(
     classes: Iterable[WalkClass],
     v: int | None = None,
     e: int | None = None,
     cycle_type: str | None = None,
 ) -> Iterator[WalkClass]:
-    """The classes matching every given (v, e, cycle_type), lazily, in order."""
+    """Classes (or ``_Shape`` keys) matching every given (v, e, cycle_type), lazily, in order."""
     if cycle_type is not None and cycle_type not in CYCLE_TYPES:
         raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
     return (
@@ -226,7 +218,8 @@ def count_classes(
     cycle_type: str | None = None,
 ) -> int:
     """Number of classes of length k matching the given (v, e, cycle_type)."""
-    return sum(1 for _ in select_classes(walk_classes(k), v, e, cycle_type))
+    shapes, _ = _tallies(k)
+    return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
 
 
 # -- entry moment models ---------------------------------------------------
@@ -394,26 +387,12 @@ def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
     for (a, b), (fwd, bwd) in cls.edge_traversals.items():
         if a == b:
             factor = model.diag_moment(fwd)
-        elif model.is_real:
-            factor = model.offdiag_moment(fwd + bwd)
         else:
             factor = model.offdiag_mixed(fwd, bwd)
         if factor == 0:
             return Fraction(0)
         result *= factor
     return result
-
-
-# bounded: the key is a MomentModel, and callers may build fresh models
-@lru_cache(maxsize=64)
-def _expectation_sums(k: int, model: MomentModel) -> tuple[tuple[int, Fraction], ...]:
-    """Per vertex count v, the sum of E[W_c] over classes of length k."""
-    sums: dict[int, Fraction] = {}
-    for cls in walk_classes(k):
-        value = expected_word_product(cls, model)
-        if value != 0:
-            sums[cls.v] = sums.get(cls.v, Fraction(0)) + value
-    return tuple(sorted(sums.items()))
 
 
 def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
@@ -434,6 +413,6 @@ def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
     total = Fraction(0)
-    for v, value in _expectation_sums(k, model):
-        total += math.prod(n - i for i in range(v)) * value
+    for cls, count in _tallies(k)[1]:
+        total += math.prod(n - i for i in range(cls.v)) * count * expected_word_product(cls, model)
     return total / (Fraction(n) ** (1 + k // 2) * model.sigma2 ** (k // 2))

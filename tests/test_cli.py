@@ -305,6 +305,22 @@ def test_mc_runs_at_its_bounds(capsys):
     assert len(parse_csv(out)) == montecarlo.MAX_KMAX  # k = 2..kmax, two methods
 
 
+def test_mc_time_budget_admits_the_shapes_in_use():
+    # (sampler, kmax, sizes, samples): the benchmark's mc-gauss and mc-dense
+    # runs, acceptance criterion 7, and the run at the bounds above
+    gauss, dense = montecarlo.goe_sampler(), montecarlo.rademacher_sampler()
+    for sampler, kmax, sizes, samples in (
+        (gauss, 6, [64, 128], 1000),
+        (dense, 10, [128, 256], 1000),
+        (gauss, 6, [64, 128], 20_000),
+        (gauss, montecarlo.MAX_KMAX, [512, 1024], 2),
+    ):
+        seconds = montecarlo.estimated_seconds(sampler, kmax, sizes, samples)
+        assert seconds < montecarlo.MAX_RUN_SECONDS / 10
+    # a thousand dense samples at the largest sizes take over ten minutes
+    assert montecarlo.estimated_seconds(dense, 32, [512, 1024], 1000) > montecarlo.MAX_RUN_SECONDS
+
+
 def test_mc_rejects_custom(capsys):
     code, _, err = run_cli(
         capsys, "mc", "--ensemble", "custom",
@@ -381,6 +397,9 @@ BAD_INPUTS = {
     ],
     "mc-n-huge": lambda tmp: ["mc", "--kmax", "4", "--n", "100000000", "--samples", "10"],
     "mc-kmax-above-bound": lambda tmp: ["mc", "--kmax", "34", "--n", "8"],
+    "mc-work-above-budget": lambda tmp: [
+        "mc", "--ensemble", "rademacher", "--kmax", "32", "--n", "512", "--samples", "1000000"
+    ],
 }
 
 

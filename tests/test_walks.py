@@ -5,6 +5,7 @@ counts, and a direct sum over all index words of {1..n}^k (no equivalence
 classes, no falling factorials) for finite-n moments.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -32,7 +33,6 @@ from wignerexp import (
     rademacher_model,
     self_loop_class_count,
     semicircle_moment,
-    walk_classes,
 )
 from wignerexp import walks
 
@@ -85,8 +85,8 @@ def direct_moment_oracle(k: int, n: int, model: MomentModel) -> Fraction:
 
 
 def test_small_class_lists():
-    assert {cls.canonical_word for cls in walk_classes(2)} == {(1, 2), (1, 1)}
-    assert len(walk_classes(4)) == 15
+    assert {cls.canonical_word for cls in tuple(enumerate_canonical_words(2))} == {(1, 2), (1, 1)}
+    assert len(tuple(enumerate_canonical_words(4))) == 15
 
 
 def test_class_totals_are_bell_numbers():
@@ -97,7 +97,7 @@ def test_class_totals_are_bell_numbers():
 
 def test_counts_partition_the_enumeration():
     for k in (3, 5, 8):
-        classes = walk_classes(k)
+        classes = tuple(enumerate_canonical_words(k))
         pairs = {(cls.v, cls.e) for cls in classes}
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
 
@@ -151,7 +151,7 @@ def test_classify_canonicalizes_arbitrary_letters():
 def test_self_loop_split_example():
     words = {
         cls.canonical_word
-        for cls in walk_classes(4)
+        for cls in tuple(enumerate_canonical_words(4))
         if cls.v == 2 and cls.e == 2 and cls.cycle_type == "self-loop"
     }
     assert words == {(1, 1, 2, 1), (1, 2, 1, 1), (1, 1, 1, 2), (1, 2, 2, 2)}
@@ -176,7 +176,7 @@ def test_count_classes_rejects_unknown_type():
 def test_nonzero_classes_satisfy_graph_inequalities():
     model = goe_model()
     for k in (4, 6, 8):
-        for cls in walk_classes(k):
+        for cls in tuple(enumerate_canonical_words(k)):
             if expected_word_product(cls, model) != 0:
                 assert cls.v <= cls.e + 1
                 assert cls.e <= k // 2
@@ -184,7 +184,7 @@ def test_nonzero_classes_satisfy_graph_inequalities():
 
 def test_odd_length_classes_have_an_odd_edge():
     for k in (3, 5, 7):
-        for cls in walk_classes(k):
+        for cls in tuple(enumerate_canonical_words(k)):
             assert any(sum(counts) % 2 == 1 for counts in cls.edge_traversals.values())
 
 
@@ -299,11 +299,76 @@ def test_correction_residual_shrinks_with_n():
                     assert abs(nxt) <= abs(prev) / 8
 
 
-def test_expectation_cache_is_bounded():
-    # equal models share a cache entry, but each fresh table is a new key
-    cache_info = walks._expectation_sums.cache_info
-    maxsize = cache_info().maxsize
-    assert maxsize is not None and maxsize >= 32
-    for order in range(4, 6 + maxsize):
-        assert exact_moment(2, 3, goe_model(order)) == Fraction(4, 3)
-    assert cache_info().currsize == maxsize
+def test_tallies_cache_is_keyed_by_length():
+    # fresh models are no cache keys: only the word lengths used are
+    walks._tallies.cache_clear()
+    for order in range(12, 62):
+        model = goe_model(order)
+        assert exact_moment(2, 3, model) == Fraction(4, 3)
+        assert exact_moment(4, 3, model) == Fraction(38, 9)
+    assert walks._tallies.cache_info().currsize == 2
+
+
+def test_cold_exact_moment_is_small():
+    # a cold k = 10 oracle keeps tallies, never all 115,975 classes at once
+    bound = 16 << 20
+    models = (goe_model(), gue_model(), rademacher_model())
+    walks._tallies.cache_clear()
+    tracemalloc.start()
+    try:
+        for model in models:
+            exact_moment(10, 64, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+# exact_moment(k, n, model) for n in ORACLE_SIZES, computed by summing E[W_c]
+# class by class over every class of length k
+ORACLE_SIZES = (1, 2, 64, 128, 10000)
+PINNED_MOMENTS = {
+    ("goe", 2): ("2", "3/2", "65/64", "129/128", "10001/10000"),
+    ("goe", 4): ("12", "23/4", "8517/4096", "33413/16384", "40010001/20000000"),
+    ("goe", 6): (
+        "120", "273/8", "1404201/262144", "10852905/2097152", "5002200520041/1000000000000",
+    ),
+    ("goe", 8): (
+        "1680", "4353/16", "260836989/16777216", "3959347965/268435456",
+        "140093037406900509/10000000000000000",
+    ),
+    ("goe", 10): (
+        "30240", "86955/32", "52203543525/1073741824", "1551646283685/34359738368",
+        "4203862290715121438229/100000000000000000000",
+    ),
+    ("gue", 2): ("1", "1", "1", "1", "1"),
+    ("gue", 4): ("3", "9/4", "8193/4096", "32769/16384", "200000001/100000000"),
+    ("gue", 6): ("15", "15/2", "10245/2048", "40965/8192", "50000001/10000000"),
+    ("gue", 8): (
+        "105", "525/16", "235167765/16777216", "3759243285/268435456",
+        "140000007000000021/10000000000000000",
+    ),
+    ("gue", 10): (
+        "945", "2835/16", "706363875/16777216", "11281170915/268435456",
+        "420000042000000483/10000000000000000",
+    ),
+    ("rademacher", 2): ("1", "1", "1", "1", "1"),
+    ("rademacher", 4): ("1", "3/2", "127/64", "255/128", "19999/10000"),
+    ("rademacher", 6): (
+        "1", "5/2", "645089/131072", "5201857/1048576", "2499749995001/500000000000",
+    ),
+    ("rademacher", 8): (
+        "1", "9/2", "28732607/2097152", "464761215/33554432", "17497624875029999/1250000000000000",
+    ),
+    ("rademacher", 10): (
+        "1", "17/2", "11002000291/268435456", "356451139427/8589934592",
+        "1049839985001875309971/25000000000000000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", list(PINNED_MOMENTS))
+def test_exact_moments_are_pinned(name, k):
+    model = walks.PRESET_MODELS[name]()
+    got = tuple(str(exact_moment(k, n, model)) for n in ORACLE_SIZES)
+    assert got == PINNED_MOMENTS[(name, k)]
