@@ -36,6 +36,13 @@ from . import measure, montecarlo, series, walks
 _ENSEMBLES = (*comb.PRESETS, "custom")
 _FORMATS = ("csv", "json")
 _PARAM_KEYS = tuple(f.name for f in fields(comb.EnsembleParams))
+# bounds checked before any work.  density and stieltjes hold their table in
+# memory: at 100,000 points, density takes 1.1 s at 58 MB peak RSS (JSON 1.8 s,
+# 161 MB) and stieltjes 1.2 s at 75 MB (JSON 2.1 s, 247 MB) on a 2-core host.
+# enumerate --format json holds every row: k = 10 takes 3.8 s at 252 MB, and
+# k = 12 has 36 times the classes; CSV streams and keeps the walks bound only.
+MAX_TABLE_POINTS = 100_000
+MAX_JSON_WORD_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -273,8 +280,12 @@ def _render(
     yield from (f"# {comment}" for comment in tail_comments)
 
 
-def _fmt15(value: Fraction | float) -> str:
-    return format(float(value), ".15g")
+def _fmt15(value: Fraction, name: str) -> str:
+    """15-digit decimal of an exact value; bad input if it overflows a float."""
+    try:
+        return format(float(value), ".15g")
+    except OverflowError:
+        raise ConfigError(f"{name} exceeds the float range of its decimal column") from None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -288,11 +299,11 @@ def cmd_moments(config: RunConfig) -> int:
     for k in range(config.kmax + 1):
         sc = comb.semicircle_moment(k)
         nu = comb.nu_moment(k, config.params)
-        row = {"k": k, "sc": str(sc), "nu": str(nu), "nu_dec": _fmt15(nu)}
+        row = {"k": k, "sc": str(sc), "nu": str(nu), "nu_dec": _fmt15(nu, f"nu at k={k}")}
         for n in config.n:
             m = comb.expected_moment_expansion(k, n, config.params)
             row[f"m_n{n}"] = str(m)
-            row[f"m_n{n}_dec"] = _fmt15(m)
+            row[f"m_n{n}_dec"] = _fmt15(m, f"m at k={k}, n={n}")
         rows.append(row)
     _emit(_render(config, columns, rows), config.out)
     return 0
@@ -398,6 +409,11 @@ def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
 
 def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
     walks.check_word_length(k)
+    if config.format == "json" and k > MAX_JSON_WORD_LENGTH:
+        raise ConfigError(
+            f"enumerate --format json holds every row in memory and needs k <= "
+            f"{MAX_JSON_WORD_LENGTH}, got {k}; --format csv streams"
+        )
     if config.ensemble == "custom":
         raise ConfigError(
             "enumeration expectations need full entry moment tables; "
@@ -492,20 +508,15 @@ def cmd_mc(config: RunConfig) -> int:
 
 
 def cmd_density(config: RunConfig, grid: int) -> int:
-    if grid < 1:
-        raise ConfigError(f"grid must be positive, got {grid}")
+    if not 1 <= grid <= MAX_TABLE_POINTS:
+        raise ConfigError(f"grid must be within 1..{MAX_TABLE_POINTS}, got {grid}")
+    nu = measure.SignedMeasureNu.from_params(config.params)
     step = 4.0 / grid
     columns = ["x", "semicircle", "nu"]
     rows = []
     for j in range(grid):
         x = -2.0 + (j + 0.5) * step
-        rows.append(
-            {
-                "x": x,
-                "semicircle": measure.semicircle_density(x),
-                "nu": measure.nu_density(x, config.params),
-            }
-        )
+        rows.append({"x": x, "semicircle": measure.semicircle_density(x), "nu": nu.density(x)})
     atoms = measure.nu_atoms(config.params)
     comments = ["atoms: " + " ".join(f"{loc:+g}:{mass}" for loc, mass in atoms)]
     extra = {"atoms": [[loc, str(mass)] for loc, mass in atoms]}
@@ -519,15 +530,16 @@ def cmd_density(config: RunConfig, grid: int) -> int:
 def cmd_stieltjes(config: RunConfig, radius: float, points: int) -> int:
     if radius <= 2.0:
         raise ConfigError(f"radius must exceed 2 to stay off the branch cut, got {radius}")
-    if points < 1:
-        raise ConfigError(f"points must be positive, got {points}")
+    if not 1 <= points <= MAX_TABLE_POINTS:
+        raise ConfigError(f"points must be within 1..{MAX_TABLE_POINTS}, got {points}")
+    nu = measure.SignedMeasureNu.from_params(config.params)
     columns = ["re_z", "im_z", "sc_re", "sc_im", "nu_re", "nu_im"]
     rows = []
     for j in range(points):
         angle = 2.0 * math.pi * j / points
         z = complex(radius * math.cos(angle), radius * math.sin(angle))
         h = measure.semicircle_stieltjes(z)
-        hn = measure.nu_stieltjes(z, config.params)
+        hn = nu.stieltjes(z)
         rows.append(
             {
                 "re_z": z.real,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,24 +42,51 @@ class SignedMeasureNu:
     c0: Fraction
     atom_mass: Fraction  # at each of x = +2 and x = -2
     arcsine_coeff: Fraction  # coefficient of the plain arcsine density
+    c2_plus_4c4: Fraction  # of H^2 / sqrt(z^2 - 4) in the Stieltjes transform
 
     @classmethod
     def from_params(cls, params: EnsembleParams) -> "SignedMeasureNu":
+        """The measure of ``params``; ValueError if a coefficient overflows a float."""
         c4, c2, c0 = nu_coefficients(params)
-        return cls(
+        nu = cls(
             params=params,
             c4=c4,
             c2=c2,
             c0=c0,
             atom_mass=Fraction(params.r, 4),
             arcsine_coeff=Fraction(-params.r, 2),
+            c2_plus_4c4=c2 + 4 * c4,
         )
+        for name in ("c4", "c2", "c0", "c2_plus_4c4"):
+            if abs(getattr(nu, name)) > sys.float_info.max:
+                raise ValueError(f"correction coefficient {name} exceeds the float range")
+        return nu
 
     def density_polynomial(self, x):
         """Density of the absolutely continuous part per unit arcsine weight."""
         return float(self.arcsine_coeff) + 0.5 * (
             float(self.c4) * x**4 + float(self.c2) * x**2 + float(self.c0)
         )
+
+    def density(self, x: float) -> float:
+        """Density of the absolutely continuous part; see ``nu_density``."""
+        if abs(x) >= 2:
+            raise ValueError(
+                f"x={x} is outside (-2, 2); the density diverges at the edges and the "
+                f"atoms at +-2 are reported by nu_atoms"
+            )
+        weight = 1.0 / (math.pi * math.sqrt(4.0 - x * x))
+        return self.density_polynomial(x) * weight
+
+    def stieltjes(self, z: complex) -> complex:
+        """Stieltjes transform in closed form; see ``nu_stieltjes``."""
+        z = _require_off_cut(z)
+        sq = _sqrt_outside(z)
+        h = 0.5 * (z - sq)
+        r = self.params.r
+        atom_and_arcsine = 0.5 * r * (0.5 * (1.0 / (z - 2.0) + 1.0 / (z + 2.0)) - 1.0 / sq)
+        poly = (h * h / sq) * (float(self.c4) * h * h + float(self.c2_plus_4c4))
+        return atom_and_arcsine + poly
 
 
 def semicircle_density(x: float) -> float:
@@ -72,16 +100,10 @@ def nu_density(x: float, params: EnsembleParams) -> float:
     """Density of the absolutely continuous part of the correction measure.
 
     Defined for |x| < 2 only; the arcsine factor has integrable singularities
-    at the edges and the atoms live exactly there.
+    at the edges and the atoms live exactly there.  A table over many x
+    builds the ``SignedMeasureNu`` once and calls its ``density``.
     """
-    if abs(x) >= 2:
-        raise ValueError(
-            f"x={x} is outside (-2, 2); the density diverges at the edges and the "
-            f"atoms at +-2 are reported by nu_atoms"
-        )
-    nu = SignedMeasureNu.from_params(params)
-    weight = 1.0 / (math.pi * math.sqrt(4.0 - x * x))
-    return nu.density_polynomial(x) * weight
+    return SignedMeasureNu.from_params(params).density(x)
 
 
 def nu_atoms(params: EnsembleParams) -> list[tuple[float, Fraction]]:
@@ -143,15 +165,10 @@ def nu_stieltjes(z: complex, params: EnsembleParams) -> complex:
         (H^2 / sqrt(z^2 - 4)) (c4 H^2 + c2 + 4 c4),
 
     where c2 + 4 c4 = s - 1 - r in terms of a = alpha/sigma2^2 and s = s2/sigma2.
+    A table over many z builds the ``SignedMeasureNu`` once and calls its
+    ``stieltjes``.
     """
-    z = _require_off_cut(z)
-    sq = _sqrt_outside(z)
-    h = 0.5 * (z - sq)
-    r = params.r
-    c4, c2, _ = nu_coefficients(params)
-    atom_and_arcsine = 0.5 * r * (0.5 * (1.0 / (z - 2.0) + 1.0 / (z + 2.0)) - 1.0 / sq)
-    poly = (h * h / sq) * (float(c4) * h * h + float(c2 + 4 * c4))
-    return atom_and_arcsine + poly
+    return SignedMeasureNu.from_params(params).stieltjes(z)
 
 
 def nu_stieltjes_quadrature(

@@ -18,12 +18,12 @@ O(n kmax) and chunks of samples are processed as arrays.  ``sample_matrix``
 still returns the dense matrix, and Rademacher and custom ensembles are
 estimated from dense matrices.
 
-Reproducibility: sample i draws from a generator seeded by the sequence
-(seed, n) spawned at index i, so the stream is a pure function of
-(seed, n, preset, samples) and independent of how the index range would be
-partitioned across workers.  For GOE and GUE that stream feeds the
-tridiagonal draw (n normals, then n - 1 chi-square variates), for the
-other ensembles the dense one.
+Reproducibility: samples come in blocks of _CHUNK, and block b draws from
+one generator seeded by (seed, n, b), so the stream is a pure function of
+(seed, n, preset) and a run of N samples is a prefix of a run of N + 1.
+For GOE and GUE a block draws _CHUNK rows of n normals, then _CHUNK rows of
+n - 1 chi-square variates, a partial last block included; for the other
+ensembles the block's dense samples draw from its generator in turn.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .combinatorics import (
     nu_moment,
 )
 
-# samples per spawned batch of generators; bounds the memory of the
-# SeedSequence children and of the banded power arrays
+# samples per generator; bounds the memory of the banded power arrays, and
+# fixes the stream: changing it changes every GOE, GUE and Rademacher run
 _CHUNK = 64
 # bounds on a command-line run, checked before the first draw: the largest
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
@@ -59,8 +59,9 @@ MAX_KMAX = 32
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
-# its unit costs were measured with one BLAS thread on a 2-core host, for real
-# entries, and read 0.85 to 2.3 times the actual time at n = 8..1024
+# its unit costs were measured with one BLAS thread on a 2-core x86-64 host
+# (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries, and read 0.8 to
+# 2.7 times the actual time at n = 8..1024 and kmax = 2..32
 MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
@@ -77,17 +78,19 @@ class EnsembleSampler:
     params.r == 0); diag(rng, size) draws real diagonal entries.  Both must
     be centered with the advertised second and fourth moments.
 
-    tridiagonal(rng, n), where the ensemble has one, draws the diagonal
-    (length n) and off-diagonal (length n - 1) of a real symmetric
-    tridiagonal matrix, on the scale of W, whose spectrum has the law of
-    the dense matrix's.
+    tridiagonal(rng, n, count), where the ensemble has one, draws the
+    diagonals, shape (count, n), and off-diagonals, shape (count, n - 1), of
+    ``count`` independent real symmetric tridiagonal matrices on the scale
+    of W, each with the spectral law of the dense matrix.
     """
 
     params: EnsembleParams
     preset: str
     offdiag: Callable[[np.random.Generator, int], np.ndarray]
     diag: Callable[[np.random.Generator, int], np.ndarray]
-    tridiagonal: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]] | None = None
+    tridiagonal: (
+        Callable[[np.random.Generator, int, int], tuple[np.ndarray, np.ndarray]] | None
+    ) = None
 
     @property
     def complex_entries(self) -> bool:
@@ -108,9 +111,9 @@ def goe_sampler() -> EnsembleSampler:
     """
     sqrt2 = math.sqrt(2.0)
 
-    def tridiagonal(rng: np.random.Generator, n: int):
-        diag = sqrt2 * rng.standard_normal(n)
-        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 1)))
+    def tridiagonal(rng: np.random.Generator, n: int, count: int):
+        diag = sqrt2 * rng.standard_normal((count, n))
+        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 1), (count, n - 1)))
 
     return EnsembleSampler(
         params=GOE,
@@ -133,9 +136,9 @@ def gue_sampler() -> EnsembleSampler:
         im = rng.standard_normal(size)
         return (re + 1j * im) / math.sqrt(2.0)
 
-    def tridiagonal(rng: np.random.Generator, n: int):
-        diag = rng.standard_normal(n)
-        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 2)) / 2.0)
+    def tridiagonal(rng: np.random.Generator, n: int, count: int):
+        diag = rng.standard_normal((count, n))
+        return diag, np.sqrt(rng.chisquare(_chi_degrees(n, 2), (count, n - 1)) / 2.0)
 
     return EnsembleSampler(
         params=GUE,
@@ -331,41 +334,31 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     return _half_power_traces(times(np.ones((samples, 1, n))), ks, times, inner)
 
 
-def _seed_root(seed: int, n: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(seed) & (2**64 - 1), n))
-
-
-def _chunk_traces(ks, n, sampler, rngs) -> np.ndarray:
-    """tr X^k for each k (rows) and each generator's sample (columns)."""
+def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
+    """tr X^k for each k (rows) and the first ``count`` samples of a block (columns)."""
     if sampler.tridiagonal is None:
-        return np.array([_dense_traces(_build_matrix(n, sampler, rng), ks) for rng in rngs]).T
-    draws = [sampler.tridiagonal(rng, n) for rng in rngs]
+        traces = [_dense_traces(_build_matrix(n, sampler, rng), ks) for _ in range(count)]
+        return np.array(traces).T
+    diag, off = sampler.tridiagonal(rng, n, _CHUNK)
     scale = _scale(sampler, n)
-    diag = np.array([d for d, _ in draws]) / scale
-    off = np.array([o for _, o in draws]) / scale
-    return np.array(_tridiagonal_traces(diag, off, ks))
+    return np.array(_tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks))
 
 
 def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int], samples: int):
     """Wall time of ``samples`` draws per size up to ``kmax``; see ``MAX_RUN_SECONDS``."""
     m = -(-kmax // 2)  # the highest power formed
     if sampler.tridiagonal is not None:
-        return samples * sum(60e-6 + 40e-9 * n * m * (m + 1) / 2 for n in sizes)
-    return samples * sum(100e-6 + 35e-9 * n**2 + 0.06e-9 * n**3 * (m - 1) for n in sizes)
+        return samples * sum(4e-6 + 40e-9 * n + 32e-9 * n * m * (m + 1) / 2 for n in sizes)
+    return samples * sum(40e-6 + 20e-9 * n**2 + (m - 1) * (4e-6 + 0.06e-9 * n**3) for n in sizes)
 
 
 def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:
-    """tr X^k per k (rows) and sample (columns); sample i from child i of (seed, n).
-
-    Children are spawned a chunk at a time; SeedSequence counts the children
-    it has spawned, so the stream equals that of one spawn(samples).
-    """
-    root = _seed_root(seed, n)
+    """tr X^k per k (rows) and sample (columns); block b from generator (seed, n, b)."""
     out = np.empty((len(ks), samples))
-    for start in range(0, samples, _CHUNK):
-        children = root.spawn(min(_CHUNK, samples - start))
-        rngs = [np.random.default_rng(child) for child in children]
-        out[:, start : start + len(rngs)] = _chunk_traces(ks, n, sampler, rngs)
+    for block, start in enumerate(range(0, samples, _CHUNK)):
+        rng = np.random.default_rng((int(seed) & (2**64 - 1), n, block))
+        count = min(_CHUNK, samples - start)
+        out[:, start : start + count] = _chunk_traces(ks, n, sampler, rng, count)
     return out
 
 

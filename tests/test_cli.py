@@ -375,6 +375,9 @@ def _config_file(tmp_path, content):
     return str(path)
 
 
+# a fourth moment whose correction coefficients exceed the float range
+HUGE_ALPHA = ["--ensemble", "custom", "--r", "1", "--sigma2", "1", "--s2", "1", "--alpha", "1e400"]
+
 BAD_INPUTS = {
     "config-n-not-a-list": lambda tmp: ["moments", "--config", _config_file(tmp, '{"n": 64}')],
     "config-kmax-string": lambda tmp: ["moments", "--config", _config_file(tmp, '{"kmax": "8"}')],
@@ -400,6 +403,13 @@ BAD_INPUTS = {
     "mc-work-above-budget": lambda tmp: [
         "mc", "--ensemble", "rademacher", "--kmax", "32", "--n", "512", "--samples", "1000000"
     ],
+    "moments-decimal-overflow": lambda tmp: ["moments", "--kmax", "1100"],
+    "moments-alpha-overflow": lambda tmp: ["moments", *HUGE_ALPHA],
+    "density-alpha-overflow": lambda tmp: ["density", *HUGE_ALPHA],
+    "stieltjes-alpha-overflow": lambda tmp: ["stieltjes", *HUGE_ALPHA],
+    "density-grid-above-bound": lambda tmp: ["density", "--grid", "100001"],
+    "stieltjes-points-above-bound": lambda tmp: ["stieltjes", "--points", "100001"],
+    "enumerate-json-above-bound": lambda tmp: ["enumerate", "--k", "12", "--format", "json"],
 }
 
 
@@ -422,17 +432,17 @@ GOLDEN = {
     "mc-goe-json": (
         ["mc", "--ensemble", "goe", "--kmax", "4", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "aa33426297fa255d04faab80984892919adbfc21afefba1d8fd06d4bcfcb3bda",
+        0, "6b4fbbefe38446bbcd36c8f6f38959681f865ccea3eaeee1c41aa1d4e5aec88a",
     ),
     "mc-gue-json": (
         ["mc", "--ensemble", "gue", "--kmax", "4", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "eadcfd2091a00bd158e309b55337458fc5319953cd73b1d9067d669e5ff0e699",
+        0, "a525e291124e5a352a277671562b7fa31036db6c906808f9faef31101a9478c4",
     ),
     "mc-rademacher-json": (
         ["mc", "--ensemble", "rademacher", "--kmax", "6", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "28236e6bf2a7cd7bb2d79161948b264d1961a6c61f97946123d433f06c6c44fa",
+        0, "e3dd7f654a513bcf6857eff03ed22b38a29053848f41bb283fcfef24c152f324",
     ),
     "check": (
         ["check", "--order", "16", "--walks-kmax", "6"],

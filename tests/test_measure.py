@@ -11,6 +11,7 @@ from wignerexp import (
     GOE,
     GUE,
     RADEMACHER,
+    EnsembleParams,
     SignedMeasureNu,
     nu_atoms,
     nu_density,
@@ -80,6 +81,14 @@ def test_signed_measure_coefficients_vanish_for_presets():
         assert nu.c4 == nu.c2 == nu.c0 == 0
     nu = SignedMeasureNu.from_params(RADEMACHER)
     assert (nu.c4, nu.c2, nu.c0) == (Fraction(-2), Fraction(7), Fraction(-2))
+
+
+def test_signed_measure_refuses_coefficients_beyond_floats():
+    huge_alpha = EnsembleParams(1, 1, 1, Fraction(10**400))
+    with pytest.raises(ValueError, match="c4 exceeds the float range"):
+        SignedMeasureNu.from_params(huge_alpha)
+    with pytest.raises(ValueError):
+        nu_stieltjes(3.0 + 0j, huge_alpha)
 
 
 # -- quadrature ------------------------------------------------------------------

@@ -327,17 +327,18 @@ def test_tridiagonal_models_match_exact_moments():
 
 
 def _one_at_a_time(ks, n, samples, sampler, seed):
-    """tr X^k per sample from child i of (seed, n), by dense matrix powers."""
+    """tr X^k per sample, block b from generator (seed, n, b), by dense matrix powers."""
     scale = math.sqrt(float(sampler.params.sigma2) * n)
     rows = []
-    for child in np.random.SeedSequence((seed, n)).spawn(samples):
+    for block in range(-(-samples // 64)):
+        rng = np.random.default_rng((seed, n, block))
         if sampler.tridiagonal is not None:
-            diag, off = sampler.tridiagonal(np.random.default_rng(child), n)
-            x = _dense_tridiagonal(diag, off) / scale
+            diags, offs = sampler.tridiagonal(rng, n, 64)
+            xs = [_dense_tridiagonal(d, o) / scale for d, o in zip(diags, offs)]
         else:
-            x = sample_matrix(n, sampler, child)
-        rows.append([np.trace(np.linalg.matrix_power(x, k)).real for k in ks])
-    return np.array(rows).T
+            xs = [sample_matrix(n, sampler, rng) for _ in range(min(64, samples - 64 * block))]
+        rows += [[np.trace(np.linalg.matrix_power(x, k)).real for k in ks] for x in xs]
+    return np.array(rows[:samples]).T
 
 
 @pytest.mark.parametrize("name", list(SAMPLERS))
@@ -348,6 +349,9 @@ def test_chunk_boundaries_leave_the_stream_alone(name, samples):
     want = _one_at_a_time(ks, n, samples, sampler, seed)
     got = montecarlo._sample_traces(ks, n, samples, sampler, seed)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    # a run of N samples is a prefix of a run of N + 1
+    longer = montecarlo._sample_traces(ks, n, samples + 1, sampler, seed)
+    assert np.array_equal(got, longer[:, :samples])
     if samples < 2:
         return
     for est, traces in zip(estimate_corrections(ks, n, samples, sampler, seed), want):
