@@ -12,10 +12,11 @@ density    tabulated semicircle and correction densities on (-2, 2)
 stieltjes  both Stieltjes transforms on a circle |z| = radius > 2
 
 Output is CSV (comma delimiter, header row, LF endings) or JSON (one object
-with a ``config`` echo and a ``rows`` array; an infinite or NaN number, such
-as the z of a zero-variance row, is written as null).  Every output embeds the
-effective configuration, and config-file keys (--config, JSON) are overridden
-by command-line flags.
+with a ``config`` echo, a ``rows`` array and any table summary after the rows;
+an infinite or NaN number, such as the z of a zero-variance row, is written as
+null).  Both formats stream the rows.  Every output embeds the effective
+configuration, and config-file keys (--config, JSON) are overridden by
+command-line flags.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
 from . import measure, montecarlo, series, walks
@@ -36,13 +37,10 @@ from . import measure, montecarlo, series, walks
 _ENSEMBLES = (*comb.PRESETS, "custom")
 _FORMATS = ("csv", "json")
 _PARAM_KEYS = tuple(f.name for f in fields(comb.EnsembleParams))
-# bounds checked before any work.  density and stieltjes hold their table in
-# memory: at 100,000 points, density takes 1.1 s at 58 MB peak RSS (JSON 1.8 s,
-# 161 MB) and stieltjes 1.2 s at 75 MB (JSON 2.1 s, 247 MB) on a 2-core host.
-# enumerate --format json holds every row: k = 10 takes 3.8 s at 252 MB, and
-# k = 12 has 36 times the classes; CSV streams and keeps the walks bound only.
+# density and stieltjes points, checked before any work.  Rows stream, so this
+# bounds time: at 100,000 points density takes 1.0 s (JSON 1.4 s) and stieltjes
+# 1.7 s (JSON 2.3 s), each at 29 MB peak RSS on a 2-core host.
 MAX_TABLE_POINTS = 100_000
-MAX_JSON_WORD_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -231,19 +229,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _finite_or_null(value):
-    """`value` with every infinite or NaN float replaced by None (JSON null).
+def _finite_or_null(row: dict) -> dict:
+    """`row` with every infinite or NaN float replaced by None (JSON null).
 
     RFC 8259 JSON has no Infinity or NaN, which json.dumps would otherwise
     write, e.g. for the z of a zero-variance row whose point is off by rounding.
     """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(item) for item in value]
-    return value
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in row.items()
+    }
+
+
+def _json_at(value, depth: int) -> str:
+    """`value` as indent-2 JSON whose continuation lines sit `depth` spaces in."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + " " * depth)
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -265,12 +265,30 @@ def _render(
     rows: Iterable[dict],
     head_comments: Iterable[str] = (),
     tail_comments: Iterable[str] = (),
-    extra_json: dict | None = None,
+    extra_json: Callable[[], dict] = dict,
 ) -> Iterator[str]:
-    """Output lines; CSV consumes `rows`, then `tail_comments`, one at a time."""
+    """Output lines, consuming `rows` one at a time in both formats.
+
+    CSV then consumes `tail_comments`.  JSON holds each row until the next
+    decides its comma, then writes the keys of `extra_json()`; with none, the
+    bytes are those of json.dumps(..., indent=2).
+    """
     if config.format == "json":
-        payload = {"config": config.echo(), **(extra_json or {}), "rows": list(rows)}
-        yield json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+        # rows are flat, so a row's indent-2 form is its compact form with one item
+        # a line, which the C encoder writes in one call (the indent path is Python)
+        row_json = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+        yield "{"
+        yield f'  "config": {_json_at(config.echo(), 2)},'
+        held = None
+        for row in rows:
+            yield '  "rows": [' if held is None else held + ","
+            held = "    {\n      " + row_json(_finite_or_null(row))[1:-1] + "\n    }"
+        if held is not None:
+            yield held
+        close = '  "rows": []' if held is None else "  ]"
+        extra = [f"  {json.dumps(key)}: {_json_at(value, 2)}" for key, value in extra_json().items()]
+        yield ",\n".join([close, *extra])
+        yield "}"
         return
     yield "# config: " + json.dumps(config.echo(), sort_keys=True)
     yield from (f"# {comment}" for comment in head_comments)
@@ -295,6 +313,7 @@ def cmd_moments(config: RunConfig) -> int:
     columns = ["k", "sc", "nu", "nu_dec"]
     for n in config.n:
         columns += [f"m_n{n}", f"m_n{n}_dec"]
+    # a list, not a stream: _fmt15 finds overflow partway, and bad input writes nothing
     rows = []
     for k in range(config.kmax + 1):
         sc = comb.semicircle_moment(k)
@@ -409,11 +428,6 @@ def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
 
 def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
     walks.check_word_length(k)
-    if config.format == "json" and k > MAX_JSON_WORD_LENGTH:
-        raise ConfigError(
-            f"enumerate --format json holds every row in memory and needs k <= "
-            f"{MAX_JSON_WORD_LENGTH}, got {k}; --format csv streams"
-        )
     if config.ensemble == "custom":
         raise ConfigError(
             "enumeration expectations need full entry moment tables; "
@@ -437,23 +451,23 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
                 "exp_den": value.denominator,
             }
 
-    if config.format == "json":
-        collected = list(rows())
-        extra = {
-            "summary": {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())},
-            "total_classes": len(collected),
-        }
-        _emit(_render(config, columns, collected, extra_json=extra), config.out)
-        return 0
-
-    # CSV streams one line per class: class counts grow like Bell numbers,
-    # so the full table must never be materialized; the footer is read last
+    # rows stream one per class: class counts grow like Bell numbers, so the
+    # full table must never be materialized; the totals are read last
     def footer():
         for (vv, ee), count in sorted(totals.items()):
             yield f"count[v={vv},e={ee}]={count}"
         yield f"total_classes={sum(totals.values())}"
 
-    _emit(_render(config, columns, rows(), tail_comments=footer()), config.out)
+    def summary():
+        return {
+            "summary": {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())},
+            "total_classes": sum(totals.values()),
+        }
+
+    _emit(
+        _render(config, columns, rows(), tail_comments=footer(), extra_json=summary),
+        config.out,
+    )
     return 0
 
 
@@ -485,25 +499,18 @@ def cmd_mc(config: RunConfig) -> int:
         size: montecarlo.estimate_corrections(ks, size, config.samples, sampler, config.seed)
         for size in sizes
     }
-    rows = []
-    for n in config.n:
-        direct = estimates[n]
-        combined = montecarlo.richardson_combine(direct, estimates[2 * n])
-        for method, records in (("estimate", direct), ("richardson", combined)):
-            for rec in records:
-                rows.append(
-                    {
-                        "method": method,
-                        "k": rec.k,
-                        "n": rec.n,
-                        "samples": rec.samples,
-                        "point": rec.point,
-                        "stderr": rec.stderr,
-                        "reference": rec.reference,
-                        "z": rec.z_score,
-                    }
-                )
-    _emit(_render(config, columns, rows), config.out)
+
+    def rows():
+        for n in config.n:
+            direct = estimates[n]
+            combined = montecarlo.richardson_combine(direct, estimates[2 * n])
+            for method, records in (("estimate", direct), ("richardson", combined)):
+                for rec in records:
+                    values = (method, rec.k, rec.n, rec.samples, rec.point, rec.stderr,
+                              rec.reference, rec.z_score)
+                    yield dict(zip(columns, values))
+
+    _emit(_render(config, columns, rows()), config.out)
     return 0
 
 
@@ -513,44 +520,35 @@ def cmd_density(config: RunConfig, grid: int) -> int:
     nu = measure.SignedMeasureNu.from_params(config.params)
     step = 4.0 / grid
     columns = ["x", "semicircle", "nu"]
-    rows = []
-    for j in range(grid):
-        x = -2.0 + (j + 0.5) * step
-        rows.append({"x": x, "semicircle": measure.semicircle_density(x), "nu": nu.density(x)})
+    xs = (-2.0 + (j + 0.5) * step for j in range(grid))
+    rows = ({"x": x, "semicircle": measure.semicircle_density(x), "nu": nu.density(x)} for x in xs)
     atoms = measure.nu_atoms(config.params)
     comments = ["atoms: " + " ".join(f"{loc:+g}:{mass}" for loc, mass in atoms)]
     extra = {"atoms": [[loc, str(mass)] for loc, mass in atoms]}
     _emit(
-        _render(config, columns, rows, head_comments=comments, extra_json=extra),
+        _render(config, columns, rows, head_comments=comments, extra_json=lambda: extra),
         config.out,
     )
     return 0
 
 
 def cmd_stieltjes(config: RunConfig, radius: float, points: int) -> int:
-    if radius <= 2.0:
-        raise ConfigError(f"radius must exceed 2 to stay off the branch cut, got {radius}")
+    # NaN fails both tests; above about 1.34e154, z * z overflows to NaN rows
+    if not (radius > 2.0 and math.isfinite(radius * radius)):
+        raise ConfigError(f"radius must exceed 2 and have a finite square, got {radius}")
     if not 1 <= points <= MAX_TABLE_POINTS:
         raise ConfigError(f"points must be within 1..{MAX_TABLE_POINTS}, got {points}")
     nu = measure.SignedMeasureNu.from_params(config.params)
     columns = ["re_z", "im_z", "sc_re", "sc_im", "nu_re", "nu_im"]
-    rows = []
-    for j in range(points):
-        angle = 2.0 * math.pi * j / points
-        z = complex(radius * math.cos(angle), radius * math.sin(angle))
-        h = measure.semicircle_stieltjes(z)
-        hn = nu.stieltjes(z)
-        rows.append(
-            {
-                "re_z": z.real,
-                "im_z": z.imag,
-                "sc_re": h.real,
-                "sc_im": h.imag,
-                "nu_re": hn.real,
-                "nu_im": hn.imag,
-            }
-        )
-    _emit(_render(config, columns, rows), config.out)
+
+    def rows():
+        for j in range(points):
+            angle = 2.0 * math.pi * j / points
+            z = complex(radius * math.cos(angle), radius * math.sin(angle))
+            h, hn = measure.semicircle_stieltjes(z), nu.stieltjes(z)
+            yield dict(zip(columns, (z.real, z.imag, h.real, h.imag, hn.real, hn.imag)))
+
+    _emit(_render(config, columns, rows()), config.out)
     return 0
 
 

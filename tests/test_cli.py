@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wignerexp import PRESETS, montecarlo
-from wignerexp.cli import RunConfig, main
+from wignerexp.cli import RunConfig, _render, main
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,32 @@ def test_enumerate_expectations_follow_ensemble(capsys):
     assert by_word["1-1-1-1"]["exp_num"] == "3"  # real N(0,1) diagonal
 
 
+def test_enumerate_json_matches_csv(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--k", "8")
+    assert code == 0
+    csv_rows = parse_csv(out)
+    footer = dict(
+        line[len("# "):].rsplit("=", 1)
+        for line in out.splitlines()
+        if line.startswith(("# count[", "# total_classes="))
+    )
+    code, text, _ = run_cli(capsys, "enumerate", "--k", "8", "--format", "json")
+    assert code == 0
+    payload = json.loads(text)
+    assert list(payload) == ["config", "rows", "summary", "total_classes"]
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert [{key: str(value) for key, value in row.items()} for row in payload["rows"]] == csv_rows
+    counts = {f"count[{key}]": str(count) for key, count in payload["summary"].items()}
+    assert {**counts, "total_classes": str(payload["total_classes"])} == footer
+
+
+def test_enumerate_json_without_rows_parses(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--k", "4", "--v", "9", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rows"] == [] and payload["summary"] == {} and payload["total_classes"] == 0
+
+
 def test_enumerate_refuses_large_k(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--k", "13")
     assert code == 2
@@ -342,6 +369,22 @@ def test_density_table(capsys):
     assert "# atoms: +2:1/4 -2:1/4" in out
 
 
+def test_density_json_matches_csv(capsys):
+    for ensemble in ("goe", "rademacher"):
+        argv = ["density", "--grid", "6", "--ensemble", ensemble]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(text)
+        assert list(payload) == ["config", "rows", "atoms"]
+        assert text == json.dumps(payload, indent=2) + "\n"
+        rows = [{key: repr(value) for key, value in row.items()} for row in payload["rows"]]
+        assert rows == parse_csv(out)
+        atoms = " ".join(f"{loc:+g}:{mass}" for loc, mass in payload["atoms"])
+        assert f"# atoms: {atoms}\n" in out
+
+
 def test_density_gue_zero(capsys):
     code, out, _ = run_cli(capsys, "density", "--grid", "5", "--ensemble", "gue")
     assert code == 0
@@ -364,6 +407,38 @@ def test_stieltjes_radius_guard(capsys):
     code, _, err = run_cli(capsys, "stieltjes", "--radius", "1.5")
     assert code == 2
     assert "radius" in err
+
+
+# -- JSON streaming -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_json_render_is_one_dumps(count):
+    config = RunConfig(command="mc", format="json", n=(16, 32), sigma2=Fraction(5, 4))
+    rows = [
+        {"method": "estimate\n\u00fc", "k": 2 * j, "point": 0.5 / (j + 1), "z": -1.5, "ref": None}
+        for j in range(count)
+    ]
+    rows[-1]["z"] = float("inf")
+    lines = list(_render(config, ["k"], iter(rows)))
+    rows[-1]["z"] = None
+    assert "\n".join(lines) == json.dumps({"config": config.echo(), "rows": rows}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--k", "9"], ["density", "--grid", "20000"]], ids=" ".join
+)
+def test_json_tables_stream(tmp_path, argv):
+    # holding the whole table peaks near 38 MiB (enumerate) and 24 MiB (density)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--format", "json", "--out", str(tmp_path / "table.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20
+    json.loads((tmp_path / "table.json").read_text())
 
 
 # -- bad input -----------------------------------------------------------------------
@@ -409,7 +484,9 @@ BAD_INPUTS = {
     "stieltjes-alpha-overflow": lambda tmp: ["stieltjes", *HUGE_ALPHA],
     "density-grid-above-bound": lambda tmp: ["density", "--grid", "100001"],
     "stieltjes-points-above-bound": lambda tmp: ["stieltjes", "--points", "100001"],
-    "enumerate-json-above-bound": lambda tmp: ["enumerate", "--k", "12", "--format", "json"],
+    "stieltjes-radius-nan": lambda tmp: ["stieltjes", "--radius", "nan"],
+    "stieltjes-radius-inf": lambda tmp: ["stieltjes", "--radius", "inf"],
+    "stieltjes-radius-square-overflow": lambda tmp: ["stieltjes", "--radius", "1e308"],
 }
 
 
@@ -420,6 +497,27 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# cases whose output would otherwise stream; none may leave a partial --out file
+@pytest.mark.parametrize(
+    "case",
+    [
+        "moments-decimal-overflow",
+        "moments-alpha-overflow",
+        "density-alpha-overflow",
+        "stieltjes-alpha-overflow",
+        "density-grid-above-bound",
+        "stieltjes-points-above-bound",
+        "mc-work-above-budget",
+    ],
+)
+def test_bad_input_writes_no_out_file(capsys, tmp_path, case):
+    out = tmp_path / "x"
+    code, stdout, _ = run_cli(capsys, *BAD_INPUTS[case](tmp_path), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert not out.exists()
 
 
 # -- golden output ---------------------------------------------------------------------

@@ -272,6 +272,18 @@ def test_exact_moment_closed_forms():
         assert exact_moment(4, n, goe_model()) == 2 + Fraction(5, n) + Fraction(5, n**2)
 
 
+def test_gue_moments_follow_harer_zagier():
+    # Harer & Zagier (Invent. Math. 1986): C_l = E tr H^(2l) for unit-variance GUE obeys
+    # (l+1) C_l = (4l-2) n C_(l-1) + (l-1)(2l-1)(2l-3) C_(l-2), with C_0 = n, C_1 = n^2
+    for n in (1, 2, 3, 17, 64):
+        c = [Fraction(n), Fraction(n * n)]
+        for l in range(2, 6):
+            step = (4 * l - 2) * n * c[-1] + (l - 1) * (2 * l - 1) * (2 * l - 3) * c[-2]
+            c.append(step / (l + 1))
+        for l, want in enumerate(c):
+            assert n ** (l + 1) * exact_moment(2 * l, n, gue_model()) == want
+
+
 def test_exact_moment_guards():
     model = goe_model()
     assert exact_moment(0, 5, model) == 1
