@@ -21,13 +21,18 @@ entry moments read off the edge traversal counts.  The entry distribution
 enters only through its moment tables (``MomentModel``); built-in models
 cover the real and complex Gaussian ensembles and real Rademacher entries.
 
-Each word length is enumerated once into tallies: the class count per
-(v, e, cycle_type), and one representative with a class count per v and
-multiset of edge patterns (is_loop, fwd, bwd), over the classes whose every
-edge is crossed at least twice.  A pattern fixes its edge's moment factor,
-and an edge crossed once gives a first moment, which ``MomentModel`` holds
-at zero (entries are centered), so ``exact_moment`` needs only those
-representatives: at k = 10, 67 stand for 4,900 of the 115,975 classes.
+An edge crossed once gives a first moment, which ``MomentModel`` holds at
+zero (entries are centered), so only the classes whose every edge is
+crossed at least twice contribute.  Each word length is searched once for
+exactly those classes: a depth-first search over restricted-growth words
+that cuts a prefix as soon as it has more edges crossed once than steps
+left to take.  It keeps tallies: one representative with a class count per
+v and multiset of edge patterns (is_loop, fwd, bwd), which fixes the
+class's moment factor, and the class count per (v, e, cycle_type).  At
+k = 10, 67 representatives stand for the 4,900 classes that count, of
+115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The full stream
+(``canonical_words``, ``enumerate_canonical_words``) still yields every
+class, for ``enumerate`` and for the counts outside the pruned families.
 """
 
 from __future__ import annotations
@@ -178,18 +183,64 @@ def check_word_length(k: int) -> None:
 
 @lru_cache(maxsize=MAX_WORD_LENGTH)
 def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int], ...]]:
-    """The read-only tallies of the module docstring; k is checked, so <= MAX_WORD_LENGTH keys."""
+    """The read-only tallies of the module docstring; k is checked, so <= MAX_WORD_LENGTH keys.
+
+    A depth-first search over restricted-growth words, in the order of
+    ``canonical_words``, that keeps the directed crossing counts of each edge
+    and the number of edges crossed once.  Each remaining step, the closing
+    step included, brings at most one such edge to two crossings, so a prefix
+    with more of them than steps left is cut with its whole subtree.  A leaf
+    is kept iff no edge is crossed once; it reads its pattern key from the
+    live counts, and only the first leaf of a key is classified, as that
+    key's representative.  The key fixes v, e and the cycle type, so the
+    shape counts are summed from the weighted representatives.
+    """
     check_word_length(k)
-    shapes: dict[_Shape, int] = {}
+    word = [0] * k
+    counts: dict[tuple[int, int], list[int]] = {}
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
-    for cls in enumerate_canonical_words(k):
-        shape = _Shape(cls.v, cls.e, cls.cycle_type)
-        shapes[shape] = shapes.get(shape, 0) + 1
-        traversals = cls.edge_traversals
-        if all(f + b >= 2 for f, b in traversals.values()):
-            key = (cls.v, tuple(sorted((i == j, *fb) for (i, j), fb in traversals.items())))
-            rep, count = weighted.get(key, (cls, 0))
-            weighted[key] = (rep, count + 1)
+
+    def cross(a: int, b: int, ones: int) -> int:
+        # step a -> b; returns the new number of edges crossed once
+        key = (a, b) if a <= b else (b, a)
+        slot = counts.get(key)
+        if slot is None:
+            slot = counts[key] = [0, 0]
+        slot[a > b] += 1
+        total = slot[0] + slot[1]
+        return ones + 1 if total == 1 else ones - 1 if total == 2 else ones
+
+    def uncross(a: int, b: int) -> None:
+        key = (a, b) if a <= b else (b, a)
+        slot = counts[key]
+        slot[a > b] -= 1
+        if slot[0] + slot[1] == 0:
+            del counts[key]
+
+    def rec(pos: int, vmax: int, ones: int) -> None:
+        a = word[pos - 1]
+        if pos == k:
+            if not cross(a, 0, ones):
+                key = (vmax + 1, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
+                entry = weighted.get(key)
+                if entry is None:
+                    weighted[key] = (_classify_canonical(tuple(x + 1 for x in word)), 1)
+                else:
+                    weighted[key] = (entry[0], entry[1] + 1)
+            uncross(a, 0)
+            return
+        for b in range(vmax + 2):
+            after = cross(a, b, ones)
+            if after <= k - pos:
+                word[pos] = b
+                rec(pos + 1, vmax if b <= vmax else b, after)
+            uncross(a, b)
+
+    rec(1, 0, 0)
+    shapes: dict[_Shape, int] = {}
+    for rep, count in weighted.values():
+        shape = _Shape(rep.v, rep.e, rep.cycle_type)
+        shapes[shape] = shapes.get(shape, 0) + count
     return MappingProxyType(shapes), tuple(weighted.values())
 
 
@@ -217,9 +268,38 @@ def count_classes(
     e: int | None = None,
     cycle_type: str | None = None,
 ) -> int:
-    """Number of classes of length k matching the given (v, e, cycle_type)."""
-    shapes, _ = _tallies(k)
-    return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
+    """Number of classes of length k matching the given (v, e, cycle_type).
+
+    The closed-form families (``_pruned_answers``) are read from the tallies;
+    any other query counts the full stream of ``enumerate_canonical_words``.
+    """
+    check_word_length(k)
+    if _pruned_answers(k, v, e, cycle_type):
+        shapes, _ = _tallies(k)
+        return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
+    return sum(1 for _ in select_classes(enumerate_canonical_words(k), v, e, cycle_type))
+
+
+def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
+    """True when every class matching the query crosses each edge at least twice.
+
+    Then the tallies, which hold exactly those classes, count the query in
+    full.  A closed walk crosses every edge of its graph at least once.
+    - Trees (``cycle_type`` tree, or e = v - 1, which forces a tree): every
+      edge is a bridge, and a closed walk crosses a bridge as often one way
+      as the other, so an even number of times, hence at least twice.
+    - Both cycle types are defined by f + b = 2 on every edge.
+    - A self-loop class with v = e = k/2: connecting v vertices takes v - 1
+      non-loop edges, so of its e = v edges one is a loop and the others
+      form a spanning tree.  The tree's bridges take an even count >= 2
+      each, at least 2(v - 1) = k - 2 of the k steps and an even number of
+      them, so k - 2 (the loop needs one).  The loop takes the other two.
+    """
+    if cycle_type in (TREE, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS):
+        return True
+    if v is not None and e == v - 1:
+        return True
+    return cycle_type == SELF_LOOP and v is not None and e == v and 2 * v == k
 
 
 # -- entry moment models ---------------------------------------------------

@@ -6,6 +6,7 @@ classes, no falling factorials) for finite-n moments.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -32,6 +33,7 @@ from wignerexp import (
     nu_moment,
     rademacher_model,
     self_loop_class_count,
+    select_classes,
     semicircle_moment,
 )
 from wignerexp import walks
@@ -102,6 +104,53 @@ def test_counts_partition_the_enumeration():
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
 
 
+def full_stream_tallies(k: int):
+    """Shape counts over every class, and the weighted classes of the oracle.
+
+    The weighted part keeps the classes whose every edge is crossed at least
+    twice, keyed by v and the sorted (is_loop, fwd, bwd) edge patterns, each
+    with its first class in stream order and its class count.
+    """
+    shapes: Counter = Counter()
+    weighted: dict = {}
+    for cls in enumerate_canonical_words(k):
+        shapes[walks._Shape(cls.v, cls.e, cls.cycle_type)] += 1
+        patterns = [(i == j, f, b) for (i, j), (f, b) in cls.edge_traversals.items()]
+        if all(f + b >= 2 for _, f, b in patterns):
+            key = (cls.v, tuple(sorted(patterns)))
+            word, count = weighted.get(key, (cls.canonical_word, 0))
+            weighted[key] = (word, count + 1)
+    return shapes, weighted
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_pruned_tallies_match_full_stream(k, monkeypatch):
+    full_shapes, want = full_stream_tallies(k)
+    got = {}
+    for rep, count in walks._tallies(k)[1]:
+        patterns = sorted((i == j, f, b) for (i, j), (f, b) in rep.edge_traversals.items())
+        got[(rep.v, tuple(patterns))] = (rep.canonical_word, count)
+    assert got == want
+
+    # the family queries read the pruned tallies alone, and count as the full stream does
+    monkeypatch.setattr(walks, "enumerate_canonical_words", None)
+    l = k // 2
+    families = [(l + 1, l, None), (l, l - 1, None), (None, None, "tree")]
+    families += [(l, l, "cycle-one-way"), (l, l, "cycle-both-ways")]
+    families += [(l, l, "self-loop")] if k % 2 == 0 else []
+    assert all(walks._pruned_answers(k, *query) for query in families)
+    queries = [
+        (v, e, kind)
+        for v in (None, *range(1, k + 2))
+        for e in (None, *range(k + 2))
+        for kind in (None, *walks.CYCLE_TYPES)
+        if walks._pruned_answers(k, v, e, kind)
+    ]
+    for v, e, kind in queries:
+        want_count = sum(full_shapes[s] for s in select_classes(full_shapes, v, e, kind))
+        assert count_classes(k, v, e, kind) == want_count, (v, e, kind)
+
+
 def test_enumeration_rejects_bad_lengths():
     with pytest.raises(ValueError):
         list(canonical_words(0))
@@ -158,7 +207,7 @@ def test_self_loop_split_example():
 
 
 def test_counts_match_closed_forms():
-    for l in range(1, 5):
+    for l in range(1, 7):
         k = 2 * l
         assert count_classes(k, l + 1, l) == catalan(l)
         assert count_classes(k, l, l - 1) == double_edge_class_count(l)
@@ -277,7 +326,7 @@ def test_gue_moments_follow_harer_zagier():
     # (l+1) C_l = (4l-2) n C_(l-1) + (l-1)(2l-1)(2l-3) C_(l-2), with C_0 = n, C_1 = n^2
     for n in (1, 2, 3, 17, 64):
         c = [Fraction(n), Fraction(n * n)]
-        for l in range(2, 6):
+        for l in range(2, 7):
             step = (4 * l - 2) * n * c[-1] + (l - 1) * (2 * l - 1) * (2 * l - 3) * c[-2]
             c.append(step / (l + 1))
         for l, want in enumerate(c):
@@ -322,7 +371,8 @@ def test_tallies_cache_is_keyed_by_length():
 
 
 def test_cold_exact_moment_is_small():
-    # a cold k = 10 oracle keeps tallies, never all 115,975 classes at once
+    # a cold k = 10 oracle keeps tallies and visits the 4,900 classes that count,
+    # never all 115,975
     bound = 16 << 20
     models = (goe_model(), gue_model(), rademacher_model())
     walks._tallies.cache_clear()
@@ -337,7 +387,8 @@ def test_cold_exact_moment_is_small():
 
 
 # exact_moment(k, n, model) for n in ORACLE_SIZES, computed by summing E[W_c]
-# class by class over every class of length k
+# class by class over every class of length k; the k = 12 rows were summed over
+# the full stream of 4,213,597 classes, not by the pruned search they pin
 ORACLE_SIZES = (1, 2, 64, 128, 10000)
 PINNED_MOMENTS = {
     ("goe", 2): ("2", "3/2", "65/64", "129/128", "10001/10000"),
@@ -353,6 +404,10 @@ PINNED_MOMENTS = {
         "30240", "86955/32", "52203543525/1073741824", "1551646283685/34359738368",
         "4203862290715121438229/100000000000000000000",
     ),
+    ("goe", 12): (
+        "665280", "2085975/64", "11004745201065/68719476736", "638598121939305/4398046511104",
+        "132158728038776717384956377/1000000000000000000000000",
+    ),
     ("gue", 2): ("1", "1", "1", "1", "1"),
     ("gue", 4): ("3", "9/4", "8193/4096", "32769/16384", "200000001/100000000"),
     ("gue", 6): ("15", "15/2", "10245/2048", "40965/8192", "50000001/10000000"),
@@ -363,6 +418,10 @@ PINNED_MOMENTS = {
     ("gue", 10): (
         "945", "2835/16", "706363875/16777216", "11281170915/268435456",
         "420000042000000483/10000000000000000",
+    ),
+    ("gue", 12): (
+        "10395", "72765/64", "9109752792525/68719476736", "581162331342285/4398046511104",
+        "26400004620000129360000297/200000000000000000000000",
     ),
     ("rademacher", 2): ("1", "1", "1", "1", "1"),
     ("rademacher", 4): ("1", "3/2", "127/64", "255/128", "19999/10000"),
@@ -375,6 +434,10 @@ PINNED_MOMENTS = {
     ("rademacher", 10): (
         "1", "17/2", "11002000291/268435456", "356451139427/8589934592",
         "1049839985001875309971/25000000000000000000",
+    ),
+    ("rademacher", 12): (
+        "1", "33/2", "1107018284975/8589934592", "71717363716767/549755813888",
+        "16497549686166173856937691/125000000000000000000000",
     ),
 }
 
