@@ -186,7 +186,16 @@ def _resolve_params(settings: dict) -> dict:
     if missing:
         flags = " ".join(f"--{key}" for key in _PARAM_KEYS)
         raise ConfigError(f"--ensemble custom requires {flags} (missing {missing})")
-    return {key: Fraction(str(settings[key])) for key in _PARAM_KEYS[1:]}
+    values = {}
+    for key in _PARAM_KEYS[1:]:
+        try:
+            values[key] = Fraction(str(settings[key]))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"{key} must be an exact rational like 5/4, with a nonzero denominator, "
+                f"got {settings[key]!r}"
+            ) from None
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -477,6 +486,8 @@ def cmd_mc(config: RunConfig) -> int:
             "Monte Carlo needs entry generators; use a preset ensemble or the "
             "library custom_sampler API"
         )
+    if not config.n:
+        raise ConfigError("mc needs at least one matrix size in n, got an empty list")
     # every resource bound before the first draw of any size
     largest = 2 * max(config.n)
     for name, value, high in (

@@ -21,18 +21,18 @@ entry moments read off the edge traversal counts.  The entry distribution
 enters only through its moment tables (``MomentModel``); built-in models
 cover the real and complex Gaussian ensembles and real Rademacher entries.
 
+One depth-first search over restricted-growth words serves every caller.
+It keeps the directed crossing counts of each edge as the word grows, so
+no word is rescanned to be classified.  Unpruned, it yields every class,
+for ``canonical_words``, ``enumerate_canonical_words`` and ``enumerate``.
 An edge crossed once gives a first moment, which ``MomentModel`` holds at
 zero (entries are centered), so only the classes whose every edge is
-crossed at least twice contribute.  Each word length is searched once for
-exactly those classes: a depth-first search over restricted-growth words
-that cuts a prefix as soon as it has more edges crossed once than steps
-left to take.  It keeps tallies: one representative with a class count per
+crossed at least twice contribute; pruned, the search yields exactly
+those.  They make the tallies: one representative with a class count per
 v and multiset of edge patterns (is_loop, fwd, bwd), which fixes the
 class's moment factor, and the class count per (v, e, cycle_type).  At
 k = 10, 67 representatives stand for the 4,900 classes that count, of
-115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The full stream
-(``canonical_words``, ``enumerate_canonical_words``) still yields every
-class, for ``enumerate`` and for the counts outside the pruned families.
+115,975; at k = 12, 192 stand for 67,880 of 4,213,597.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ OTHER = "other"
 CYCLE_TYPES = (TREE, SELF_LOOP, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS, OTHER)
 # the key a class is counted under; select_classes filters it like a class
 _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
+# live directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j
+_Counts = dict[tuple[int, int], list[int]]
 
 
 class MissingMomentError(LookupError):
@@ -93,26 +95,66 @@ def canonicalize(word: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical words of length k, one per equivalence class.
+def _cross(counts: _Counts, a: int, b: int) -> int:
+    """Count the step a -> b on its unordered edge; return the change in edges crossed once."""
+    key = (a, b) if a <= b else (b, a)
+    slot = counts.get(key)
+    if slot is None:
+        slot = counts[key] = [0, 0]
+    slot[a > b] += 1
+    total = slot[0] + slot[1]
+    return 1 if total == 1 else -1 if total == 2 else 0
+
+
+def _search(k: int, pruned: bool) -> Iterator[tuple[tuple[int, ...], _Counts]]:
+    """Yield (word, counts) per canonical word of length k, in lexicographic order.
 
     Depth-first over restricted-growth strings: position 0 is letter 1 and
-    letter m+1 may only appear after letters 1..m.  O(k) memory; the stream
-    can be partitioned by word prefix for parallel consumption.
+    letter m+1 may only appear after letters 1..m.  ``counts`` holds the
+    crossings of every step, the closing one included; it is live, so read
+    it before resuming.  ``pruned`` keeps only the words whose every edge is
+    crossed at least twice: each remaining step, the closing one included,
+    brings at most one edge crossed once to two crossings, so a prefix with
+    more such edges than steps left is cut with its whole subtree.
     """
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
     word = [1] * k
+    counts: _Counts = {}
 
-    def rec(pos: int, vmax: int) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            yield tuple(word)
-            return
-        for letter in range(1, vmax + 2):
-            word[pos] = letter
-            yield from rec(pos + 1, vmax if letter <= vmax else letter)
+    def uncross(a: int, b: int) -> None:
+        key = (a, b) if a <= b else (b, a)
+        slot = counts[key]
+        slot[a > b] -= 1
+        if slot[0] + slot[1] == 0:
+            del counts[key]
 
-    yield from rec(1, 1)
+    def rec(pos: int, vmax: int, ones: int) -> Iterator[tuple[tuple[int, ...], _Counts]]:
+        # word[:pos] is placed, its steps crossing `ones` edges once
+        a = word[pos - 1]
+        for b in range(1, vmax + 2):
+            after = ones + _cross(counts, a, b)
+            if not pruned or after <= k - pos:
+                word[pos] = b
+                if pos + 1 < k:
+                    yield from rec(pos + 1, vmax if b <= vmax else b, after)
+                else:  # close the walk with the step b -> 1
+                    if not (after + _cross(counts, b, 1) and pruned):
+                        yield tuple(word), counts
+                    uncross(b, 1)
+            uncross(a, b)
+
+    if k > 1:
+        yield from rec(1, 1, 0)
+    elif not pruned:  # the lone step 1 -> 1 crosses its self-loop once
+        _cross(counts, 1, 1)
+        yield (1,), counts
+
+
+def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
+    """All canonical words of length k, one per equivalence class, in lexicographic order."""
+    for word, _ in _search(k, pruned=False):
+        yield word
 
 
 def _cycle_type(v, e, traversals, has_loop) -> str:
@@ -130,44 +172,29 @@ def _cycle_type(v, e, traversals, has_loop) -> str:
     return CYCLE_BOTH_WAYS
 
 
-def _classify_canonical(word: tuple[int, ...]) -> WalkClass:
-    k = len(word)
-    traversals: dict[tuple[int, int], list[int]] = {}
-    has_loop = False
-    v = 1
-    for idx in range(k):
-        a = word[idx]
-        b = word[idx + 1] if idx + 1 < k else word[0]
-        if a > v:
-            v = a
-        if a == b:
-            has_loop = True
-        key = (a, b) if a <= b else (b, a)
-        slot = traversals.get(key)
-        if slot is None:
-            slot = traversals[key] = [0, 0]
-        slot[0 if (a, b) == key else 1] += 1
-    frozen = {key: (c[0], c[1]) for key, c in traversals.items()}
-    e = len(frozen)
-    return WalkClass(
-        canonical_word=word,
-        v=v,
-        e=e,
-        edge_traversals=frozen,
-        has_self_loop=has_loop,
-        cycle_type=_cycle_type(v, e, frozen, has_loop),
-    )
+def _walk_class(word: tuple[int, ...], counts: _Counts) -> WalkClass:
+    """The class of a canonical word, read from the crossing counts of all its steps."""
+    frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
+    has_loop = any(i == j for i, j in frozen)
+    v, e = max(word), len(frozen)
+    return WalkClass(word, v, e, frozen, has_loop, _cycle_type(v, e, frozen, has_loop))
 
 
 def classify_walk(word: Sequence) -> WalkClass:
     """Classify a closed-walk word (any letter type; relabeled canonically)."""
-    return _classify_canonical(canonicalize(word))
+    word = canonicalize(word)
+    if not word:
+        raise ValueError("word length must be positive, got 0")
+    counts: _Counts = {}
+    for a, b in zip(word, word[1:] + word[:1]):
+        _cross(counts, a, b)
+    return _walk_class(word, counts)
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
     """Stream one classified ``WalkClass`` per equivalence class of length k."""
-    for word in canonical_words(k):
-        yield _classify_canonical(word)
+    for word, counts in _search(k, pruned=False):
+        yield _walk_class(word, counts)
 
 
 def check_word_length(k: int) -> None:
@@ -185,58 +212,17 @@ def check_word_length(k: int) -> None:
 def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int], ...]]:
     """The read-only tallies of the module docstring; k is checked, so <= MAX_WORD_LENGTH keys.
 
-    A depth-first search over restricted-growth words, in the order of
-    ``canonical_words``, that keeps the directed crossing counts of each edge
-    and the number of edges crossed once.  Each remaining step, the closing
-    step included, brings at most one such edge to two crossings, so a prefix
-    with more of them than steps left is cut with its whole subtree.  A leaf
-    is kept iff no edge is crossed once; it reads its pattern key from the
-    live counts, and only the first leaf of a key is classified, as that
-    key's representative.  The key fixes v, e and the cycle type, so the
-    shape counts are summed from the weighted representatives.
+    Each leaf of the pruned search reads its pattern key from the live
+    counts; only the first leaf of a key is classified, as that key's
+    representative.  The key fixes v, e and the cycle type, so the shape
+    counts are summed from the weighted representatives.
     """
     check_word_length(k)
-    word = [0] * k
-    counts: dict[tuple[int, int], list[int]] = {}
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
-
-    def cross(a: int, b: int, ones: int) -> int:
-        # step a -> b; returns the new number of edges crossed once
-        key = (a, b) if a <= b else (b, a)
-        slot = counts.get(key)
-        if slot is None:
-            slot = counts[key] = [0, 0]
-        slot[a > b] += 1
-        total = slot[0] + slot[1]
-        return ones + 1 if total == 1 else ones - 1 if total == 2 else ones
-
-    def uncross(a: int, b: int) -> None:
-        key = (a, b) if a <= b else (b, a)
-        slot = counts[key]
-        slot[a > b] -= 1
-        if slot[0] + slot[1] == 0:
-            del counts[key]
-
-    def rec(pos: int, vmax: int, ones: int) -> None:
-        a = word[pos - 1]
-        if pos == k:
-            if not cross(a, 0, ones):
-                key = (vmax + 1, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
-                entry = weighted.get(key)
-                if entry is None:
-                    weighted[key] = (_classify_canonical(tuple(x + 1 for x in word)), 1)
-                else:
-                    weighted[key] = (entry[0], entry[1] + 1)
-            uncross(a, 0)
-            return
-        for b in range(vmax + 2):
-            after = cross(a, b, ones)
-            if after <= k - pos:
-                word[pos] = b
-                rec(pos + 1, vmax if b <= vmax else b, after)
-            uncross(a, b)
-
-    rec(1, 0, 0)
+    for word, counts in _search(k, pruned=True):
+        key = (max(word), tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
+        rep, count = weighted.get(key, (None, 0))
+        weighted[key] = (rep or _walk_class(word, counts), count + 1)
     shapes: dict[_Shape, int] = {}
     for rep, count in weighted.values():
         shape = _Shape(rep.v, rep.e, rep.cycle_type)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -487,6 +488,16 @@ BAD_INPUTS = {
     "stieltjes-radius-nan": lambda tmp: ["stieltjes", "--radius", "nan"],
     "stieltjes-radius-inf": lambda tmp: ["stieltjes", "--radius", "inf"],
     "stieltjes-radius-square-overflow": lambda tmp: ["stieltjes", "--radius", "1e308"],
+    "custom-zero-denominator": lambda tmp: [
+        "moments", "--ensemble", "custom", "--r", "1", "--sigma2", "1/0", "--s2", "1",
+        "--alpha", "3",
+    ],
+    "config-zero-denominator": lambda tmp: [
+        "moments", "--config", _config_file(
+            tmp, '{"ensemble": "custom", "r": 1, "sigma2": 1, "s2": 1, "alpha": "3/0"}'
+        ),
+    ],
+    "mc-config-n-empty": lambda tmp: ["mc", "--config", _config_file(tmp, '{"n": []}')],
 }
 
 
@@ -497,6 +508,25 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [("custom-zero-denominator", "sigma2"), ("config-zero-denominator", "alpha"),
+     ("mc-config-n-empty", "n")],
+)
+def test_bad_input_names_its_key(capsys, tmp_path, case, key):
+    _, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
+    assert re.search(rf"\b{key}\b", err), err
+
+
+def test_moments_with_no_sizes_prints_only_the_limit_columns(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "moments", "--kmax", "4", "--config", _config_file(tmp_path, '{"n": []}')
+    )
+    assert code == 0
+    header = next(line for line in out.splitlines() if not line.startswith("#"))
+    assert header == "k,sc,nu,nu_dec"
 
 
 # cases whose output would otherwise stream; none may leave a partial --out file

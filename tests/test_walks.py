@@ -1,7 +1,8 @@
 """Walk enumeration oracle: classification, counts, exact finite-n moments.
 
 Independent cross-checks: Bell numbers from the Bell triangle for total class
-counts, and a direct sum over all index words of {1..n}^k (no equivalence
+counts, the sorted canonical forms of all words of {1..k}^k for the search's
+order, and a direct sum over all index words of {1..n}^k (no equivalence
 classes, no falling factorials) for finite-n moments.
 """
 
@@ -20,6 +21,7 @@ from wignerexp import (
     MomentModel,
     catalan,
     canonical_words,
+    canonicalize,
     classify_walk,
     count_classes,
     cycle_both_ways_class_count,
@@ -155,7 +157,26 @@ def test_enumeration_rejects_bad_lengths():
     with pytest.raises(ValueError):
         list(canonical_words(0))
     with pytest.raises(ValueError):
+        list(enumerate_canonical_words(0))
+    with pytest.raises(ValueError):
         count_classes(13)
+    for empty in ((), ""):
+        with pytest.raises(ValueError, match="positive, got 0"):
+            classify_walk(empty)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
+    # every word over k letters, relabeled: no restricted-growth search involved
+    want = sorted({canonicalize(word) for word in product(range(1, k + 1), repeat=k)})
+    assert list(canonical_words(k)) == want
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_streamed_classes_match_a_fresh_classification(k):
+    # the stream reads counts kept under backtracking; classify_walk counts each word anew
+    for cls in enumerate_canonical_words(k):
+        assert cls == classify_walk(cls.canonical_word)
 
 
 # -- classification ----------------------------------------------------------------
