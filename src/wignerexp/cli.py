@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -41,6 +42,12 @@ _PARAM_KEYS = tuple(f.name for f in fields(comb.EnsembleParams))
 # bounds time: at 100,000 points density takes 1.0 s (JSON 1.4 s) and stieltjes
 # 1.7 s (JSON 2.3 s), each at 29 MB peak RSS on a 2-core host.
 MAX_TABLE_POINTS = 100_000
+# bounds on a --sigma2/--s2/--alpha string, checked before it is parsed:
+# Fraction("1e4000000") builds its integer for seconds, and past 4300 digits
+# Python refuses to print one.  At the bounds every command runs in about 1 s.
+MAX_PARAM_DIGITS = 1000
+MAX_PARAM_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 @dataclass(frozen=True)
@@ -186,16 +193,27 @@ def _resolve_params(settings: dict) -> dict:
     if missing:
         flags = " ".join(f"--{key}" for key in _PARAM_KEYS)
         raise ConfigError(f"--ensemble custom requires {flags} (missing {missing})")
-    values = {}
-    for key in _PARAM_KEYS[1:]:
-        try:
-            values[key] = Fraction(str(settings[key]))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"{key} must be an exact rational like 5/4, with a nonzero denominator, "
-                f"got {settings[key]!r}"
-            ) from None
-    return values
+    return {key: _exact_param(key, str(settings[key])) for key in _PARAM_KEYS[1:]}
+
+
+def _exact_param(key: str, text: str) -> Fraction:
+    """``text`` as a Fraction, after the size bounds above."""
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    # the digit count, exponent included, comes first: it bounds the int() below
+    exponent = _EXPONENT.search(text)
+    if sum(ch.isdigit() for ch in text) > MAX_PARAM_DIGITS or (
+        exponent and abs(int(exponent[1])) > MAX_PARAM_EXPONENT
+    ):
+        raise ConfigError(
+            f"{key} must have at most {MAX_PARAM_DIGITS} digits and a decimal exponent "
+            f"within -{MAX_PARAM_EXPONENT}..{MAX_PARAM_EXPONENT}, got {shown}"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"{key} must be an exact rational like 5/4, with a nonzero denominator, got {shown}"
+        ) from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -3,10 +3,13 @@
 Matrices are sampled as X = W / (sigma sqrt(n)) with independent entries on
 and above the diagonal; per-sample moments are traces of matrix powers
 (trace(X^k)/n equals the k-th moment of the empirical spectral measure
-exactly, no eigensolver involved), taken from the powers up to X^(k/2)
-alone through tr X^(2m) = <X^m, X^m> and tr X^(2m+1) = <X^m, X^(m+1)>.
-The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2)); a
-Richardson combination across sizes n and 2n cancels the leading
+exactly, no eigensolver involved), each read as a Frobenius product
+tr X^(a+b) = <X^a, X^b> of two powers formed.  A dense sample forms the
+fewest powers whose pairwise sums give every k asked for (X^2, X^4, X^8 for
+the even k up to 10: three products where the half powers X^2..X^5 take
+four), writing each product into a buffer that the samples of a block
+reuse.  The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
+a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
 
 GOE and GUE estimates sample the tridiagonal models of Dumitriu and
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,16 +55,17 @@ _CHUNK = 64
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
 # At the bounds the arrays alive at once stay under 512 MiB: the trace array
 # (16 rows of 10^6 floats, 122 MiB), the scatter-index cache (16 MiB) and the
-# larger of one chunk's band arrays (163 MiB peak) and a dense sample's power
-# list (265 MiB peak for complex entries, 137 MiB for real), peaks measured
-# with tracemalloc
+# larger of one chunk's band arrays (163 MiB peak) and a dense block's six
+# power buffers with the sample being built (128 MiB peak for complex entries,
+# 64 MiB for real), peaks measured with tracemalloc at n = 1024, kmax 32
 MAX_KMAX = 32
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
 # its unit costs were measured with one BLAS thread on a 2-core x86-64 host
-# (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries, and read 0.8 to
-# 2.7 times the actual time at n = 8..1024 and kmax = 2..32
+# (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries; the dense cost
+# counts the products of the power plan, and the estimate reads 0.8 to 2.2
+# times the actual time at n = 8..1024 and kmax = 2..32
 MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
@@ -95,6 +99,11 @@ class EnsembleSampler:
     @property
     def complex_entries(self) -> bool:
         return self.params.r == 0
+
+    @property
+    def dtype(self) -> type:
+        """Element type of the dense matrices."""
+        return complex if self.complex_entries else float
 
 
 def _chi_degrees(n: int, beta: int) -> np.ndarray:
@@ -248,7 +257,7 @@ def _scale(sampler: EnsembleSampler, n: int) -> float:
 
 
 def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) -> np.ndarray:
-    dtype = complex if sampler.complex_entries else float
+    dtype = sampler.dtype
     # the same divisions, element for element, as dividing the assembled W
     scale = _scale(sampler, n)
     w = np.zeros(n * n, dtype=dtype)
@@ -273,8 +282,8 @@ def _half_power_traces(x, ks: Sequence[int], times, inner) -> list:
 
     Only the powers up to X^ceil(kmax/2) are formed, by ``times(P) = P X``:
     tr X^(2m) = <X^m, X^m> and tr X^(2m+1) = <X^m, X^(m+1)>, with
-    ``inner(A, B)`` the Frobenius product tr(A^H B).  kmax = 10 takes four
-    products instead of nine.
+    ``inner(A, B)`` the Frobenius product tr(A^H B).  The banded path uses
+    it, since a band times T is cheap where a band times a band is not.
     """
     powers = [None, x]
     out = []
@@ -286,16 +295,90 @@ def _half_power_traces(x, ks: Sequence[int], times, inner) -> list:
     return out
 
 
-def _dense_traces(x: np.ndarray, ks: Sequence[int]) -> list[float]:
-    return _half_power_traces(x, ks, lambda p: p @ x, lambda a, b: float(np.vdot(a, b).real))
+class _PowerPlan(NamedTuple):
+    """The schedule of ``_dense_traces``.
+
+    ``products`` holds (c, a, b) per product X^c = X^a X^b, in order;
+    ``pairs`` holds (a, b) with a + b = k per k asked for, read as the
+    Frobenius product <X^a, X^b>.
+    """
+
+    products: tuple[tuple[int, int, int], ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
+    """The fewest dense products that give tr X^k for every k >= 2 in ``ks``.
+
+    A plan forms an ascending set of exponents from 1, each new one the sum
+    of two formed ones, such that each k is the sum of two formed exponents
+    (an addition chain whose sumset covers ``ks``; Knuth, TAOCP vol. 2
+    section 4.6.3).  Iterative deepening finds a shortest one, so it never
+    uses more than the ceil(kmax/2) - 1 products of the half-power chain:
+    3 at kmax 10 ({1, 2, 4, 8} for even k, {1, 2, 4, 5} for every k), 6 for
+    the even k up to 32.  Each k takes its most balanced pair.
+    """
+    need = sorted(set(ks))
+    if need and need[0] < 2:
+        raise ValueError(f"power plans start at k = 2, got {need[0]}")
+
+    def missing(formed: list[int]) -> list[int]:
+        return [k for k in need if not any(k - a in formed for a in formed)]
+
+    def extend(formed: list[int], left: int) -> list[int] | None:
+        miss = missing(formed)
+        if not miss:
+            return formed
+        # left more exponents reach at most 2^left times the top one, and add
+        # at most size + 1, size + 2, ... new sums each
+        size, top = len(formed), formed[-1]
+        if left == 0 or top << (left + 1) < miss[-1]:
+            return None
+        if len(miss) > left * size + left * (left + 1) // 2:
+            return None
+        # the smallest miss needs a new exponent below it, and new ones only grow
+        steps = {a + b for a in formed for b in formed if top < a + b < miss[0]}
+        for c in sorted(steps, reverse=True):
+            found = extend(formed + [c], left - 1)
+            if found is not None:
+                return found
+        return None
+
+    left = 0
+    while (formed := extend([1], left)) is None:
+        left += 1
+
+    def split(k: int, among: list[int]) -> tuple[int, int]:
+        b = min(b for b in among if 2 * b >= k and k - b in among)
+        return k - b, b
+
+    products = tuple((c, *split(c, formed[:i])) for i, c in enumerate(formed) if i)
+    return _PowerPlan(products, tuple(split(k, formed) for k in ks))
+
+
+def _dense_traces(x: np.ndarray, plan: _PowerPlan, buffers: np.ndarray) -> list[float]:
+    """tr X^k per k of ``plan`` for Hermitian X; product i writes ``buffers[i]``.
+
+    ``buffers`` has shape (products, n, n) and may be reused from sample to
+    sample: operands are X and powers formed earlier, so no product writes
+    into one of its own operands, and every buffer is overwritten before it
+    is read.
+    """
+    powers = {1: x}
+    for (c, a, b), buf in zip(plan.products, buffers):
+        powers[c] = np.matmul(powers[a], powers[b], out=buf)
+    return [float(np.vdot(powers[a], powers[b]).real) for a, b in plan.pairs]
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
-    """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from half powers."""
+    """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from a power plan."""
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     n = x.shape[0]
-    traces = [float(np.trace(x).real), *_dense_traces(x, range(2, kmax + 1))]
+    plan = _power_plan(tuple(range(2, kmax + 1)))
+    buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
+    traces = [float(np.trace(x).real), *_dense_traces(x, plan, buffers)]
     return [t / n for t in traces]
 
 
@@ -337,8 +420,10 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
 def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
     """tr X^k for each k (rows) and the first ``count`` samples of a block (columns)."""
     if sampler.tridiagonal is None:
-        traces = [_dense_traces(_build_matrix(n, sampler, rng), ks) for _ in range(count)]
-        return np.array(traces).T
+        plan = _power_plan(tuple(ks))
+        buffers = np.empty((len(plan.products), n, n), dtype=sampler.dtype)  # reused per sample
+        xs = (_build_matrix(n, sampler, rng) for _ in range(count))
+        return np.array([_dense_traces(x, plan, buffers) for x in xs]).T
     diag, off = sampler.tridiagonal(rng, n, _CHUNK)
     scale = _scale(sampler, n)
     return np.array(_tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks))
@@ -346,10 +431,11 @@ def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
 
 def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int], samples: int):
     """Wall time of ``samples`` draws per size up to ``kmax``; see ``MAX_RUN_SECONDS``."""
-    m = -(-kmax // 2)  # the highest power formed
     if sampler.tridiagonal is not None:
+        m = -(-kmax // 2)  # the highest power formed
         return samples * sum(4e-6 + 40e-9 * n + 32e-9 * n * m * (m + 1) / 2 for n in sizes)
-    return samples * sum(40e-6 + 20e-9 * n**2 + (m - 1) * (4e-6 + 0.06e-9 * n**3) for n in sizes)
+    products = len(_power_plan(tuple(range(2, kmax + 1, 2))).products)
+    return samples * sum(40e-6 + 20e-9 * n**2 + products * (4e-6 + 0.06e-9 * n**3) for n in sizes)
 
 
 def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:

@@ -38,6 +38,7 @@ k = 10, 67 representatives stand for the 4,900 classes that count, of
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -237,8 +238,7 @@ def select_classes(
     cycle_type: str | None = None,
 ) -> Iterator[WalkClass]:
     """Classes (or ``_Shape`` keys) matching every given (v, e, cycle_type), lazily, in order."""
-    if cycle_type is not None and cycle_type not in CYCLE_TYPES:
-        raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
+    _check_cycle_type(cycle_type)
     return (
         cls
         for cls in classes
@@ -246,6 +246,11 @@ def select_classes(
         and (e is None or cls.e == e)
         and (cycle_type is None or cls.cycle_type == cycle_type)
     )
+
+
+def _check_cycle_type(cycle_type: str | None) -> None:
+    if cycle_type is not None and cycle_type not in CYCLE_TYPES:
+        raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
 
 
 def count_classes(
@@ -257,13 +262,20 @@ def count_classes(
     """Number of classes of length k matching the given (v, e, cycle_type).
 
     The closed-form families (``_pruned_answers``) are read from the tallies;
-    any other query counts the full stream of ``enumerate_canonical_words``.
+    any other query from ``_shape_counts``, which streams all Bell(k)
+    classes once per k.
     """
     check_word_length(k)
-    if _pruned_answers(k, v, e, cycle_type):
-        shapes, _ = _tallies(k)
-        return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
-    return sum(1 for _ in select_classes(enumerate_canonical_words(k), v, e, cycle_type))
+    _check_cycle_type(cycle_type)  # before a stream of Bell(k) classes
+    shapes = _tallies(k)[0] if _pruned_answers(k, v, e, cycle_type) else _shape_counts(k)
+    return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
+
+
+@lru_cache(maxsize=MAX_WORD_LENGTH)
+def _shape_counts(k: int) -> Mapping[_Shape, int]:
+    """Read-only class count per (v, e, cycle_type) over the full stream of length k."""
+    classes = enumerate_canonical_words(k)
+    return MappingProxyType(Counter(_Shape(c.v, c.e, c.cycle_type) for c in classes))
 
 
 def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wignerexp import PRESETS, montecarlo
+from wignerexp import PRESETS, cli, montecarlo
 from wignerexp.cli import RunConfig, _render, main
 
 
@@ -345,8 +345,9 @@ def test_mc_time_budget_admits_the_shapes_in_use():
     ):
         seconds = montecarlo.estimated_seconds(sampler, kmax, sizes, samples)
         assert seconds < montecarlo.MAX_RUN_SECONDS / 10
-    # a thousand dense samples at the largest sizes take over ten minutes
-    assert montecarlo.estimated_seconds(dense, 32, [512, 1024], 1000) > montecarlo.MAX_RUN_SECONDS
+    # three thousand dense samples at the largest sizes take over ten minutes: a
+    # thousand took 324 s with one BLAS thread on a 2-core host
+    assert montecarlo.estimated_seconds(dense, 32, [512, 1024], 3000) > montecarlo.MAX_RUN_SECONDS
 
 
 def test_mc_rejects_custom(capsys):
@@ -498,6 +499,18 @@ BAD_INPUTS = {
         ),
     ],
     "mc-config-n-empty": lambda tmp: ["mc", "--config", _config_file(tmp, '{"n": []}')],
+    # parsed unchecked, 1e4000000 took 3.4 s and 5000 digits hit Python's
+    # int-to-str limit, in a message that named no key
+    "custom-alpha-exponent-huge": lambda tmp: [
+        "moments", "--ensemble", "custom", "--r", "1", "--sigma2", "1", "--s2", "1",
+        "--alpha", "1e4000000",
+    ],
+    "config-sigma2-digits-huge": lambda tmp: [
+        "moments", "--config", _config_file(
+            tmp, '{"ensemble": "custom", "r": 1, "sigma2": "%s", "s2": 1, "alpha": 3}'
+            % ("7" * 5000),
+        ),
+    ],
 }
 
 
@@ -513,11 +526,23 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
 @pytest.mark.parametrize(
     "case, key",
     [("custom-zero-denominator", "sigma2"), ("config-zero-denominator", "alpha"),
-     ("mc-config-n-empty", "n")],
+     ("mc-config-n-empty", "n"), ("custom-alpha-exponent-huge", "alpha"),
+     ("config-sigma2-digits-huge", "sigma2")],
 )
 def test_bad_input_names_its_key(capsys, tmp_path, case, key):
     _, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
     assert re.search(rf"\b{key}\b", err), err
+
+
+def test_parameters_at_their_size_bounds_parse():
+    # the digits of the exponent count too
+    top = cli.MAX_PARAM_EXPONENT
+    digits = "9" * (cli.MAX_PARAM_DIGITS - len(str(top)))
+    assert cli._exact_param("alpha", f"{digits}e{top}") == int(digits) * 10**top
+    assert cli._exact_param("s2", f"1e-{top}") == Fraction(1, 10**top)
+    for text in (f"9{digits}e{top}", f"1e-{top + 1}", "1e" + "1" * 999, "1" * 10**6):
+        with pytest.raises(cli.ConfigError, match="alpha must have at most"):
+            cli._exact_param("alpha", text)
 
 
 def test_moments_with_no_sizes_prints_only_the_limit_columns(capsys, tmp_path):
@@ -570,7 +595,7 @@ GOLDEN = {
     "mc-rademacher-json": (
         ["mc", "--ensemble", "rademacher", "--kmax", "6", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "e3dd7f654a513bcf6857eff03ed22b38a29053848f41bb283fcfef24c152f324",
+        0, "89f243f785486a9ffcd014bedc5411ce3cd4dd2f294222d404c2cf49b8ff9672",
     ),
     "check": (
         ["check", "--order", "16", "--walks-kmax", "6"],

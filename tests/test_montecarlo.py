@@ -292,6 +292,99 @@ def test_half_power_moments_match_product_chain(name):
         assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
 
 
+# -- dense power plans and their buffers ---------------------------------------------
+
+
+def _plan_cases():
+    for kmax in range(2, montecarlo.MAX_KMAX + 1):
+        # the even indices mc asks for, and every index empirical_moments asks for
+        yield kmax, tuple(range(2, kmax + 1, 2))
+        yield kmax, tuple(range(2, kmax + 1))
+
+
+@pytest.mark.parametrize("kmax,ks", list(_plan_cases()))
+def test_power_plan_forms_each_power_once_from_formed_ones(kmax, ks):
+    plan = montecarlo._power_plan(ks)
+    formed = {1}
+    for c, a, b in plan.products:
+        assert a + b == c and a in formed and b in formed
+        assert c not in formed  # a fresh buffer: never one of its own operands
+        formed.add(c)
+    assert len(plan.pairs) == len(ks)
+    for k, (a, b) in zip(ks, plan.pairs):
+        assert a + b == k and a in formed and b in formed
+    assert len(plan.products) <= -(-kmax // 2) - 1  # the half-power chain
+    if kmax == 10:
+        assert len(plan.products) == 3
+
+
+def test_power_plan_rejects_first_powers():
+    with pytest.raises(ValueError, match="start at k = 2"):
+        montecarlo._power_plan((1, 2))
+
+
+def _complex_dense_sampler():
+    return custom_sampler(GUE, _complex_normal, _normal)
+
+
+@pytest.mark.parametrize(
+    "make", [rademacher_sampler, _complex_dense_sampler], ids=["real", "complex"]
+)
+def test_block_traces_match_each_sample_alone(make):
+    # a block reuses its power buffers: no sample may see the one before it
+    sampler = make()
+    kmax, n, count = 11, 9, 5
+    ks = list(range(2, kmax + 1))
+    got = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(606), count)
+    assert got.shape == (len(ks), count)
+    rng = np.random.default_rng(606)
+    for s in range(count):
+        x = montecarlo._build_matrix(n, sampler, rng)
+        assert list(got[:, s] / n) == empirical_moments(x, kmax)[1:]
+    # the even indices of mc take their own plan, with the same values
+    evens = montecarlo._chunk_traces(ks[::2], n, sampler, np.random.default_rng(606), count)
+    assert np.allclose(evens, got[::2], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["goe", "gue"])
+def test_dense_traces_match_eigenvalue_power_sums(name):
+    kmax = montecarlo.MAX_KMAX
+    for n, seed in ((1, 40), (7, 41), (33, 42)):
+        x = sample_matrix(n, SAMPLERS[name][0], seed)
+        eigs = np.linalg.eigvalsh(x)
+        for ks in (tuple(range(2, kmax + 1)), tuple(range(2, kmax + 1, 2))):
+            plan = montecarlo._power_plan(ks)
+            buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
+            got = montecarlo._dense_traces(x, plan, buffers)
+            want = [float(np.sum(eigs**k)) for k in ks]
+            for k, g, w in zip(ks, got, want):
+                # odd power sums nearly cancel: measure them against sum |lambda|^k
+                assert abs(g - w) <= 1e-10 * float(np.sum(np.abs(eigs) ** k)), (n, k)
+
+
+def test_dense_block_makes_one_matmul_per_planned_product(monkeypatch):
+    # the guard against a fourth product at kmax 10: count every np.matmul, and
+    # check that none writes into one of its own operands
+    calls = []
+    matmul = np.matmul
+
+    def counting(a, b, *, out):
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+        calls.append(out.shape)
+        return matmul(a, b, out=out)
+
+    ks, n, count = [2, 4, 6, 8, 10], 16, 7
+    sampler = rademacher_sampler()
+    want = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(5), count)
+    monkeypatch.setattr(np, "matmul", counting)
+    got = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(5), count)
+    plan = montecarlo._power_plan(tuple(ks))
+    assert len(plan.products) == 3
+    assert len(calls) == len(plan.products) * count
+    assert set(calls) == {(n, n)}
+    assert np.array_equal(got, want)
+
+
 def _dense_tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 

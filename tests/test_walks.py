@@ -99,11 +99,23 @@ def test_class_totals_are_bell_numbers():
         assert len(list(canonical_words(k))) == bells[k]
 
 
-def test_counts_partition_the_enumeration():
+def test_counts_partition_the_enumeration(monkeypatch):
+    streamed = Counter()
+    stream = walks.enumerate_canonical_words
+
+    def counting(k):
+        streamed[k] += 1
+        return stream(k)
+
+    walks._shape_counts.cache_clear()
+    monkeypatch.setattr(walks, "enumerate_canonical_words", counting)
     for k in (3, 5, 8):
-        classes = tuple(enumerate_canonical_words(k))
+        classes = tuple(stream(k))
         pairs = {(cls.v, cls.e) for cls in classes}
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
+        assert sum(count_classes(k, v) for v in {v for v, _ in pairs}) == len(classes)
+    # the queries outside the closed-form families stream each length once
+    assert streamed == {3: 1, 5: 1, 8: 1}
 
 
 def full_stream_tallies(k: int):
@@ -136,6 +148,7 @@ def test_pruned_tallies_match_full_stream(k, monkeypatch):
 
     # the family queries read the pruned tallies alone, and count as the full stream does
     monkeypatch.setattr(walks, "enumerate_canonical_words", None)
+    monkeypatch.setattr(walks, "_shape_counts", None)
     l = k // 2
     families = [(l + 1, l, None), (l, l - 1, None), (None, None, "tree")]
     families += [(l, l, "cycle-one-way"), (l, l, "cycle-both-ways")]
@@ -238,9 +251,13 @@ def test_counts_match_closed_forms():
     assert count_classes(6, 3, 3, "cycle-both-ways") == 3
 
 
-def test_count_classes_rejects_unknown_type():
+def test_count_classes_rejects_unknown_type(monkeypatch):
     with pytest.raises(ValueError):
         count_classes(4, cycle_type="spiral")
+    # refused before the full stream of 4.2 million classes is counted
+    monkeypatch.setattr(walks, "_shape_counts", None)
+    with pytest.raises(ValueError, match="unknown cycle type"):
+        count_classes(12, 5, 7, "spiral")
 
 
 def test_nonzero_classes_satisfy_graph_inequalities():
