@@ -71,6 +71,7 @@ from .walks import (
     canonical_words,
     canonicalize,
     check_word_length,
+    class_rows,
     classify_walk,
     count_classes,
     enumerate_canonical_words,

@@ -250,21 +250,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- output plumbing ---------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _finite_or_null(row: dict) -> dict:
-    """`row` with every infinite or NaN float replaced by None (JSON null).
+def _finite_or_null(columns: Sequence[str], row: Sequence) -> dict:
+    """`row` keyed by `columns`, every infinite or NaN float replaced by None (JSON null).
 
     RFC 8259 JSON has no Infinity or NaN, which json.dumps would otherwise
     write, e.g. for the z of a zero-variance row whose point is off by rounding.
     """
     return {
         key: None if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in row.items()
+        for key, value in zip(columns, row)
     }
 
 
@@ -289,16 +283,17 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
 def _render(
     config: RunConfig,
     columns: Sequence[str],
-    rows: Iterable[dict],
+    rows: Iterable[Sequence],
     head_comments: Iterable[str] = (),
     tail_comments: Iterable[str] = (),
     extra_json: Callable[[], dict] = dict,
 ) -> Iterator[str]:
     """Output lines, consuming `rows` one at a time in both formats.
 
-    CSV then consumes `tail_comments`.  JSON holds each row until the next
-    decides its comma, then writes the keys of `extra_json()`; with none, the
-    bytes are those of json.dumps(..., indent=2).
+    Each row holds its values in `columns` order.  CSV then consumes
+    `tail_comments`.  JSON holds each row until the next decides its comma,
+    then writes the keys of `extra_json()`; with none, the bytes are those of
+    json.dumps(..., indent=2).
     """
     if config.format == "json":
         # rows are flat, so a row's indent-2 form is its compact form with one item
@@ -309,7 +304,11 @@ def _render(
         held = None
         for row in rows:
             yield '  "rows": [' if held is None else held + ","
-            held = "    {\n      " + row_json(_finite_or_null(row))[1:-1] + "\n    }"
+            try:
+                body = row_json(dict(zip(columns, row)))
+            except ValueError:  # an infinite or NaN float, rare enough to encode twice
+                body = row_json(_finite_or_null(columns, row))
+            held = "    {\n      " + body[1:-1] + "\n    }"
         if held is not None:
             yield held
         close = '  "rows": []' if held is None else "  ]"
@@ -321,7 +320,7 @@ def _render(
     yield from (f"# {comment}" for comment in head_comments)
     yield ",".join(columns)
     for row in rows:
-        yield ",".join(_cell(row[col]) for col in columns)
+        yield ",".join(map(str, row))  # str of a float is its shortest round-trip repr
     yield from (f"# {comment}" for comment in tail_comments)
 
 
@@ -345,11 +344,10 @@ def cmd_moments(config: RunConfig) -> int:
     for k in range(config.kmax + 1):
         sc = comb.semicircle_moment(k)
         nu = comb.nu_moment(k, config.params)
-        row = {"k": k, "sc": str(sc), "nu": str(nu), "nu_dec": _fmt15(nu, f"nu at k={k}")}
+        row = [k, str(sc), str(nu), _fmt15(nu, f"nu at k={k}")]
         for n in config.n:
             m = comb.expected_moment_expansion(k, n, config.params)
-            row[f"m_n{n}"] = str(m)
-            row[f"m_n{n}_dec"] = _fmt15(m, f"m at k={k}, n={n}")
+            row += [str(m), _fmt15(m, f"m at k={k}, n={n}")]
         rows.append(row)
     _emit(_render(config, columns, rows), config.out)
     return 0
@@ -462,21 +460,12 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
         )
     model = walks.PRESET_MODELS[config.ensemble]()
     columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
-    classes = walks.select_classes(walks.enumerate_canonical_words(k), v, e, cycle_type)
     totals: dict[tuple[int, int], int] = {}
 
     def rows():
-        for cls in classes:
-            totals[(cls.v, cls.e)] = totals.get((cls.v, cls.e), 0) + 1
-            value = walks.expected_word_product(cls, model)
-            yield {
-                "word": "-".join(map(str, cls.canonical_word)),
-                "v": cls.v,
-                "e": cls.e,
-                "cycle_type": cls.cycle_type,
-                "exp_num": value.numerator,
-                "exp_den": value.denominator,
-            }
+        for row in walks.class_rows(k, model, v, e, cycle_type):
+            totals[row[1:3]] = totals.get(row[1:3], 0) + 1
+            yield row
 
     # rows stream one per class: class counts grow like Bell numbers, so the
     # full table must never be materialized; the totals are read last
@@ -535,9 +524,8 @@ def cmd_mc(config: RunConfig) -> int:
             combined = montecarlo.richardson_combine(direct, estimates[2 * n])
             for method, records in (("estimate", direct), ("richardson", combined)):
                 for rec in records:
-                    values = (method, rec.k, rec.n, rec.samples, rec.point, rec.stderr,
-                              rec.reference, rec.z_score)
-                    yield dict(zip(columns, values))
+                    yield (method, rec.k, rec.n, rec.samples, rec.point, rec.stderr,
+                           rec.reference, rec.z_score)
 
     _emit(_render(config, columns, rows()), config.out)
     return 0
@@ -550,7 +538,7 @@ def cmd_density(config: RunConfig, grid: int) -> int:
     step = 4.0 / grid
     columns = ["x", "semicircle", "nu"]
     xs = (-2.0 + (j + 0.5) * step for j in range(grid))
-    rows = ({"x": x, "semicircle": measure.semicircle_density(x), "nu": nu.density(x)} for x in xs)
+    rows = ((x, measure.semicircle_density(x), nu.density(x)) for x in xs)
     atoms = measure.nu_atoms(config.params)
     comments = ["atoms: " + " ".join(f"{loc:+g}:{mass}" for loc, mass in atoms)]
     extra = {"atoms": [[loc, str(mass)] for loc, mass in atoms]}
@@ -575,7 +563,7 @@ def cmd_stieltjes(config: RunConfig, radius: float, points: int) -> int:
             angle = 2.0 * math.pi * j / points
             z = complex(radius * math.cos(angle), radius * math.sin(angle))
             h, hn = measure.semicircle_stieltjes(z), nu.stieltjes(z)
-            yield dict(zip(columns, (z.real, z.imag, h.real, h.imag, hn.real, hn.imag)))
+            yield z.real, z.imag, h.real, h.imag, hn.real, hn.imag
 
     _emit(_render(config, columns, rows()), config.out)
     return 0

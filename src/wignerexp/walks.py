@@ -24,7 +24,12 @@ cover the real and complex Gaussian ensembles and real Rademacher entries.
 One depth-first search over restricted-growth words serves every caller.
 It keeps the directed crossing counts of each edge as the word grows, so
 no word is rescanned to be classified.  Unpruned, it yields every class,
-for ``canonical_words``, ``enumerate_canonical_words`` and ``enumerate``.
+for ``canonical_words`` and ``enumerate_canonical_words``.  The leaf
+reader ``_leaves`` reads (v, e, cycle_type) off each leaf's live counts;
+the full stream of shapes is read through it, both by ``_shape_counts``
+and by ``class_rows``, which builds the rows of ``wignerexp enumerate``
+from the same leaf with no ``WalkClass``: the expectation is a product of
+per-edge factors from a table filled once per model.
 An edge crossed once gives a first moment, which ``MomentModel`` holds at
 zero (entries are centered), so only the classes whose every edge is
 crossed at least twice contribute; pruned, the search yields exactly
@@ -32,7 +37,9 @@ those.  They make the tallies: one representative with a class count per
 v and multiset of edge patterns (is_loop, fwd, bwd), which fixes the
 class's moment factor, and the class count per (v, e, cycle_type).  At
 k = 10, 67 representatives stand for the 4,900 classes that count, of
-115,975; at k = 12, 192 stand for 67,880 of 4,213,597.
+115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  A row query that
+lies wholly among those classes (``_pruned_answers``) reads the pruned
+search too.
 """
 
 from __future__ import annotations
@@ -42,12 +49,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams
 
 MAX_WORD_LENGTH = 12
+# the decimal string of each letter, for the rows of ``class_rows``
+_LETTERS = tuple(map(str, range(MAX_WORD_LENGTH + 1)))
 
 TREE = "tree"
 SELF_LOOP = "self-loop"
@@ -158,10 +169,11 @@ def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
         yield word
 
 
-def _cycle_type(v, e, traversals, has_loop) -> str:
+def _cycle_type(v: int, e: int, traversals: Mapping[tuple[int, int], Sequence[int]]) -> str:
+    """The ``CYCLE_TYPES`` entry of a class with v letters and traversals on e edges."""
     if e == v - 1:
         return TREE
-    if has_loop:
+    if any(starmap(eq, traversals)):  # a key (i, i)
         return SELF_LOOP
     if e != v or any(f + b != 2 for f, b in traversals.values()):
         return OTHER
@@ -178,7 +190,7 @@ def _walk_class(word: tuple[int, ...], counts: _Counts) -> WalkClass:
     frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
     has_loop = any(i == j for i, j in frozen)
     v, e = max(word), len(frozen)
-    return WalkClass(word, v, e, frozen, has_loop, _cycle_type(v, e, frozen, has_loop))
+    return WalkClass(word, v, e, frozen, has_loop, _cycle_type(v, e, frozen))
 
 
 def classify_walk(word: Sequence) -> WalkClass:
@@ -196,6 +208,19 @@ def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
     """Stream one classified ``WalkClass`` per equivalence class of length k."""
     for word, counts in _search(k, pruned=False):
         yield _walk_class(word, counts)
+
+
+def _leaves(
+    k: int, pruned: bool = False
+) -> Iterator[tuple[tuple[int, ...], _Counts, int, int, str]]:
+    """(word, counts, v, e, cycle_type) per leaf of ``_search``, read from the live counts.
+
+    The one reader of the full stream's shapes, for ``class_rows`` and
+    ``_shape_counts``; ``counts`` is live, as in ``_search``.
+    """
+    for word, counts in _search(k, pruned):
+        v, e = max(word), len(counts)
+        yield word, counts, v, e, _cycle_type(v, e, counts)
 
 
 def check_word_length(k: int) -> None:
@@ -274,8 +299,7 @@ def count_classes(
 @lru_cache(maxsize=MAX_WORD_LENGTH)
 def _shape_counts(k: int) -> Mapping[_Shape, int]:
     """Read-only class count per (v, e, cycle_type) over the full stream of length k."""
-    classes = enumerate_canonical_words(k)
-    return MappingProxyType(Counter(_Shape(c.v, c.e, c.cycle_type) for c in classes))
+    return MappingProxyType(Counter(_Shape(v, e, kind) for _, _, v, e, kind in _leaves(k)))
 
 
 def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
@@ -459,18 +483,76 @@ PRESET_MODELS = {"goe": goe_model, "gue": gue_model, "rademacher": rademacher_mo
 # -- exact expectations ----------------------------------------------------
 
 
+def _edge_moment(model: MomentModel, is_loop: bool, fwd: int, bwd: int) -> Fraction:
+    """The entry moment of an edge (i, j), i <= j, crossed fwd times i -> j and bwd times j -> i.
+
+    A self-loop is a diagonal entry, its count in ``fwd``; any other edge is
+    an off-diagonal entry, oriented i < j.
+    """
+    return model.diag_moment(fwd) if is_loop else model.offdiag_mixed(fwd, bwd)
+
+
 def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
     """E[W_c]: product of entry moments over the edges of the class graph."""
     result = Fraction(1)
     for (a, b), (fwd, bwd) in cls.edge_traversals.items():
-        if a == b:
-            factor = model.diag_moment(fwd)
-        else:
-            factor = model.offdiag_mixed(fwd, bwd)
+        factor = _edge_moment(model, a == b, fwd, bwd)
         if factor == 0:
             return Fraction(0)
         result *= factor
     return result
+
+
+class _EdgeFactors(dict):
+    """``_edge_moment`` by (is_loop, fwd, bwd) for one model, each entry computed on first use.
+
+    An integral moment is stored as an int, so a product of integral factors
+    never builds a Fraction.
+    """
+
+    def __init__(self, model: MomentModel):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, key: tuple[bool, int, int]) -> int | Fraction:
+        value = _edge_moment(self.model, *key)
+        value = self[key] = value.numerator if value.denominator == 1 else value
+        return value
+
+
+def class_rows(
+    k: int,
+    model: MomentModel,
+    v: int | None = None,
+    e: int | None = None,
+    cycle_type: str | None = None,
+) -> Iterator[tuple[str, int, int, str, int, int]]:
+    """(word, v, e, cycle_type, exp_num, exp_den) per class of length k matching the query.
+
+    The rows of ``wignerexp enumerate``, in lexicographic order: ``word``
+    joins the canonical letters with "-", and exp_num / exp_den is the
+    ``expected_word_product`` of the class in lowest terms.  Each row is read
+    straight from a search leaf, with no ``WalkClass``; the query filters the
+    leaf before its word or expectation is built.  A query that
+    ``_pruned_answers`` accepts reads the pruned search, which yields all of
+    its classes in the same order.
+    """
+    check_word_length(k)
+    _check_cycle_type(cycle_type)
+    factors = _EdgeFactors(model)
+    for word, counts, cv, ce, kind in _leaves(k, _pruned_answers(k, v, e, cycle_type)):
+        if (
+            (v is None or cv == v)
+            and (e is None or ce == e)
+            and (cycle_type is None or kind == cycle_type)
+        ):
+            value = 1
+            for (i, j), (fwd, bwd) in counts.items():
+                value *= factors[i == j, fwd, bwd]
+                if not value:
+                    break
+            text = "-".join([_LETTERS[a] for a in word])
+            yield text, cv, ce, kind, value.numerator, value.denominator
 
 
 def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:

@@ -417,12 +417,13 @@ def test_stieltjes_radius_guard(capsys):
 @pytest.mark.parametrize("count", [1, 3])
 def test_json_render_is_one_dumps(count):
     config = RunConfig(command="mc", format="json", n=(16, 32), sigma2=Fraction(5, 4))
+    columns = ["method", "k", "point", "z", "ref"]
     rows = [
         {"method": "estimate\n\u00fc", "k": 2 * j, "point": 0.5 / (j + 1), "z": -1.5, "ref": None}
         for j in range(count)
     ]
     rows[-1]["z"] = float("inf")
-    lines = list(_render(config, ["k"], iter(rows)))
+    lines = list(_render(config, columns, (tuple(row.values()) for row in rows)))
     rows[-1]["z"] = None
     assert "\n".join(lines) == json.dumps({"config": config.echo(), "rows": rows}, indent=2)
 
@@ -608,6 +609,14 @@ GOLDEN = {
     "enumerate": (
         ["enumerate", "--k", "6"],
         0, "701243a3a1db9c567254a1b3b9bd06f189ccf82e697ed29818aa2d9d172af5ed",
+    ),
+    "enumerate-gue-json": (
+        ["enumerate", "--k", "8", "--ensemble", "gue", "--format", "json"],
+        0, "90b20085958227cccaf3f5fe15f62b6ea9d6383a828aaf04aa280dc1a04f5ea2",
+    ),
+    "enumerate-rademacher": (
+        ["enumerate", "--k", "8", "--ensemble", "rademacher"],
+        0, "c2696083e6ce2cffa784fa383c9b42843b28b7e4a729402a6a056530224c70f3",
     ),
     "moments": (
         ["moments"], 0, "64a7163cb18731642a88eb1c27c71a3e54af8dcaab6f46631741c29e8c1fd28a"

@@ -22,6 +22,7 @@ from wignerexp import (
     catalan,
     canonical_words,
     canonicalize,
+    class_rows,
     classify_walk,
     count_classes,
     cycle_both_ways_class_count,
@@ -101,21 +102,21 @@ def test_class_totals_are_bell_numbers():
 
 def test_counts_partition_the_enumeration(monkeypatch):
     streamed = Counter()
-    stream = walks.enumerate_canonical_words
+    leaves = walks._leaves
 
-    def counting(k):
-        streamed[k] += 1
-        return stream(k)
+    def counting(k, pruned=False):
+        streamed[k, pruned] += 1
+        return leaves(k, pruned)
 
     walks._shape_counts.cache_clear()
-    monkeypatch.setattr(walks, "enumerate_canonical_words", counting)
+    monkeypatch.setattr(walks, "_leaves", counting)
     for k in (3, 5, 8):
-        classes = tuple(stream(k))
+        classes = tuple(enumerate_canonical_words(k))
         pairs = {(cls.v, cls.e) for cls in classes}
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
         assert sum(count_classes(k, v) for v in {v for v, _ in pairs}) == len(classes)
     # the queries outside the closed-form families stream each length once
-    assert streamed == {3: 1, 5: 1, 8: 1}
+    assert streamed == {(3, False): 1, (5, False): 1, (8, False): 1}
 
 
 def full_stream_tallies(k: int):
@@ -338,6 +339,59 @@ def test_expected_word_product_examples():
 
     missing = classify_walk("11")
     assert expected_word_product(missing, goe_model()) == 2  # diagonal variance
+
+
+# the presets, and a real model whose moments are not all integers
+ROW_MODELS = [goe_model(), gue_model(), rademacher_model(), rademacher_model(Fraction(1, 2), 3)]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_class_rows_read_the_classes(k):
+    classes = tuple(enumerate_canonical_words(k))
+    for model in ROW_MODELS:
+        want = []
+        for cls in classes:
+            value = expected_word_product(cls, model)
+            word = "-".join(map(str, cls.canonical_word))
+            want.append((word, cls.v, cls.e, cls.cycle_type, value.numerator, value.denominator))
+        assert list(class_rows(k, model)) == want
+
+
+def test_family_rows_read_the_pruned_search(monkeypatch):
+    searches = []
+    search = walks._search
+
+    def recording(k, pruned):
+        searches.append(pruned)
+        return search(k, pruned)
+
+    monkeypatch.setattr(walks, "_search", recording)
+    model = ROW_MODELS[-1]
+    for k in range(1, 10):
+        full = list(class_rows(k, model))
+        # the families of _pruned_answers' docstring
+        queries = [(None, None, kind) for kind in ("tree", "cycle-one-way", "cycle-both-ways")]
+        queries += [(v, v - 1, kind) for v in range(1, k + 2) for kind in (None, "tree")]
+        queries += [(k // 2, k // 2, kind) for kind in ("cycle-one-way", "cycle-both-ways")]
+        queries += [(k // 2, k // 2, "self-loop")] if k % 2 == 0 else []
+        searches.clear()
+        for v, e, kind in queries:
+            want = [
+                row
+                for row in full
+                if (v is None or row[1] == v)
+                and (e is None or row[2] == e)
+                and (kind is None or row[3] == kind)
+            ]
+            assert list(class_rows(k, model, v, e, kind)) == want, (k, v, e, kind)
+        assert searches == [True] * len(queries)
+
+
+def test_class_rows_raise_missing_moments():
+    # the all-loop word 1-1-1-1-1-1 needs the diagonal sixth moment
+    with pytest.raises(MissingMomentError, match="order 6"):
+        list(class_rows(6, goe_model(max_order=4)))
+    assert len(list(class_rows(4, goe_model(max_order=4)))) == 15
 
 
 # -- exact finite-n moments --------------------------------------------------------------
