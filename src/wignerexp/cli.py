@@ -42,6 +42,17 @@ _PARAM_KEYS = tuple(f.name for f in fields(comb.EnsembleParams))
 # bounds time: at 100,000 points density takes 1.0 s (JSON 1.4 s) and stieltjes
 # 1.7 s (JSON 2.3 s), each at 29 MB peak RSS on a 2-core host.
 MAX_TABLE_POINTS = 100_000
+# moments table cells, (kmax + 1) rows times the nu column and one column per
+# size, checked before any work.  A cell costs more the larger its k: the
+# slowest table admitted, GUE with no sizes at kmax 2999 (its nu is 0, so no
+# decimal overflow ends the run early), takes 1.8 s on a 2-core host, and one
+# size at kmax 1499 0.5 s.  Unbounded, 2,000 sizes at kmax 1000 ran 180 s at
+# 405 MB peak RSS.
+MAX_MOMENT_CELLS = 3000
+# config-file bytes, of which one more is read to tell a larger file: every
+# config a command admits fits (2,999 sizes, the moments bound, take under
+# 27 KB), and without a bound --config /dev/zero reads until memory runs out
+MAX_CONFIG_BYTES = 64 << 10
 # bounds on a --sigma2/--s2/--alpha string, checked before it is parsed:
 # Fraction("1e4000000") builds its integer for seconds, and past 4300 digits
 # Python refuses to print one.  At the bounds every command runs in about 1 s.
@@ -156,10 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _file_settings(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            settings = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config file {path} exceeds {MAX_CONFIG_BYTES} bytes")
+    try:
+        settings = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(settings, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(settings) - set(_KEYS)
@@ -336,6 +353,12 @@ def _fmt15(value: Fraction, name: str) -> str:
 
 
 def cmd_moments(config: RunConfig) -> int:
+    cells = (config.kmax + 1) * (len(config.n) + 1)
+    if cells > MAX_MOMENT_CELLS:
+        raise ConfigError(
+            f"moments table of (kmax + 1) x (1 + sizes) = {cells} cells exceeds its "
+            f"bound {MAX_MOMENT_CELLS}; lower kmax or give fewer sizes"
+        )
     columns = ["k", "sc", "nu", "nu_dec"]
     for n in config.n:
         columns += [f"m_n{n}", f"m_n{n}_dec"]

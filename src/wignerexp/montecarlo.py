@@ -6,8 +6,8 @@ and above the diagonal; per-sample moments are traces of matrix powers
 exactly, no eigensolver involved), each read as a Frobenius product
 tr X^(a+b) = <X^a, X^b> of two powers formed.  A dense sample forms the
 fewest powers whose pairwise sums give every k asked for (X^2, X^4, X^8 for
-the even k up to 10: three products where the half powers X^2..X^5 take
-four), writing each product into a buffer that the samples of a block
+the even k up to 10: three products, one fewer than the half powers
+X^2..X^5), writing each product into a buffer that the samples of a block
 reuse.  The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
@@ -16,8 +16,9 @@ GOE and GUE estimates sample the tridiagonal models of Dumitriu and
 Edelman ("Matrix models for beta ensembles", J. Math. Phys. 2002) instead
 of dense matrices: Householder reduction of the dense Gaussian matrix gives
 a symmetric tridiagonal matrix with the same spectrum, independent
-Gaussian diagonal and chi-distributed off-diagonal, so a sample costs
-O(n kmax) and chunks of samples are processed as arrays.  ``sample_matrix``
+Gaussian diagonal and chi-distributed off-diagonal.  A banded sample forms
+only the half powers T^1 .. T^ceil(kmax/2), as bands, so it costs
+O(n kmax^2), and chunks of samples are processed as arrays.  ``sample_matrix``
 still returns the dense matrix, and Rademacher and custom ensembles are
 estimated from dense matrices.
 
@@ -277,24 +278,6 @@ def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     return _build_matrix(n, sampler, np.random.default_rng(seed))
 
 
-def _half_power_traces(x, ks: Sequence[int], times, inner) -> list:
-    """tr X^k for each k >= 2 in ascending ``ks``, X Hermitian.
-
-    Only the powers up to X^ceil(kmax/2) are formed, by ``times(P) = P X``:
-    tr X^(2m) = <X^m, X^m> and tr X^(2m+1) = <X^m, X^(m+1)>, with
-    ``inner(A, B)`` the Frobenius product tr(A^H B).  The banded path uses
-    it, since a band times T is cheap where a band times a band is not.
-    """
-    powers = [None, x]
-    out = []
-    for k in ks:
-        m, odd = divmod(k, 2)
-        while len(powers) <= m + odd:
-            powers.append(times(powers[-1]))
-        out.append(inner(powers[m], powers[m + odd]))
-    return out
-
-
 class _PowerPlan(NamedTuple):
     """The schedule of ``_dense_traces``.
 
@@ -389,7 +372,10 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     bandwidth m and is held as its 2m + 1 diagonals, array P of shape
     (S, 2m + 1, n) with P[s, m + o, i] = (T_s^m)[i, i + o] and zeros outside
     the matrix, so (P T)[i, i + o] = P_{o-1}[i] b[i+o-1] + P_o[i] a[i+o]
-    + P_{o+1}[i] b[i+o] costs O(S m n).  Returns one length-S array per k.
+    + P_{o+1}[i] b[i+o] costs O(S m n).  Only T^1 .. T^ceil(kmax/2) are
+    formed, since a band times T is cheap where a band times a band is not:
+    tr T^(2m) = <T^m, T^m> and tr T^(2m+1) = <T^m, T^(m+1)>.  Returns one
+    length-S array per k.
     """
     samples, n = diag.shape
     reach = -(-ks[-1] // 2)  # highest power formed, and the widest offset
@@ -400,21 +386,18 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     b_pad[:, reach : reach + n - 1] = off
     a_win = sliding_window_view(a_pad, n, axis=1)  # [s, reach + o, i] = a[i + o]
     b_win = sliding_window_view(b_pad, n, axis=1)
-    centre = reach
-
-    def times(p: np.ndarray) -> np.ndarray:
-        m = p.shape[1] // 2
-        q = np.zeros((samples, 2 * m + 3, n))
-        q[:, 1:-1] += p * a_win[:, centre - m : centre + m + 1]
-        q[:, 2:] += p * b_win[:, centre - m : centre + m + 1]
-        q[:, :-2] += p * b_win[:, centre - m - 1 : centre + m]
-        return q
-
-    def inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        edge = (q.shape[1] - p.shape[1]) // 2
-        return np.einsum("sri,sri->s", p, q[:, edge : q.shape[1] - edge])
-
-    return _half_power_traces(times(np.ones((samples, 1, n))), ks, times, inner)
+    powers = [np.ones((samples, 1, n))]  # T^0 as its one diagonal
+    for m in range(reach):  # T^(m+1) = T^m T
+        p, q = powers[m], np.zeros((samples, 2 * m + 3, n))
+        q[:, 1:-1] += p * a_win[:, reach - m : reach + m + 1]
+        q[:, 2:] += p * b_win[:, reach - m : reach + m + 1]
+        q[:, :-2] += p * b_win[:, reach - m - 1 : reach + m]
+        powers.append(q)
+    # the 2m + 1 diagonals of T^m against the middle 2m + 1 of T^(m + odd)
+    return [
+        np.einsum("sri,sri->s", powers[m], powers[m + odd][:, odd : odd + 2 * m + 1])
+        for m, odd in (divmod(k, 2) for k in ks)
+    ]
 
 
 def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:

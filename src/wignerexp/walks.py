@@ -23,13 +23,12 @@ cover the real and complex Gaussian ensembles and real Rademacher entries.
 
 One depth-first search over restricted-growth words serves every caller.
 It keeps the directed crossing counts of each edge as the word grows, so
-no word is rescanned to be classified.  Unpruned, it yields every class,
-for ``canonical_words`` and ``enumerate_canonical_words``.  The leaf
-reader ``_leaves`` reads (v, e, cycle_type) off each leaf's live counts;
-the full stream of shapes is read through it, both by ``_shape_counts``
-and by ``class_rows``, which builds the rows of ``wignerexp enumerate``
-from the same leaf with no ``WalkClass``: the expectation is a product of
-per-edge factors from a table filled once per model.
+no word is rescanned to be classified.  ``_leaf`` alone reads a leaf of
+the search into (word, counts, v, e, cycle_type); ``WalkClass`` objects,
+the shape counts and the rows of ``class_rows`` (the table of ``wignerexp
+enumerate``) are all built from such leaves, and every (v, e, cycle_type)
+query is tested by the one matcher ``_matcher``.
+
 An edge crossed once gives a first moment, which ``MomentModel`` holds at
 zero (entries are centered), so only the classes whose every edge is
 crossed at least twice contribute; pruned, the search yields exactly
@@ -37,9 +36,11 @@ those.  They make the tallies: one representative with a class count per
 v and multiset of edge patterns (is_loop, fwd, bwd), which fixes the
 class's moment factor, and the class count per (v, e, cycle_type).  At
 k = 10, 67 representatives stand for the 4,900 classes that count, of
-115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  A row query that
-lies wholly among those classes (``_pruned_answers``) reads the pruned
-search too.
+115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  A query that lies
+wholly among those classes (``_pruned_answers``) reads the pruned search
+too.  The expectation of a class is one product, ``_edge_product``, of
+per-edge factors from a table (``_EdgeFactors``) that computes each entry
+moment of a model on first use.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import lru_cache
 from itertools import starmap
 from operator import eq
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams
 
@@ -66,10 +67,14 @@ CYCLE_ONE_WAY = "cycle-one-way"
 CYCLE_BOTH_WAYS = "cycle-both-ways"
 OTHER = "other"
 CYCLE_TYPES = (TREE, SELF_LOOP, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS, OTHER)
-# the key a class is counted under; select_classes filters it like a class
+# the key a class is counted under
 _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 # live directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j
 _Counts = dict[tuple[int, int], list[int]]
+# a search leaf as ``_leaf`` reads it: (word, counts, v, e, cycle_type)
+_Leaf = tuple[tuple[int, ...], _Counts, int, int, str]
+# the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
+_Match = Callable[[int, int, str], bool]
 
 
 class MissingMomentError(LookupError):
@@ -169,28 +174,37 @@ def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
         yield word
 
 
-def _cycle_type(v: int, e: int, traversals: Mapping[tuple[int, int], Sequence[int]]) -> str:
-    """The ``CYCLE_TYPES`` entry of a class with v letters and traversals on e edges."""
+def _leaf(word: tuple[int, ...], counts: _Counts) -> _Leaf:
+    """The ``_Leaf`` of a canonical word and the crossing counts of all its steps.
+
+    v counts the letters, e the edges, and the cycle type is the
+    ``CYCLE_TYPES`` entry the ``WalkClass`` docstring defines.
+    """
+    v, e = max(word), len(counts)
     if e == v - 1:
-        return TREE
-    if any(starmap(eq, traversals)):  # a key (i, i)
-        return SELF_LOOP
-    if e != v or any(f + b != 2 for f, b in traversals.values()):
-        return OTHER
-    # a closed walk is a circulation: equal flow each way over a bridge, one
-    # net flow round the cycle, so the cycle is run one way iff some edge is
-    # crossed (2, 0) or (0, 2)
-    if any(f != b for f, b in traversals.values()):
-        return CYCLE_ONE_WAY
-    return CYCLE_BOTH_WAYS
+        kind = TREE
+    elif any(starmap(eq, counts)):  # a key (i, i)
+        kind = SELF_LOOP
+    elif e != v or any(f + b != 2 for f, b in counts.values()):
+        kind = OTHER
+    else:
+        # a closed walk is a circulation: equal flow each way over a bridge,
+        # one net flow round the cycle, so the cycle is run one way iff some
+        # edge is crossed (2, 0) or (0, 2)
+        one_way = any(f != b for f, b in counts.values())
+        kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
+    return word, counts, v, e, kind
 
 
-def _walk_class(word: tuple[int, ...], counts: _Counts) -> WalkClass:
-    """The class of a canonical word, read from the crossing counts of all its steps."""
+def _leaves(k: int, pruned: bool = False) -> Iterator[_Leaf]:
+    """One ``_leaf`` per word of ``_search``; ``counts`` is live, as there."""
+    return starmap(_leaf, _search(k, pruned))
+
+
+def _walk_class(word: tuple[int, ...], counts: _Counts, v: int, e: int, kind: str) -> WalkClass:
+    """The ``WalkClass`` of a leaf, its counts frozen."""
     frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
-    has_loop = any(i == j for i, j in frozen)
-    v, e = max(word), len(frozen)
-    return WalkClass(word, v, e, frozen, has_loop, _cycle_type(v, e, frozen))
+    return WalkClass(word, v, e, frozen, kind == SELF_LOOP, kind)
 
 
 def classify_walk(word: Sequence) -> WalkClass:
@@ -201,26 +215,12 @@ def classify_walk(word: Sequence) -> WalkClass:
     counts: _Counts = {}
     for a, b in zip(word, word[1:] + word[:1]):
         _cross(counts, a, b)
-    return _walk_class(word, counts)
+    return _walk_class(*_leaf(word, counts))
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
     """Stream one classified ``WalkClass`` per equivalence class of length k."""
-    for word, counts in _search(k, pruned=False):
-        yield _walk_class(word, counts)
-
-
-def _leaves(
-    k: int, pruned: bool = False
-) -> Iterator[tuple[tuple[int, ...], _Counts, int, int, str]]:
-    """(word, counts, v, e, cycle_type) per leaf of ``_search``, read from the live counts.
-
-    The one reader of the full stream's shapes, for ``class_rows`` and
-    ``_shape_counts``; ``counts`` is live, as in ``_search``.
-    """
-    for word, counts in _search(k, pruned):
-        v, e = max(word), len(counts)
-        yield word, counts, v, e, _cycle_type(v, e, counts)
+    yield from starmap(_walk_class, _leaves(k))
 
 
 def check_word_length(k: int) -> None:
@@ -248,7 +248,7 @@ def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int],
     for word, counts in _search(k, pruned=True):
         key = (max(word), tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
         rep, count = weighted.get(key, (None, 0))
-        weighted[key] = (rep or _walk_class(word, counts), count + 1)
+        weighted[key] = (rep or _walk_class(*_leaf(word, counts)), count + 1)
     shapes: dict[_Shape, int] = {}
     for rep, count in weighted.values():
         shape = _Shape(rep.v, rep.e, rep.cycle_type)
@@ -263,19 +263,24 @@ def select_classes(
     cycle_type: str | None = None,
 ) -> Iterator[WalkClass]:
     """Classes (or ``_Shape`` keys) matching every given (v, e, cycle_type), lazily, in order."""
-    _check_cycle_type(cycle_type)
-    return (
-        cls
-        for cls in classes
-        if (v is None or cls.v == v)
-        and (e is None or cls.e == e)
-        and (cycle_type is None or cls.cycle_type == cycle_type)
-    )
+    match = _matcher(v, e, cycle_type)
+    return (cls for cls in classes if match is None or match(cls.v, cls.e, cls.cycle_type))
 
 
-def _check_cycle_type(cycle_type: str | None) -> None:
+def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
+    """The test (v, e, cycle_type) -> bool of a query, or None for the empty query.
+
+    The cycle type is checked here, before any class is read.
+    """
     if cycle_type is not None and cycle_type not in CYCLE_TYPES:
         raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
+    if v is None and e is None and cycle_type is None:
+        return None
+    return lambda cv, ce, kind: (
+        (v is None or cv == v)
+        and (e is None or ce == e)
+        and (cycle_type is None or kind == cycle_type)
+    )
 
 
 def count_classes(
@@ -291,9 +296,9 @@ def count_classes(
     classes once per k.
     """
     check_word_length(k)
-    _check_cycle_type(cycle_type)  # before a stream of Bell(k) classes
+    match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
     shapes = _tallies(k)[0] if _pruned_answers(k, v, e, cycle_type) else _shape_counts(k)
-    return sum(shapes[shape] for shape in select_classes(shapes, v, e, cycle_type))
+    return sum(count for shape, count in shapes.items() if match is None or match(*shape))
 
 
 @lru_cache(maxsize=MAX_WORD_LENGTH)
@@ -483,30 +488,13 @@ PRESET_MODELS = {"goe": goe_model, "gue": gue_model, "rademacher": rademacher_mo
 # -- exact expectations ----------------------------------------------------
 
 
-def _edge_moment(model: MomentModel, is_loop: bool, fwd: int, bwd: int) -> Fraction:
-    """The entry moment of an edge (i, j), i <= j, crossed fwd times i -> j and bwd times j -> i.
-
-    A self-loop is a diagonal entry, its count in ``fwd``; any other edge is
-    an off-diagonal entry, oriented i < j.
-    """
-    return model.diag_moment(fwd) if is_loop else model.offdiag_mixed(fwd, bwd)
-
-
-def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
-    """E[W_c]: product of entry moments over the edges of the class graph."""
-    result = Fraction(1)
-    for (a, b), (fwd, bwd) in cls.edge_traversals.items():
-        factor = _edge_moment(model, a == b, fwd, bwd)
-        if factor == 0:
-            return Fraction(0)
-        result *= factor
-    return result
-
-
 class _EdgeFactors(dict):
-    """``_edge_moment`` by (is_loop, fwd, bwd) for one model, each entry computed on first use.
+    """Entry moments of one model by (is_loop, fwd, bwd), each computed on first use.
 
-    An integral moment is stored as an int, so a product of integral factors
+    The key describes an edge (i, j), i <= j, crossed fwd times i -> j and
+    bwd times j -> i.  A self-loop is a diagonal entry, its count in
+    ``fwd``; any other edge is an off-diagonal entry, oriented i < j.  An
+    integral moment is stored as an int, so a product of integral factors
     never builds a Fraction.
     """
 
@@ -515,9 +503,27 @@ class _EdgeFactors(dict):
         self.model = model
 
     def __missing__(self, key: tuple[bool, int, int]) -> int | Fraction:
-        value = _edge_moment(self.model, *key)
+        is_loop, fwd, bwd = key
+        value = self.model.diag_moment(fwd) if is_loop else self.model.offdiag_mixed(fwd, bwd)
         value = self[key] = value.numerator if value.denominator == 1 else value
         return value
+
+
+def _edge_product(
+    factors: _EdgeFactors, traversals: Mapping[tuple[int, int], Sequence[int]]
+) -> int | Fraction:
+    """The product of ``factors`` over the edges of ``traversals``, stopped at the first zero."""
+    value = 1
+    for (i, j), (fwd, bwd) in traversals.items():
+        value *= factors[i == j, fwd, bwd]
+        if not value:
+            break
+    return value
+
+
+def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
+    """E[W_c]: product of entry moments over the edges of the class graph."""
+    return Fraction(_edge_product(_EdgeFactors(model), cls.edge_traversals))
 
 
 def class_rows(
@@ -538,19 +544,11 @@ def class_rows(
     its classes in the same order.
     """
     check_word_length(k)
-    _check_cycle_type(cycle_type)
+    match = _matcher(v, e, cycle_type)
     factors = _EdgeFactors(model)
     for word, counts, cv, ce, kind in _leaves(k, _pruned_answers(k, v, e, cycle_type)):
-        if (
-            (v is None or cv == v)
-            and (e is None or ce == e)
-            and (cycle_type is None or kind == cycle_type)
-        ):
-            value = 1
-            for (i, j), (fwd, bwd) in counts.items():
-                value *= factors[i == j, fwd, bwd]
-                if not value:
-                    break
+        if match is None or match(cv, ce, kind):
+            value = _edge_product(factors, counts)
             text = "-".join([_LETTERS[a] for a in word])
             yield text, cv, ce, kind, value.numerator, value.denominator
 

@@ -449,7 +449,7 @@ def test_json_tables_stream(tmp_path, argv):
 
 def _config_file(tmp_path, content):
     path = tmp_path / "run.json"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     return str(path)
 
 
@@ -464,6 +464,15 @@ BAD_INPUTS = {
     ],
     "config-not-an-object": lambda tmp: ["moments", "--config", _config_file(tmp, "[1, 2]")],
     "config-missing": lambda tmp: ["moments", "--config", str(tmp / "absent.json")],
+    # unbounded, --config /dev/zero read until memory ran out
+    "config-over-byte-bound": lambda tmp: [
+        "moments", "--config", _config_file(tmp, '{"kmax": 2}'.ljust(cli.MAX_CONFIG_BYTES + 1))
+    ],
+    "config-invalid-json": lambda tmp: ["moments", "--config", _config_file(tmp, "{n: [64]}")],
+    "config-invalid-utf8": lambda tmp: [
+        "moments", "--config", _config_file(tmp, b'{"n": [64], "seed": "\xff"}')
+    ],
+    "config-nested-deep": lambda tmp: ["moments", "--config", _config_file(tmp, "[" * 100_000)],
     "out-unwritable": lambda tmp: ["moments", "--out", str(tmp / "no-dir" / "m.csv")],
     "enumerate-out-unwritable": lambda tmp: [
         "enumerate", "--k", "4", "--out", str(tmp / "no-dir" / "e.csv")
@@ -482,6 +491,11 @@ BAD_INPUTS = {
         "mc", "--ensemble", "rademacher", "--kmax", "32", "--n", "512", "--samples", "1000000"
     ],
     "moments-decimal-overflow": lambda tmp: ["moments", "--kmax", "1100"],
+    # unbounded, this table took 180 s and 405 MB
+    "moments-cells-above-bound": lambda tmp: [
+        "moments", "--kmax", "1000",
+        "--config", _config_file(tmp, json.dumps({"n": [*range(1, 2001)]})),
+    ],
     "moments-alpha-overflow": lambda tmp: ["moments", *HUGE_ALPHA],
     "density-alpha-overflow": lambda tmp: ["density", *HUGE_ALPHA],
     "stieltjes-alpha-overflow": lambda tmp: ["stieltjes", *HUGE_ALPHA],
@@ -535,6 +549,24 @@ def test_bad_input_names_its_key(capsys, tmp_path, case, key):
     assert re.search(rf"\b{key}\b", err), err
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["config-over-byte-bound", "config-invalid-json", "config-invalid-utf8", "config-nested-deep"],
+)
+def test_bad_config_file_names_its_path(capsys, tmp_path, case):
+    _, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
+    assert f"config file {tmp_path / 'run.json'} " in err, err
+
+
+def test_config_file_and_moments_table_at_their_bounds_run(capsys, tmp_path):
+    sizes = list(range(1, 30))
+    assert (99 + 1) * (1 + len(sizes)) == cli.MAX_MOMENT_CELLS
+    text = json.dumps({"kmax": 99, "n": sizes}).ljust(cli.MAX_CONFIG_BYTES)
+    code, out, err = run_cli(capsys, "moments", "--config", _config_file(tmp_path, text))
+    assert code == 0, err
+    assert len(parse_csv(out)) == 100
+
+
 def test_parameters_at_their_size_bounds_parse():
     # the digits of the exponent count too
     top = cli.MAX_PARAM_EXPONENT
@@ -560,6 +592,7 @@ def test_moments_with_no_sizes_prints_only_the_limit_columns(capsys, tmp_path):
     "case",
     [
         "moments-decimal-overflow",
+        "moments-cells-above-bound",
         "moments-alpha-overflow",
         "density-alpha-overflow",
         "stieltjes-alpha-overflow",

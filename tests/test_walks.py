@@ -108,10 +108,11 @@ def test_counts_partition_the_enumeration(monkeypatch):
         streamed[k, pruned] += 1
         return leaves(k, pruned)
 
+    # listed before the counting starts: enumerate_canonical_words streams leaves too
+    enumerated = {k: tuple(enumerate_canonical_words(k)) for k in (3, 5, 8)}
     walks._shape_counts.cache_clear()
     monkeypatch.setattr(walks, "_leaves", counting)
-    for k in (3, 5, 8):
-        classes = tuple(enumerate_canonical_words(k))
+    for k, classes in enumerated.items():
         pairs = {(cls.v, cls.e) for cls in classes}
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
         assert sum(count_classes(k, v) for v in {v for v, _ in pairs}) == len(classes)
@@ -191,6 +192,7 @@ def test_streamed_classes_match_a_fresh_classification(k):
     # the stream reads counts kept under backtracking; classify_walk counts each word anew
     for cls in enumerate_canonical_words(k):
         assert cls == classify_walk(cls.canonical_word)
+        assert cls.has_self_loop == any(i == j for i, j in cls.edge_traversals)
 
 
 # -- classification ----------------------------------------------------------------
@@ -450,6 +452,48 @@ def test_correction_residual_shrinks_with_n():
                     assert nxt == 0
                 else:
                     assert abs(nxt) <= abs(prev) / 8
+
+
+def interpolate(points):
+    """Exact coefficients, lowest degree first, of the polynomial through (x, y) points."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)  # Lagrange: yi prod (x - xj) / (xi - xj)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [Fraction(0)] + basis
+                for t in range(len(basis) - 1):
+                    basis[t] -= xj * basis[t + 1]
+                scale /= xi - xj
+        for t, b in enumerate(basis):
+            coeffs[t] += scale * b
+    return coeffs
+
+
+EXPANSION_MODELS = {
+    "goe": goe_model(),
+    "gue": gue_model(),
+    "rademacher": rademacher_model(),
+    "rademacher-2-3": rademacher_model(2, 3),
+}
+# Harer & Zagier: the 1/n^2 coefficient of the unit-variance GUE moment of order 2l
+GUE_SECOND_ORDER = {2: 0, 4: 1, 6: 10, 8: 70, 10: 420, 12: 2310}
+
+
+@pytest.mark.parametrize("name", list(EXPANSION_MODELS))
+@pytest.mark.parametrize("k", range(2, 13, 2))
+def test_walk_expansion_reads_sc_and_nu_exactly(name, k):
+    # P(n) = n^(1+k/2) m_k(n) sums falling factorials n ... (n-v+1) with
+    # v <= e + 1 <= k/2 + 1, so k/2 + 2 sizes fix it, and m_k(n) = sum_j P_j n^(j-1-k/2)
+    model, top = EXPANSION_MODELS[name], k // 2 + 1
+    sizes = range(1, top + 2)
+    coeffs = interpolate([(n, n**top * exact_moment(k, n, model)) for n in sizes])
+    n = top + 2  # one size past the fit confirms the degree bound
+    assert sum(c * n**j for j, c in enumerate(coeffs)) == n**top * exact_moment(k, n, model)
+    assert coeffs[top] == semicircle_moment(k)
+    assert coeffs[top - 1] == nu_moment(k, model.params)
+    if name == "gue":
+        assert coeffs[top - 2] == GUE_SECOND_ORDER[k]
 
 
 def test_tallies_cache_is_keyed_by_length():
