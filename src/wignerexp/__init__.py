@@ -68,7 +68,6 @@ from .walks import (
     MissingMomentError,
     MomentModel,
     WalkClass,
-    canonical_words,
     canonicalize,
     check_word_length,
     class_rows,
@@ -80,7 +79,6 @@ from .walks import (
     goe_model,
     gue_model,
     rademacher_model,
-    select_classes,
 )
 
 __version__ = "0.1.0"

@@ -369,7 +369,7 @@ def cmd_moments(config: RunConfig) -> int:
         nu = comb.nu_moment(k, config.params)
         row = [k, str(sc), str(nu), _fmt15(nu, f"nu at k={k}")]
         for n in config.n:
-            m = comb.expected_moment_expansion(k, n, config.params)
+            m = sc + nu / n  # comb.expected_moment_expansion, from this row's sc and nu
             row += [str(m), _fmt15(m, f"m at k={k}, n={n}")]
         rows.append(row)
     _emit(_render(config, columns, rows), config.out)

@@ -32,15 +32,17 @@ query is tested by the one matcher ``_matcher``.
 An edge crossed once gives a first moment, which ``MomentModel`` holds at
 zero (entries are centered), so only the classes whose every edge is
 crossed at least twice contribute; pruned, the search yields exactly
-those.  They make the tallies: one representative with a class count per
-v and multiset of edge patterns (is_loop, fwd, bwd), which fixes the
-class's moment factor, and the class count per (v, e, cycle_type).  At
+those.  ``exact_moment`` reads them as weighted representatives
+(``_tallies``): one class with a class count per v and multiset of edge
+patterns (is_loop, fwd, bwd), which fixes the class's moment factor.  At
 k = 10, 67 representatives stand for the 4,900 classes that count, of
-115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  A query that lies
-wholly among those classes (``_pruned_answers``) reads the pruned search
-too.  The expectation of a class is one product, ``_edge_product``, of
-per-edge factors from a table (``_EdgeFactors``) that computes each entry
-moment of a model on first use.
+115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The class count
+per (v, e, cycle_type) is tallied in one place, ``_shape_counts``, over
+the pruned search for a query that lies wholly among those classes
+(``_pruned_answers``) and over the full search otherwise.  The
+expectation of a class is one product, ``_edge_product``, of per-edge
+factors from a table (``_EdgeFactors``) that computes each entry moment
+of a model on first use.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from functools import lru_cache
 from itertools import starmap
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams
 
@@ -97,7 +99,6 @@ class WalkClass:
     v: int
     e: int
     edge_traversals: Mapping[tuple[int, int], tuple[int, int]]
-    has_self_loop: bool
     cycle_type: str
 
 
@@ -168,12 +169,6 @@ def _search(k: int, pruned: bool) -> Iterator[tuple[tuple[int, ...], _Counts]]:
         yield (1,), counts
 
 
-def canonical_words(k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical words of length k, one per equivalence class, in lexicographic order."""
-    for word, _ in _search(k, pruned=False):
-        yield word
-
-
 def _leaf(word: tuple[int, ...], counts: _Counts) -> _Leaf:
     """The ``_Leaf`` of a canonical word and the crossing counts of all its steps.
 
@@ -204,7 +199,7 @@ def _leaves(k: int, pruned: bool = False) -> Iterator[_Leaf]:
 def _walk_class(word: tuple[int, ...], counts: _Counts, v: int, e: int, kind: str) -> WalkClass:
     """The ``WalkClass`` of a leaf, its counts frozen."""
     frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
-    return WalkClass(word, v, e, frozen, kind == SELF_LOOP, kind)
+    return WalkClass(word, v, e, frozen, kind)
 
 
 def classify_walk(word: Sequence) -> WalkClass:
@@ -235,13 +230,12 @@ def check_word_length(k: int) -> None:
 
 
 @lru_cache(maxsize=MAX_WORD_LENGTH)
-def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int], ...]]:
-    """The read-only tallies of the module docstring; k is checked, so <= MAX_WORD_LENGTH keys.
+def _tallies(k: int) -> tuple[tuple[WalkClass, int], ...]:
+    """The module docstring's weighted representatives; k is checked, so <= MAX_WORD_LENGTH keys.
 
     Each leaf of the pruned search reads its pattern key from the live
     counts; only the first leaf of a key is classified, as that key's
-    representative.  The key fixes v, e and the cycle type, so the shape
-    counts are summed from the weighted representatives.
+    representative.
     """
     check_word_length(k)
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
@@ -249,22 +243,7 @@ def _tallies(k: int) -> tuple[Mapping[_Shape, int], tuple[tuple[WalkClass, int],
         key = (max(word), tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
         rep, count = weighted.get(key, (None, 0))
         weighted[key] = (rep or _walk_class(*_leaf(word, counts)), count + 1)
-    shapes: dict[_Shape, int] = {}
-    for rep, count in weighted.values():
-        shape = _Shape(rep.v, rep.e, rep.cycle_type)
-        shapes[shape] = shapes.get(shape, 0) + count
-    return MappingProxyType(shapes), tuple(weighted.values())
-
-
-def select_classes(
-    classes: Iterable[WalkClass],
-    v: int | None = None,
-    e: int | None = None,
-    cycle_type: str | None = None,
-) -> Iterator[WalkClass]:
-    """Classes (or ``_Shape`` keys) matching every given (v, e, cycle_type), lazily, in order."""
-    match = _matcher(v, e, cycle_type)
-    return (cls for cls in classes if match is None or match(cls.v, cls.e, cls.cycle_type))
+    return tuple(weighted.values())
 
 
 def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
@@ -291,27 +270,28 @@ def count_classes(
 ) -> int:
     """Number of classes of length k matching the given (v, e, cycle_type).
 
-    The closed-form families (``_pruned_answers``) are read from the tallies;
-    any other query from ``_shape_counts``, which streams all Bell(k)
-    classes once per k.
+    Summed from ``_shape_counts``: of the pruned search for the queries
+    that ``_pruned_answers`` accepts (the closed-form families), of the
+    full stream of all Bell(k) classes for any other.
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
-    shapes = _tallies(k)[0] if _pruned_answers(k, v, e, cycle_type) else _shape_counts(k)
+    shapes = _shape_counts(k, _pruned_answers(k, v, e, cycle_type))
     return sum(count for shape, count in shapes.items() if match is None or match(*shape))
 
 
-@lru_cache(maxsize=MAX_WORD_LENGTH)
-def _shape_counts(k: int) -> Mapping[_Shape, int]:
-    """Read-only class count per (v, e, cycle_type) over the full stream of length k."""
-    return MappingProxyType(Counter(_Shape(v, e, kind) for _, _, v, e, kind in _leaves(k)))
+@lru_cache(maxsize=2 * MAX_WORD_LENGTH)
+def _shape_counts(k: int, pruned: bool) -> Mapping[_Shape, int]:
+    """Read-only class count per (v, e, cycle_type) over the leaves of ``_search(k, pruned)``."""
+    return MappingProxyType(Counter(_Shape(v, e, kind) for _, _, v, e, kind in _leaves(k, pruned)))
 
 
 def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
     """True when every class matching the query crosses each edge at least twice.
 
-    Then the tallies, which hold exactly those classes, count the query in
-    full.  A closed walk crosses every edge of its graph at least once.
+    Then the pruned search, which yields exactly those classes, counts and
+    lists the query in full.  A closed walk crosses every edge of its graph
+    at least once.
     - Trees (``cycle_type`` tree, or e = v - 1, which forces a tree): every
       edge is a bridge, and a closed walk crosses a bridge as often one way
       as the other, so an even number of times, hence at least twice.
@@ -334,7 +314,7 @@ def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None
 
 @dataclass(frozen=True)
 class MomentModel:
-    """Full moment tables of an entry distribution, as exact rationals.
+    """Full moment tables of an entry distribution, as exact rationals (ints or Fractions).
 
     Real case: ``offdiag_moments[m]`` is E[W^m].  Complex case:
     ``offdiag_moments[a][b]`` is E[W^a conj(W)^b] (None where a + b exceeds
@@ -348,21 +328,37 @@ class MomentModel:
     diag_moments: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.diag_moments) < 3:
+        diag, off = self.diag_moments, self.offdiag_moments
+        if len(diag) < 3:
             raise ValueError("diagonal table must cover orders 0..2 at least")
-        if self.diag_moments[0] != 1 or self.diag_moments[1] != 0:
-            raise ValueError("diagonal entries must be centered with E[W^0] = 1")
         if self.is_real:
-            off = self.offdiag_moments
             if len(off) < 5:
                 raise ValueError("real off-diagonal table must cover orders 0..4")
+            entries = [*diag, *off]
+        else:
+            if not (
+                len(off) >= 3
+                and all(isinstance(row, (tuple, list)) for row in off)
+                and min(map(len, off[:3])) >= 3
+            ):
+                raise ValueError("complex off-diagonal table must be a grid covering a, b <= 2")
+            entries = [*diag]
+            for a, row in enumerate(off):
+                entries += (x for b, x in enumerate(row) if x is not None or max(a, b) <= 2)
+        if not all(isinstance(x, (int, Fraction)) for x in entries):
+            raise ValueError(
+                "moment tables must hold ints or Fractions, or None in a complex grid "
+                "where a or b exceeds 2"
+            )
+        if diag[0] != 1 or diag[1] != 0:
+            raise ValueError("diagonal entries must be centered with E[W^0] = 1")
+        if self.is_real:
             if off[0] != 1 or off[1] != 0:
                 raise ValueError("off-diagonal entries must be centered with E[W^0] = 1")
         else:
-            grid = self.offdiag_moments
-            if grid[0][0] != 1 or grid[1][0] != 0 or grid[0][1] != 0:
+            if off[0][0] != 1 or off[1][0] != 0 or off[0][1] != 0:
                 raise ValueError("complex off-diagonal entries must be centered")
-            if grid[2][0] != 0 or grid[0][2] != 0:
+            if off[2][0] != 0 or off[0][2] != 0:
                 raise ValueError("complex case requires E[W^2] = 0")
         self.params  # surfaces the alpha >= sigma2^2 violation early
 
@@ -571,6 +567,6 @@ def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
     total = Fraction(0)
-    for cls, count in _tallies(k)[1]:
+    for cls, count in _tallies(k):
         total += math.prod(n - i for i in range(cls.v)) * count * expected_word_product(cls, model)
     return total / (Fraction(n) ** (1 + k // 2) * model.sigma2 ** (k // 2))

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wignerexp import PRESETS, cli, montecarlo
+from wignerexp import PRESETS, cli, montecarlo, series, walks
+from wignerexp import combinatorics as comb
 from wignerexp.cli import RunConfig, _render, main
 
 
@@ -209,6 +210,72 @@ def test_check_fault_injection(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "coefficient index 7" in out
+
+
+def _nu_moment_off_at_8(monkeypatch):
+    nu_moment = comb.nu_moment
+    monkeypatch.setattr(
+        comb, "nu_moment", lambda k, params: nu_moment(k, params) + (k == 8)
+    )
+
+
+def _one_way_cycles_off_at_6(monkeypatch):
+    count_classes = walks.count_classes
+
+    def count(k, v=None, e=None, cycle_type=None):
+        extra = k == 6 and cycle_type == walks.CYCLE_ONE_WAY
+        return count_classes(k, v, e, cycle_type) + extra
+
+    monkeypatch.setattr(walks, "count_classes", count)
+
+
+def _s4_off_by_x3(monkeypatch):
+    s_components = series.s_components
+
+    def components(order, params):
+        s1, s2, s3, s4 = s_components(order, params)
+        return s1, s2, s3, s4 + series.TruncatedRationalSeries.monomial(3, order)
+
+    monkeypatch.setattr(series, "s_components", components)
+
+
+@pytest.mark.parametrize(
+    "fault, want_fails",
+    [
+        (
+            _nu_moment_off_at_8,
+            [
+                "FAIL  coefficients: series = family sum = measure moment"
+                "  (first failing coefficient index 4)",
+                "FAIL  gue: correction vanishes identically",
+                "FAIL  goe: moments match (4^l - C(2l, l)) / 2  (first failing coefficient index 4)",
+            ],
+        ),
+        (
+            _one_way_cycles_off_at_6,
+            [
+                "FAIL  walks: class counts match all four closed-form families"
+                "  (k=6 v=3 e=3 type=cycle-one-way: counted 2, formula 1)",
+            ],
+        ),
+        (
+            _s4_off_by_x3,
+            [
+                "FAIL  series: S1+S2+S3+S4 equals the reduced closed form"
+                "  (first failing coefficient index 3)",
+            ],
+        ),
+    ],
+    ids=["nu-moment", "count-classes", "s-components"],
+)
+def test_check_names_each_failing_identity(capsys, monkeypatch, fault, want_fails):
+    # each route is broken in turn: check must print exactly its FAIL lines
+    fault(monkeypatch)
+    code, out, _ = run_cli(capsys, "check", "--order", "16", "--walks-kmax", "6")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == want_fails
+    assert lines[-1] == f"{10 - len(want_fails)}/10 identities hold"
 
 
 # -- enumerate ----------------------------------------------------------------------
@@ -682,3 +749,38 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert [row["nu"] for row in parse_csv(proc.stdout)] == ["0", "0", "1"]
+
+
+# the benchmark's tracer wraps the public callables and hooks some of them by
+# name; this runs one call of each traced workload kind through it
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+tracer = tracing.Tracer()
+originals = tracing.install(tracer)
+from wignerexp import cli, exact_moment, goe_model
+exact_moment(4, 3, goe_model())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [
+        cli.main(["check", "--order", "8", "--walks-kmax", "4"]),
+        cli.main(["mc", "--kmax", "4", "--n", "8", "--samples", "4"]),
+    ]
+metrics = tracing.layer_metrics(tracer, originals, len(out.getvalue()))
+print(json.dumps({"codes": codes, "metrics": metrics}))
+"""
+
+
+def test_traced_benchmark_still_runs():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "bench"), str(root / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    metrics = report["metrics"]
+    for name in ("walks.expectations", "montecarlo.samples_drawn", "series.mul.calls"):
+        assert metrics[name] > 0, name

@@ -20,7 +20,6 @@ from wignerexp import (
     MissingMomentError,
     MomentModel,
     catalan,
-    canonical_words,
     canonicalize,
     class_rows,
     classify_walk,
@@ -36,7 +35,6 @@ from wignerexp import (
     nu_moment,
     rademacher_model,
     self_loop_class_count,
-    select_classes,
     semicircle_moment,
 )
 from wignerexp import walks
@@ -97,27 +95,35 @@ def test_small_class_lists():
 def test_class_totals_are_bell_numbers():
     bells = bell_numbers(9)
     for k in range(1, 9):
-        assert len(list(canonical_words(k))) == bells[k]
+        assert len(tuple(enumerate_canonical_words(k))) == bells[k]
+        assert count_classes(k) == bells[k]
 
 
-def test_counts_partition_the_enumeration(monkeypatch):
-    streamed = Counter()
+def count_streams(monkeypatch) -> Counter:
+    """Count the (k, pruned) leaf streams read from now on, the shape counts uncached."""
+    streamed: Counter = Counter()
     leaves = walks._leaves
 
     def counting(k, pruned=False):
         streamed[k, pruned] += 1
         return leaves(k, pruned)
 
-    # listed before the counting starts: enumerate_canonical_words streams leaves too
-    enumerated = {k: tuple(enumerate_canonical_words(k)) for k in (3, 5, 8)}
     walks._shape_counts.cache_clear()
     monkeypatch.setattr(walks, "_leaves", counting)
+    return streamed
+
+
+def test_counts_partition_the_enumeration(monkeypatch):
+    # listed before the counting starts: enumerate_canonical_words streams leaves too
+    enumerated = {k: tuple(enumerate_canonical_words(k)) for k in (3, 5, 8)}
+    streamed = count_streams(monkeypatch)
     for k, classes in enumerated.items():
         pairs = {(cls.v, cls.e) for cls in classes}
         assert sum(count_classes(k, v, e) for v, e in pairs) == len(classes)
         assert sum(count_classes(k, v) for v in {v for v, _ in pairs}) == len(classes)
-    # the queries outside the closed-form families stream each length once
-    assert streamed == {(3, False): 1, (5, False): 1, (8, False): 1}
+    # the full stream of each length is read once; the tree queries (e = v - 1, even k
+    # only) read the pruned search, once
+    assert streamed == {(3, False): 1, (5, False): 1, (8, False): 1, (8, True): 1}
 
 
 def full_stream_tallies(k: int):
@@ -143,14 +149,14 @@ def full_stream_tallies(k: int):
 def test_pruned_tallies_match_full_stream(k, monkeypatch):
     full_shapes, want = full_stream_tallies(k)
     got = {}
-    for rep, count in walks._tallies(k)[1]:
+    for rep, count in walks._tallies(k):
         patterns = sorted((i == j, f, b) for (i, j), (f, b) in rep.edge_traversals.items())
         got[(rep.v, tuple(patterns))] = (rep.canonical_word, count)
     assert got == want
 
-    # the family queries read the pruned tallies alone, and count as the full stream does
+    # the family queries stream the pruned search alone, and count as the full stream does
     monkeypatch.setattr(walks, "enumerate_canonical_words", None)
-    monkeypatch.setattr(walks, "_shape_counts", None)
+    streamed = count_streams(monkeypatch)
     l = k // 2
     families = [(l + 1, l, None), (l, l - 1, None), (None, None, "tree")]
     families += [(l, l, "cycle-one-way"), (l, l, "cycle-both-ways")]
@@ -164,13 +170,13 @@ def test_pruned_tallies_match_full_stream(k, monkeypatch):
         if walks._pruned_answers(k, v, e, kind)
     ]
     for v, e, kind in queries:
-        want_count = sum(full_shapes[s] for s in select_classes(full_shapes, v, e, kind))
+        match = walks._matcher(v, e, kind)
+        want_count = sum(c for s, c in full_shapes.items() if match is None or match(*s))
         assert count_classes(k, v, e, kind) == want_count, (v, e, kind)
+    assert streamed == {(k, True): 1}
 
 
 def test_enumeration_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        list(canonical_words(0))
     with pytest.raises(ValueError):
         list(enumerate_canonical_words(0))
     with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ def test_enumeration_rejects_bad_lengths():
 def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
     # every word over k letters, relabeled: no restricted-growth search involved
     want = sorted({canonicalize(word) for word in product(range(1, k + 1), repeat=k)})
-    assert list(canonical_words(k)) == want
+    assert [cls.canonical_word for cls in enumerate_canonical_words(k)] == want
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -192,7 +198,7 @@ def test_streamed_classes_match_a_fresh_classification(k):
     # the stream reads counts kept under backtracking; classify_walk counts each word anew
     for cls in enumerate_canonical_words(k):
         assert cls == classify_walk(cls.canonical_word)
-        assert cls.has_self_loop == any(i == j for i, j in cls.edge_traversals)
+        assert (cls.cycle_type == walks.SELF_LOOP) == any(i == j for i, j in cls.edge_traversals)
 
 
 # -- classification ----------------------------------------------------------------
@@ -210,7 +216,7 @@ def test_classify_examples():
 
     cls = classify_walk("1121")
     assert (cls.v, cls.e) == (2, 2)
-    assert cls.has_self_loop and cls.cycle_type == "self-loop"
+    assert (1, 1) in cls.edge_traversals and cls.cycle_type == "self-loop"
 
     cls = classify_walk("121323")
     assert (cls.v, cls.e) == (3, 3)
@@ -322,6 +328,31 @@ def test_model_validation():
             offdiag_moments=(Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(1)),
             diag_moments=(Fraction(1), Fraction(0), Fraction(1)),
         )
+    diag = goe_model().diag_moments
+    grid = gue_model().offdiag_moments
+    # complex grids smaller than 3 x 3
+    for small in (((1,),), ((1, 0), (0, 1)), ((1, 0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="grid covering a, b <= 2"):
+            MomentModel(is_real=False, offdiag_moments=small, diag_moments=diag)
+    # None where the constructor reads an entry
+    holed = tuple(
+        tuple(None if (a, b) == (2, 2) else x for b, x in enumerate(row))
+        for a, row in enumerate(grid)
+    )
+    bad_tables = [
+        (False, holed, diag),
+        (True, (1, 0, 1, 0, None), diag),
+        (True, (1, 0, 1, 0, 3), (1, 0, None)),
+        # a float entry, which exact_moment(6, 3, model) could not sum exactly
+        (True, (1, 0, 1, 0, 3, 0, 15.0), diag),
+    ]
+    for is_real, off, diagonal in bad_tables:
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            MomentModel(is_real=is_real, offdiag_moments=off, diag_moments=diagonal)
+    # ints are exact, and a complex grid may end in None past a, b <= 2
+    model = MomentModel(is_real=True, offdiag_moments=(1, 0, 1, 0, 3, 0, 15), diag_moments=diag)
+    assert exact_moment(6, 3, model) == exact_moment(6, 3, goe_model())
+    assert gue_model(max_order=4).offdiag_moments[3][3] is None
 
 
 # -- expectations per class ------------------------------------------------------------
