@@ -21,24 +21,33 @@ entry moments read off the edge traversal counts.  The entry distribution
 enters only through its moment tables (``MomentModel``); built-in models
 cover the real and complex Gaussian ensembles and real Rademacher entries.
 
-One depth-first search over restricted-growth words serves every caller.
-It keeps the directed crossing counts of each edge as the word grows, so
-no word is rescanned to be classified.  ``_leaf`` alone reads a leaf of
-the search into (word, counts, v, e, cycle_type); ``WalkClass`` objects,
-the shape counts and the rows of ``class_rows`` (the table of ``wignerexp
-enumerate``) are all built from such leaves, and every (v, e, cycle_type)
-query is tested by the one matcher ``_matcher``.
+One depth-first search over restricted-growth words, ``_search``, serves
+every caller.  It keeps the directed crossing counts in one flat list (the
+step a -> b at index a * (k + 1) + b), raised on the way down and lowered
+on backtrack, and passes down a tuple of shape counters: edges, self-loops,
+edges crossed once and edges crossed twice, each step updating it from its
+edge's new total.  So a leaf, (word, crossings, v, e, cycle_type, ones),
+is classified as it is reached, with no dict and no rescan; ``ones``
+counts the edges crossed once.  ``_edge_counts`` builds a leaf's
+per-edge counts only where they are read: for ``WalkClass`` objects, for
+the weighted representatives and for the rows of ``class_rows`` (the
+table of ``wignerexp enumerate``) whose expectation is a product.
+``classify_walk`` recounts a word's steps into a dict of its own, apart
+from the search's counters; it is the reference the search is tested
+against.  Every (v, e, cycle_type) query is tested by the one matcher
+``_matcher``.
 
 An edge crossed once gives a first moment, which ``MomentModel`` holds at
 zero (entries are centered), so only the classes whose every edge is
-crossed at least twice contribute; pruned, the search yields exactly
-those.  ``exact_moment`` reads them as weighted representatives
-(``_tallies``): one class with a class count per v and multiset of edge
-patterns (is_loop, fwd, bwd), which fixes the class's moment factor.  At
-k = 10, 67 representatives stand for the 4,900 classes that count, of
-115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The class count
-per (v, e, cycle_type) is tallied in one place, ``_shape_counts``, over
-the pruned search for a query that lies wholly among those classes
+crossed at least twice contribute: a row with ``ones > 0`` is written
+0 / 1 with no product, and pruned, the search yields exactly the others.
+``exact_moment`` reads them as weighted representatives (``_tallies``):
+one class with a class count per v and multiset of edge patterns
+(is_loop, fwd, bwd), which fixes the class's moment factor.  At k = 10,
+67 representatives stand for the 4,900 classes that count, of 115,975;
+at k = 12, 192 stand for 67,880 of 4,213,597.  The class count per
+(v, e, cycle_type) is tallied in one place, ``_shape_counts``, over the
+pruned search for a query that lies wholly among those classes
 (``_pruned_answers``) and over the full search otherwise.  The
 expectation of a class is one product, ``_edge_product``, of per-edge
 factors from a table (``_EdgeFactors``) that computes each entry moment
@@ -71,10 +80,13 @@ OTHER = "other"
 CYCLE_TYPES = (TREE, SELF_LOOP, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS, OTHER)
 # the key a class is counted under
 _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
-# live directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j
+# directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j, as
+# ``classify_walk`` recounts them
 _Counts = dict[tuple[int, int], list[int]]
-# a search leaf as ``_leaf`` reads it: (word, counts, v, e, cycle_type)
-_Leaf = tuple[tuple[int, ...], _Counts, int, int, str]
+# the shape of a word's steps so far: (edges, loops, edges crossed once, edges crossed twice)
+_Tally = tuple[int, int, int, int]
+# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once)
+_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int]
 # the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
 _Match = Callable[[int, int, str], bool]
 
@@ -113,64 +125,17 @@ def canonicalize(word: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cross(counts: _Counts, a: int, b: int) -> int:
-    """Count the step a -> b on its unordered edge; return the change in edges crossed once."""
+def _cross(counts: _Counts, a: int, b: int) -> None:
+    """Count the step a -> b on its unordered edge; a self-loop's count sits in the first slot."""
     key = (a, b) if a <= b else (b, a)
     slot = counts.get(key)
     if slot is None:
         slot = counts[key] = [0, 0]
     slot[a > b] += 1
-    total = slot[0] + slot[1]
-    return 1 if total == 1 else -1 if total == 2 else 0
 
 
-def _search(k: int, pruned: bool) -> Iterator[tuple[tuple[int, ...], _Counts]]:
-    """Yield (word, counts) per canonical word of length k, in lexicographic order.
-
-    Depth-first over restricted-growth strings: position 0 is letter 1 and
-    letter m+1 may only appear after letters 1..m.  ``counts`` holds the
-    crossings of every step, the closing one included; it is live, so read
-    it before resuming.  ``pruned`` keeps only the words whose every edge is
-    crossed at least twice: each remaining step, the closing one included,
-    brings at most one edge crossed once to two crossings, so a prefix with
-    more such edges than steps left is cut with its whole subtree.
-    """
-    if k < 1:
-        raise ValueError(f"word length must be positive, got {k}")
-    word = [1] * k
-    counts: _Counts = {}
-
-    def uncross(a: int, b: int) -> None:
-        key = (a, b) if a <= b else (b, a)
-        slot = counts[key]
-        slot[a > b] -= 1
-        if slot[0] + slot[1] == 0:
-            del counts[key]
-
-    def rec(pos: int, vmax: int, ones: int) -> Iterator[tuple[tuple[int, ...], _Counts]]:
-        # word[:pos] is placed, its steps crossing `ones` edges once
-        a = word[pos - 1]
-        for b in range(1, vmax + 2):
-            after = ones + _cross(counts, a, b)
-            if not pruned or after <= k - pos:
-                word[pos] = b
-                if pos + 1 < k:
-                    yield from rec(pos + 1, vmax if b <= vmax else b, after)
-                else:  # close the walk with the step b -> 1
-                    if not (after + _cross(counts, b, 1) and pruned):
-                        yield tuple(word), counts
-                    uncross(b, 1)
-            uncross(a, b)
-
-    if k > 1:
-        yield from rec(1, 1, 0)
-    elif not pruned:  # the lone step 1 -> 1 crosses its self-loop once
-        _cross(counts, 1, 1)
-        yield (1,), counts
-
-
-def _leaf(word: tuple[int, ...], counts: _Counts) -> _Leaf:
-    """The ``_Leaf`` of a canonical word and the crossing counts of all its steps.
+def _leaf(word: tuple[int, ...], counts: _Counts) -> _Shape:
+    """The (v, e, cycle_type) of a canonical word from the crossing counts of all its steps.
 
     v counts the letters, e the edges, and the cycle type is the
     ``CYCLE_TYPES`` entry the ``WalkClass`` docstring defines.
@@ -188,34 +153,138 @@ def _leaf(word: tuple[int, ...], counts: _Counts) -> _Leaf:
         # edge is crossed (2, 0) or (0, 2)
         one_way = any(f != b for f, b in counts.values())
         kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
-    return word, counts, v, e, kind
+    return _Shape(v, e, kind)
 
 
-def _leaves(k: int, pruned: bool = False) -> Iterator[_Leaf]:
-    """One ``_leaf`` per word of ``_search``; ``counts`` is live, as there."""
-    return starmap(_leaf, _search(k, pruned))
+def _crossed(shape: _Tally, crossings: list[int], ab: int, ba: int) -> _Tally:
+    """``shape`` once the step at index ``ab`` of ``crossings`` (its reverse at ``ba``) is counted.
+
+    Its edge's new total decides: 1 adds an edge (and a loop when ab == ba),
+    2 moves it from once to twice, 3 takes it out of twice.
+    """
+    edges, loops, once, twice = shape
+    loop = ab == ba
+    total = crossings[ab] if loop else crossings[ab] + crossings[ba]
+    if total == 1:
+        return edges + 1, loops + loop, once + 1, twice
+    if total == 2:
+        return edges, loops, once - 1, twice + 1
+    if total == 3:
+        return edges, loops, once, twice - 1
+    return shape
 
 
-def _walk_class(word: tuple[int, ...], counts: _Counts, v: int, e: int, kind: str) -> WalkClass:
-    """The ``WalkClass`` of a leaf, its counts frozen."""
+def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
+    """Yield one ``_Leaf`` per canonical word of length k, in lexicographic order.
+
+    Depth-first over restricted-growth strings: position 0 is letter 1 and
+    letter m+1 may only appear after letters 1..m.  ``crossings`` counts
+    every step, the closing one included, the step a -> b at index
+    a * (k + 1) + b; it is live, so read it before resuming.  ``pruned``
+    keeps only the words whose every edge is crossed at least twice: each
+    remaining step, the closing one included, brings at most one edge
+    crossed once to two crossings, so a prefix with more such edges than
+    steps left is cut with its whole subtree.
+    """
+    if k < 1:
+        raise ValueError(f"word length must be positive, got {k}")
+    width = k + 1
+    word = [1] * k
+    crossings = [0] * (width * width)
+
+    def close(b: int, vmax: int, shape: _Tally) -> _Leaf | None:
+        # the closing step b -> 1, the word complete; None when the cut drops it
+        crossings[b * width + 1] += 1
+        edges, loops, once, twice = _crossed(shape, crossings, b * width + 1, width + b)
+        if once and pruned:
+            return None
+        if edges == vmax - 1:
+            kind = TREE
+        elif loops:
+            kind = SELF_LOOP
+        elif edges != vmax or twice != edges:
+            kind = OTHER
+        else:  # see ``_leaf``: one way iff some step is taken twice the same way
+            steps = zip(word, word[1:] + word[:1])
+            one_way = any(crossings[i * width + j] != 1 for i, j in steps)
+            kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
+        return tuple(word), crossings, vmax, edges, kind, once
+
+    def rec(pos: int, vmax: int, shape: _Tally) -> Iterator[_Leaf]:
+        # word[:pos] is placed, its steps tallied in `shape`
+        a = word[pos - 1]
+        row, left = a * width, k - pos
+        for b in range(1, vmax + 2):
+            ab = row + b
+            crossings[ab] += 1
+            after = _crossed(shape, crossings, ab, b * width + a)
+            if not pruned or after[2] <= left:
+                word[pos] = b
+                top = vmax if b <= vmax else b
+                if left > 1:
+                    yield from rec(pos + 1, top, after)
+                else:
+                    leaf = close(b, top, after)
+                    if leaf is not None:
+                        yield leaf
+                    crossings[b * width + 1] -= 1
+            crossings[ab] -= 1
+
+    if k > 1:
+        yield from rec(1, 1, (0, 0, 0, 0))
+    elif (leaf := close(1, 1, (0, 0, 0, 0))) is not None:  # the lone step 1 -> 1
+        yield leaf
+
+
+def _edge_counts(
+    word: tuple[int, ...], crossings: list[int]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """{(i, j): (i -> j, j -> i)} per edge of a ``_search`` leaf, i <= j, in first-crossing order.
+
+    Read off the word's steps; a self-loop's count sits in the first slot,
+    as in ``WalkClass``.
+    """
+    width = len(word) + 1
+    counts: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in zip(word, word[1:] + word[:1]):
+        key = (a, b) if a <= b else (b, a)
+        if key not in counts:
+            i, j = key
+            counts[key] = (crossings[i * width + j], crossings[j * width + i] if i != j else 0)
+    return counts
+
+
+def _walk_class(
+    word: tuple[int, ...],
+    counts: Mapping[tuple[int, int], Sequence[int]],
+    v: int,
+    e: int,
+    kind: str,
+) -> WalkClass:
+    """The ``WalkClass`` of a word, its counts frozen."""
     frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
     return WalkClass(word, v, e, frozen, kind)
 
 
 def classify_walk(word: Sequence) -> WalkClass:
-    """Classify a closed-walk word (any letter type; relabeled canonically)."""
+    """Classify a closed-walk word (any letter type; relabeled canonically).
+
+    The word's steps are counted anew into a dict, apart from the search's
+    counters, so this is the recount the search is tested against.
+    """
     word = canonicalize(word)
     if not word:
         raise ValueError("word length must be positive, got 0")
     counts: _Counts = {}
     for a, b in zip(word, word[1:] + word[:1]):
         _cross(counts, a, b)
-    return _walk_class(*_leaf(word, counts))
+    return _walk_class(word, counts, *_leaf(word, counts))
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
     """Stream one classified ``WalkClass`` per equivalence class of length k."""
-    yield from starmap(_walk_class, _leaves(k))
+    for word, crossings, v, e, kind, _ in _search(k, False):
+        yield _walk_class(word, _edge_counts(word, crossings), v, e, kind)
 
 
 def check_word_length(k: int) -> None:
@@ -233,16 +302,17 @@ def check_word_length(k: int) -> None:
 def _tallies(k: int) -> tuple[tuple[WalkClass, int], ...]:
     """The module docstring's weighted representatives; k is checked, so <= MAX_WORD_LENGTH keys.
 
-    Each leaf of the pruned search reads its pattern key from the live
-    counts; only the first leaf of a key is classified, as that key's
-    representative.
+    Each leaf of the pruned search reads its pattern key from its
+    ``_edge_counts``; only the first leaf of a key becomes a ``WalkClass``,
+    as that key's representative.
     """
     check_word_length(k)
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
-    for word, counts in _search(k, pruned=True):
-        key = (max(word), tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
+    for word, crossings, v, e, kind, _ in _search(k, True):
+        counts = _edge_counts(word, crossings)
+        key = (v, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
         rep, count = weighted.get(key, (None, 0))
-        weighted[key] = (rep or _walk_class(*_leaf(word, counts)), count + 1)
+        weighted[key] = (rep or _walk_class(word, counts, v, e, kind), count + 1)
     return tuple(weighted.values())
 
 
@@ -283,7 +353,8 @@ def count_classes(
 @lru_cache(maxsize=2 * MAX_WORD_LENGTH)
 def _shape_counts(k: int, pruned: bool) -> Mapping[_Shape, int]:
     """Read-only class count per (v, e, cycle_type) over the leaves of ``_search(k, pruned)``."""
-    return MappingProxyType(Counter(_Shape(v, e, kind) for _, _, v, e, kind in _leaves(k, pruned)))
+    shapes = Counter(_Shape(v, e, kind) for _, _, v, e, kind, _ in _search(k, pruned))
+    return MappingProxyType(shapes)
 
 
 def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
@@ -433,8 +504,17 @@ def _gaussian_moments(variance: Fraction, max_order: int) -> tuple[Fraction, ...
     return tuple(out)
 
 
+def _check_max_order(max_order: int) -> None:
+    """Raise ValueError unless a preset's tables reach the fourth moment, which ``params`` reads."""
+    if max_order < 4:
+        raise ValueError(
+            f"max_order must be at least 4 so the tables hold the fourth moment, got {max_order}"
+        )
+
+
 def goe_model(max_order: int = 16) -> MomentModel:
     """Real Gaussian entries: off-diagonal variance 1, diagonal variance 2."""
+    _check_max_order(max_order)
     return MomentModel(
         is_real=True,
         offdiag_moments=_gaussian_moments(Fraction(1), max_order),
@@ -447,6 +527,7 @@ def gue_model(max_order: int = 16) -> MomentModel:
 
     Mixed moments: E[W^a conj(W)^b] = a! if a = b, else 0.
     """
+    _check_max_order(max_order)
     grid = tuple(
         tuple(
             (Fraction(math.factorial(a)) if a == b else Fraction(0))
@@ -471,6 +552,7 @@ def rademacher_model(
     Even moments are pure powers of the variances, so alpha = sigma2^2, the
     smallest fourth moment a centered distribution of that variance allows.
     """
+    _check_max_order(max_order)
     sigma2 = Fraction(sigma2)
     s2 = Fraction(s2)
     off = tuple(sigma2 ** (m // 2) if m % 2 == 0 else Fraction(0) for m in range(max_order + 1))
@@ -535,18 +617,23 @@ def class_rows(
     joins the canonical letters with "-", and exp_num / exp_den is the
     ``expected_word_product`` of the class in lowest terms.  Each row is read
     straight from a search leaf, with no ``WalkClass``; the query filters the
-    leaf before its word or expectation is built.  A query that
-    ``_pruned_answers`` accepts reads the pruned search, which yields all of
-    its classes in the same order.
+    leaf before its word or expectation is built.  A class with an edge
+    crossed once is written 0 / 1 with no product: ``MomentModel`` holds
+    every first moment at zero.  A query that ``_pruned_answers`` accepts
+    reads the pruned search, which yields all of its classes in the same
+    order.
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)
     factors = _EdgeFactors(model)
-    for word, counts, cv, ce, kind in _leaves(k, _pruned_answers(k, v, e, cycle_type)):
+    for word, crossings, cv, ce, kind, ones in _search(k, _pruned_answers(k, v, e, cycle_type)):
         if match is None or match(cv, ce, kind):
-            value = _edge_product(factors, counts)
             text = "-".join([_LETTERS[a] for a in word])
-            yield text, cv, ce, kind, value.numerator, value.denominator
+            if ones:
+                yield text, cv, ce, kind, 0, 1
+            else:
+                value = _edge_product(factors, _edge_counts(word, crossings))
+                yield text, cv, ce, kind, value.numerator, value.denominator
 
 
 def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:

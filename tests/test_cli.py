@@ -766,9 +766,11 @@ with contextlib.redirect_stdout(out):
     codes = [
         cli.main(["check", "--order", "8", "--walks-kmax", "4"]),
         cli.main(["mc", "--kmax", "4", "--n", "8", "--samples", "4"]),
+        cli.main(["enumerate", "--k", "5"]),
     ]
 metrics = tracing.layer_metrics(tracer, originals, len(out.getvalue()))
-print(json.dumps({"codes": codes, "metrics": metrics}))
+totals = [line for line in out.getvalue().splitlines() if "total_classes=" in line]
+print(json.dumps({"codes": codes, "metrics": metrics, "totals": totals}))
 """
 
 
@@ -780,7 +782,9 @@ def test_traced_benchmark_still_runs():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
+    # the tracer wraps class_rows as a generator; its rows all reach the footer
+    assert report["totals"] == ["# total_classes=52"]  # Bell(5)
     metrics = report["metrics"]
     for name in ("walks.expectations", "montecarlo.samples_drawn", "series.mul.calls"):
         assert metrics[name] > 0, name

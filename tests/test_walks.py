@@ -102,14 +102,14 @@ def test_class_totals_are_bell_numbers():
 def count_streams(monkeypatch) -> Counter:
     """Count the (k, pruned) leaf streams read from now on, the shape counts uncached."""
     streamed: Counter = Counter()
-    leaves = walks._leaves
+    search = walks._search
 
-    def counting(k, pruned=False):
+    def counting(k, pruned):
         streamed[k, pruned] += 1
-        return leaves(k, pruned)
+        return search(k, pruned)
 
     walks._shape_counts.cache_clear()
-    monkeypatch.setattr(walks, "_leaves", counting)
+    monkeypatch.setattr(walks, "_search", counting)
     return streamed
 
 
@@ -191,6 +191,23 @@ def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
     # every word over k letters, relabeled: no restricted-growth search involved
     want = sorted({canonicalize(word) for word in product(range(1, k + 1), repeat=k)})
     assert [cls.canonical_word for cls in enumerate_canonical_words(k)] == want
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_search_counters_match_a_fresh_recount(k):
+    # the search's flat crossings and shape counters against classify_walk's own dict
+    for word, crossings, v, e, kind, ones in walks._search(k, False):
+        cls = classify_walk(word)
+        assert (v, e, kind) == (cls.v, cls.e, cls.cycle_type), word
+        assert ones == sum(f + b == 1 for f, b in cls.edge_traversals.values()), word
+        got = walks._edge_counts(word, crossings)
+        assert got == cls.edge_traversals and list(got) == list(cls.edge_traversals), word
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
+    words = [word for word, *_, ones in walks._search(k, False) if not ones]
+    assert [leaf[0] for leaf in walks._search(k, True)] == words
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -349,6 +366,12 @@ def test_model_validation():
     for is_real, off, diagonal in bad_tables:
         with pytest.raises(ValueError, match="ints or Fractions"):
             MomentModel(is_real=is_real, offdiag_moments=off, diag_moments=diagonal)
+    # the preset builders need the fourth moment, and say so
+    builders = (goe_model, gue_model, lambda order: rademacher_model(1, 1, order))
+    for build in builders:
+        for order in (0, 3):
+            with pytest.raises(ValueError, match=f"max_order .*fourth moment, got {order}"):
+                build(order)
     # ints are exact, and a complex grid may end in None past a, b <= 2
     model = MomentModel(is_real=True, offdiag_moments=(1, 0, 1, 0, 3, 0, 15), diag_moments=diag)
     assert exact_moment(6, 3, model) == exact_moment(6, 3, goe_model())
@@ -374,8 +397,18 @@ def test_expected_word_product_examples():
     assert expected_word_product(missing, goe_model()) == 2  # diagonal variance
 
 
-# the presets, and a real model whose moments are not all integers
-ROW_MODELS = [goe_model(), gue_model(), rademacher_model(), rademacher_model(Fraction(1, 2), 3)]
+# W = 2 with probability 1/3, else -1: centered, E W^m = (2^m + 2 (-1)^m) / 3, so odd
+# moments from the third on are not zero
+SKEWED = tuple(Fraction(2**m + 2 * (-1) ** m, 3) for m in range(10))
+# the presets, a skewed real model, and a real model whose moments are not all integers
+# (last: test_family_rows_read_the_pruned_search reads it)
+ROW_MODELS = [
+    goe_model(),
+    gue_model(),
+    rademacher_model(),
+    MomentModel(is_real=True, offdiag_moments=SKEWED, diag_moments=SKEWED),
+    rademacher_model(Fraction(1, 2), 3),
+]
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -388,6 +421,23 @@ def test_class_rows_read_the_classes(k):
             word = "-".join(map(str, cls.canonical_word))
             want.append((word, cls.v, cls.e, cls.cycle_type, value.numerator, value.denominator))
         assert list(class_rows(k, model)) == want
+
+
+# the lengths with a class whose edges are each crossed twice or more, one three times
+@pytest.mark.parametrize("k", (3, 5, 7, 8, 9))
+def test_rows_with_an_edge_crossed_three_times_read_the_third_moment(k):
+    # only an edge crossed once zeroes a row: under the skewed model, a class whose
+    # edges are each crossed twice or more, one of them three times, is not zero
+    model = ROW_MODELS[-2]
+    thrice = 0
+    for cls, row in zip(enumerate_canonical_words(k), class_rows(k, model)):
+        totals = [f + b for f, b in cls.edge_traversals.values()]
+        if 3 in totals and 1 not in totals:
+            value = expected_word_product(cls, model)
+            assert row[0] == "-".join(map(str, cls.canonical_word))
+            assert row[4:] == (value.numerator, value.denominator) and value != 0
+            thrice += 1
+    assert thrice > 0
 
 
 def test_family_rows_read_the_pruned_search(monkeypatch):
@@ -449,7 +499,7 @@ def test_exact_moment_closed_forms():
 def test_gue_moments_follow_harer_zagier():
     # Harer & Zagier (Invent. Math. 1986): C_l = E tr H^(2l) for unit-variance GUE obeys
     # (l+1) C_l = (4l-2) n C_(l-1) + (l-1)(2l-1)(2l-3) C_(l-2), with C_0 = n, C_1 = n^2
-    for n in (1, 2, 3, 17, 64):
+    for n in (1, 2, 3, 7, 17, 64):
         c = [Fraction(n), Fraction(n * n)]
         for l in range(2, 7):
             step = (4 * l - 2) * n * c[-1] + (l - 1) * (2 * l - 1) * (2 * l - 3) * c[-2]
