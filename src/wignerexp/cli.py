@@ -336,8 +336,12 @@ def _render(
     yield "# config: " + json.dumps(config.echo(), sort_keys=True)
     yield from (f"# {comment}" for comment in head_comments)
     yield ",".join(columns)
+    # format(x, "") is str(x) for every value a table holds (int, float, str,
+    # Fraction, numpy float64, bool, None); str of a float is its shortest
+    # round-trip repr
+    line = ",".join(["{}"] * len(columns)).format
     for row in rows:
-        yield ",".join(map(str, row))  # str of a float is its shortest round-trip repr
+        yield line(*row)
     yield from (f"# {comment}" for comment in tail_comments)
 
 

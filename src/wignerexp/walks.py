@@ -26,9 +26,13 @@ every caller.  It keeps the directed crossing counts in one flat list (the
 step a -> b at index a * (k + 1) + b), raised on the way down and lowered
 on backtrack, and passes down a tuple of shape counters: edges, self-loops,
 edges crossed once and edges crossed twice, each step updating it from its
-edge's new total.  So a leaf, (word, crossings, v, e, cycle_type, ones),
-is classified as it is reached, with no dict and no rescan; ``ones``
-counts the edges crossed once.  ``_edge_counts`` builds a leaf's
+edge's new total.  It passes down the word's text too, its letters joined
+by "-", each step appending "-" and its letter.  The loop over the last
+letter also takes the closing step back to letter 1 and classifies the
+word, with no call per leaf.  So a leaf, (word, crossings, v, e,
+cycle_type, ones, text), is classified as it is reached, with no dict, no
+rescan and no join; ``ones`` counts the edges crossed once.
+``_edge_counts`` builds a leaf's
 per-edge counts only where they are read: for ``WalkClass`` objects, for
 the weighted representatives and for the rows of ``class_rows`` (the
 table of ``wignerexp enumerate``) whose expectation is a product.
@@ -69,8 +73,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .combinatorics import EnsembleParams
 
 MAX_WORD_LENGTH = 12
-# the decimal string of each letter, for the rows of ``class_rows``
-_LETTERS = tuple(map(str, range(MAX_WORD_LENGTH + 1)))
+# "-" and the decimal string of each letter: a word's text grows by one per step
+_DASHED = tuple(f"-{letter}" for letter in range(MAX_WORD_LENGTH + 1))
 
 TREE = "tree"
 SELF_LOOP = "self-loop"
@@ -85,8 +89,8 @@ _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 _Counts = dict[tuple[int, int], list[int]]
 # the shape of a word's steps so far: (edges, loops, edges crossed once, edges crossed twice)
 _Tally = tuple[int, int, int, int]
-# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once)
-_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int]
+# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text)
+_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str]
 # the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
 _Match = Callable[[int, int, str], bool]
 
@@ -180,7 +184,8 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     Depth-first over restricted-growth strings: position 0 is letter 1 and
     letter m+1 may only appear after letters 1..m.  ``crossings`` counts
     every step, the closing one included, the step a -> b at index
-    a * (k + 1) + b; it is live, so read it before resuming.  ``pruned``
+    a * (k + 1) + b; it is live, so read it before resuming.  ``text`` is
+    the word's letters joined by "-".  ``pruned``
     keeps only the words whose every edge is crossed at least twice: each
     remaining step, the closing one included, brings at most one edge
     crossed once to two crossings, so a prefix with more such edges than
@@ -191,49 +196,55 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     width = k + 1
     word = [1] * k
     crossings = [0] * (width * width)
+    if k == 1:  # the lone step 1 -> 1, a self-loop crossed once
+        if not pruned:
+            crossings[width + 1] = 1
+            yield (1,), crossings, 1, 1, SELF_LOOP, 1, "1"
+        return
 
-    def close(b: int, vmax: int, shape: _Tally) -> _Leaf | None:
-        # the closing step b -> 1, the word complete; None when the cut drops it
-        crossings[b * width + 1] += 1
-        edges, loops, once, twice = _crossed(shape, crossings, b * width + 1, width + b)
-        if once and pruned:
-            return None
-        if edges == vmax - 1:
-            kind = TREE
-        elif loops:
-            kind = SELF_LOOP
-        elif edges != vmax or twice != edges:
-            kind = OTHER
-        else:  # see ``_leaf``: one way iff some step is taken twice the same way
-            steps = zip(word, word[1:] + word[:1])
-            one_way = any(crossings[i * width + j] != 1 for i, j in steps)
-            kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
-        return tuple(word), crossings, vmax, edges, kind, once
-
-    def rec(pos: int, vmax: int, shape: _Tally) -> Iterator[_Leaf]:
-        # word[:pos] is placed, its steps tallied in `shape`
+    def rec(pos: int, vmax: int, shape: _Tally, text: str) -> Iterator[_Leaf]:
+        # word[:pos] is placed and written in `text`, its steps tallied in `shape`
         a = word[pos - 1]
         row, left = a * width, k - pos
+        if left > 1:
+            for b in range(1, vmax + 2):
+                ab = row + b
+                crossings[ab] += 1
+                after = _crossed(shape, crossings, ab, b * width + a)
+                if not pruned or after[2] <= left:
+                    word[pos] = b
+                    yield from rec(pos + 1, vmax if b <= vmax else b, after, text + _DASHED[b])
+                crossings[ab] -= 1
+            return
+        # the last letter b, then the closing step b -> 1 completes the word
         for b in range(1, vmax + 2):
             ab = row + b
             crossings[ab] += 1
             after = _crossed(shape, crossings, ab, b * width + a)
-            if not pruned or after[2] <= left:
+            if pruned and after[2] > 1:  # the closing step leaves an edge crossed once
+                crossings[ab] -= 1
+                continue
+            b1 = b * width + 1
+            crossings[b1] += 1
+            edges, loops, once, twice = _crossed(after, crossings, b1, width + b)
+            if not (once and pruned):
                 word[pos] = b
                 top = vmax if b <= vmax else b
-                if left > 1:
-                    yield from rec(pos + 1, top, after)
-                else:
-                    leaf = close(b, top, after)
-                    if leaf is not None:
-                        yield leaf
-                    crossings[b * width + 1] -= 1
+                if edges == top - 1:
+                    kind = TREE
+                elif loops:
+                    kind = SELF_LOOP
+                elif edges != top or twice != edges:
+                    kind = OTHER
+                else:  # see ``_leaf``: one way iff some step is taken twice the same way
+                    steps = zip(word, word[1:] + word[:1])
+                    one_way = any(crossings[i * width + j] != 1 for i, j in steps)
+                    kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
+                yield tuple(word), crossings, top, edges, kind, once, text + _DASHED[b]
+            crossings[b1] -= 1
             crossings[ab] -= 1
 
-    if k > 1:
-        yield from rec(1, 1, (0, 0, 0, 0))
-    elif (leaf := close(1, 1, (0, 0, 0, 0))) is not None:  # the lone step 1 -> 1
-        yield leaf
+    yield from rec(1, 1, (0, 0, 0, 0), "1")
 
 
 def _edge_counts(
@@ -283,7 +294,7 @@ def classify_walk(word: Sequence) -> WalkClass:
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
     """Stream one classified ``WalkClass`` per equivalence class of length k."""
-    for word, crossings, v, e, kind, _ in _search(k, False):
+    for word, crossings, v, e, kind, _, _ in _search(k, False):
         yield _walk_class(word, _edge_counts(word, crossings), v, e, kind)
 
 
@@ -308,7 +319,7 @@ def _tallies(k: int) -> tuple[tuple[WalkClass, int], ...]:
     """
     check_word_length(k)
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
-    for word, crossings, v, e, kind, _ in _search(k, True):
+    for word, crossings, v, e, kind, _, _ in _search(k, True):
         counts = _edge_counts(word, crossings)
         key = (v, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
         rep, count = weighted.get(key, (None, 0))
@@ -332,6 +343,19 @@ def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | N
     )
 
 
+def _possible(k: int, v: int | None, e: int | None) -> bool:
+    """False when no class of length k has the given v or e.
+
+    A class's graph is connected and its k steps cross every edge, so
+    1 <= v <= k, 1 <= e <= k and e >= v - 1.
+    """
+    return (
+        (v is None or 1 <= v <= k)
+        and (e is None or 1 <= e <= k)
+        and (v is None or e is None or e >= v - 1)
+    )
+
+
 def count_classes(
     k: int,
     v: int | None = None,
@@ -342,10 +366,13 @@ def count_classes(
 
     Summed from ``_shape_counts``: of the pruned search for the queries
     that ``_pruned_answers`` accepts (the closed-form families), of the
-    full stream of all Bell(k) classes for any other.
+    full stream of all Bell(k) classes for any other.  A (v, e) that no
+    class has (see ``_possible``) is 0 with no search.
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
+    if not _possible(k, v, e):
+        return 0
     shapes = _shape_counts(k, _pruned_answers(k, v, e, cycle_type))
     return sum(count for shape, count in shapes.items() if match is None or match(*shape))
 
@@ -353,7 +380,7 @@ def count_classes(
 @lru_cache(maxsize=2 * MAX_WORD_LENGTH)
 def _shape_counts(k: int, pruned: bool) -> Mapping[_Shape, int]:
     """Read-only class count per (v, e, cycle_type) over the leaves of ``_search(k, pruned)``."""
-    shapes = Counter(_Shape(v, e, kind) for _, _, v, e, kind, _ in _search(k, pruned))
+    shapes = Counter(_Shape(v, e, kind) for _, _, v, e, kind, _, _ in _search(k, pruned))
     return MappingProxyType(shapes)
 
 
@@ -616,8 +643,10 @@ def class_rows(
     The rows of ``wignerexp enumerate``, in lexicographic order: ``word``
     joins the canonical letters with "-", and exp_num / exp_den is the
     ``expected_word_product`` of the class in lowest terms.  Each row is read
-    straight from a search leaf, with no ``WalkClass``; the query filters the
-    leaf before its word or expectation is built.  A class with an edge
+    straight from a search leaf, its word the leaf's text, with no
+    ``WalkClass``; the query filters the leaf before its expectation is
+    built, and a (v, e) that no class has (see ``_possible``) reads no
+    search at all.  A class with an edge
     crossed once is written 0 / 1 with no product: ``MomentModel`` holds
     every first moment at zero.  A query that ``_pruned_answers`` accepts
     reads the pruned search, which yields all of its classes in the same
@@ -625,10 +654,12 @@ def class_rows(
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)
+    if not _possible(k, v, e):
+        return
     factors = _EdgeFactors(model)
-    for word, crossings, cv, ce, kind, ones in _search(k, _pruned_answers(k, v, e, cycle_type)):
+    pruned = _pruned_answers(k, v, e, cycle_type)
+    for word, crossings, cv, ce, kind, ones, text in _search(k, pruned):
         if match is None or match(cv, ce, kind):
-            text = "-".join([_LETTERS[a] for a in word])
             if ones:
                 yield text, cv, ce, kind, 0, 1
             else:

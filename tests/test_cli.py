@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -495,6 +496,18 @@ def test_json_render_is_one_dumps(count):
     assert "\n".join(lines) == json.dumps({"config": config.echo(), "rows": rows}, indent=2)
 
 
+def test_csv_render_writes_str_of_each_value():
+    config = RunConfig(command="mc")
+    rows = [
+        (float("nan"), float("-inf"), -0.0, 1e300, 1 / 3, 10**40, Fraction(-7, 3)),
+        (np.float64(0.1), np.float64(-2.5e-12), "w-1", True, False, None, 0),
+        (Fraction(4), -(2**70), "", np.float64("inf"), 5e-324, 1.0, None),
+    ]
+    columns = [f"c{j}" for j in range(len(rows[0]))]
+    lines = list(_render(config, columns, iter(rows)))
+    assert lines[2:] == [",".join(map(str, row)) for row in rows]
+
+
 @pytest.mark.parametrize(
     "argv", [["enumerate", "--k", "9"], ["density", "--grid", "20000"]], ids=" ".join
 )
@@ -698,6 +711,11 @@ GOLDEN = {
          "--seed", "5", "--format", "json"],
         0, "89f243f785486a9ffcd014bedc5411ce3cd4dd2f294222d404c2cf49b8ff9672",
     ),
+    "mc-goe-csv": (
+        ["mc", "--ensemble", "goe", "--kmax", "4", "--n", "16", "--samples", "200",
+         "--seed", "5"],
+        0, "403f804fe5e104d6177dcbe33ce839e82a95d1cead131dcd4e4acf7b3fa1adeb",
+    ),
     "check": (
         ["check", "--order", "16", "--walks-kmax", "6"],
         0, "413a6892bd2ff130dbfc9d531296d77eb78d7f2b2188fd3ae26fbab6c0db4e51",
@@ -709,6 +727,10 @@ GOLDEN = {
     "enumerate": (
         ["enumerate", "--k", "6"],
         0, "701243a3a1db9c567254a1b3b9bd06f189ccf82e697ed29818aa2d9d172af5ed",
+    ),
+    "enumerate-10": (
+        ["enumerate", "--k", "10"],
+        0, "36d4b1795721b9bb29e0914fbace792aae9e2236442da95cbe28e189549f38ea",
     ),
     "enumerate-gue-json": (
         ["enumerate", "--k", "8", "--ensemble", "gue", "--format", "json"],

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerexp import (
     GOE,
@@ -126,6 +128,31 @@ def test_counts_partition_the_enumeration(monkeypatch):
     assert streamed == {(3, False): 1, (5, False): 1, (8, False): 1, (8, True): 1}
 
 
+def test_a_shape_no_class_has_reads_no_stream(monkeypatch):
+    # a class's graph is connected and its k steps cross every edge, so
+    # 1 <= v <= k, 1 <= e <= k and e >= v - 1; any other (v, e) is answered unread
+    shapes = {k: full_stream_tallies(k)[0] for k in range(1, 9)}  # before the counting
+    streamed = count_streams(monkeypatch)
+    model = goe_model()
+    for k, counts in shapes.items():
+        sizes = (None, *range(-1, k + 3))
+        for v, e in product(sizes, sizes):
+            want = sum(c for s, c in counts.items() if v in (None, s.v) and e in (None, s.e))
+            possible = (
+                (v is None or 1 <= v <= k)
+                and (e is None or 1 <= e <= k)
+                and (v is None or e is None or e >= v - 1)
+            )
+            if not possible:
+                walks._shape_counts.cache_clear()
+                before = streamed.copy()
+                assert list(class_rows(k, model, v, e)) == []
+                assert count_classes(k, v, e) == want == 0, (k, v, e)
+                assert streamed == before, (k, v, e)
+            else:
+                assert count_classes(k, v, e) == want, (k, v, e)
+
+
 def full_stream_tallies(k: int):
     """Shape counts over every class, and the weighted classes of the oracle.
 
@@ -195,8 +222,9 @@ def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_search_counters_match_a_fresh_recount(k):
-    # the search's flat crossings and shape counters against classify_walk's own dict
-    for word, crossings, v, e, kind, ones in walks._search(k, False):
+    # the search's flat crossings, shape counters and text against classify_walk's own dict
+    for word, crossings, v, e, kind, ones, text in walks._search(k, False):
+        assert text == "-".join(map(str, word)), word
         cls = classify_walk(word)
         assert (v, e, kind) == (cls.v, cls.e, cls.cycle_type), word
         assert ones == sum(f + b == 1 for f, b in cls.edge_traversals.values()), word
@@ -206,8 +234,10 @@ def test_search_counters_match_a_fresh_recount(k):
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
-    words = [word for word, *_, ones in walks._search(k, False) if not ones]
-    assert [leaf[0] for leaf in walks._search(k, True)] == words
+    words = [word for word, *_, ones, _ in walks._search(k, False) if not ones]
+    leaves = list(walks._search(k, True))
+    assert [leaf[0] for leaf in leaves] == words
+    assert [leaf[-1] for leaf in leaves] == ["-".join(map(str, word)) for word in words]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -467,7 +497,9 @@ def test_family_rows_read_the_pruned_search(monkeypatch):
                 and (kind is None or row[3] == kind)
             ]
             assert list(class_rows(k, model, v, e, kind)) == want, (k, v, e, kind)
-        assert searches == [True] * len(queries)
+        # a (v, e) that no class has (v or e outside 1..k, or e < v - 1) reads no search
+        possible = [v is None or (1 <= v <= k and 1 <= e <= k) for v, e, _ in queries]
+        assert searches == [True] * sum(possible)
 
 
 def test_class_rows_raise_missing_moments():
@@ -575,6 +607,51 @@ def test_walk_expansion_reads_sc_and_nu_exactly(name, k):
     assert coeffs[top - 1] == nu_moment(k, model.params)
     if name == "gue":
         assert coeffs[top - 2] == GUE_SECOND_ORDER[k]
+
+
+# rationals for the moments no check constrains, and for the variances
+ANY_MOMENT = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+VARIANCE = st.fractions(min_value=0, max_value=4, max_denominator=12)
+MODEL_ORDER = 8
+
+
+@st.composite
+def moment_models(draw, is_real: bool) -> MomentModel:
+    """A random rational model that passes ``MomentModel``'s checks, tables to order 8.
+
+    Centered; sigma2 > 0, alpha >= sigma2^2, complex E W^2 = 0; every other
+    entry drawn freely.
+    """
+    sigma2 = draw(VARIANCE.filter(bool))
+    alpha = sigma2**2 + draw(VARIANCE)
+    diag = (1, 0, draw(VARIANCE), *(draw(ANY_MOMENT) for _ in range(3, MODEL_ORDER + 1)))
+    if is_real:
+        off = (1, 0, sigma2, draw(ANY_MOMENT), alpha)
+        off += tuple(draw(ANY_MOMENT) for _ in range(5, MODEL_ORDER + 1))
+        return MomentModel(is_real=True, offdiag_moments=off, diag_moments=diag)
+    fixed = {(0, 0): 1, (1, 0): 0, (0, 1): 0, (2, 0): 0, (0, 2): 0, (1, 1): sigma2, (2, 2): alpha}
+    grid = tuple(
+        tuple(
+            fixed[a, b] if (a, b) in fixed else draw(ANY_MOMENT) if a + b <= MODEL_ORDER else None
+            for b in range(MODEL_ORDER + 1)
+        )
+        for a in range(MODEL_ORDER + 1)
+    )
+    return MomentModel(is_real=False, offdiag_moments=grid, diag_moments=diag)
+
+
+@pytest.mark.parametrize("is_real", [True, False], ids=["real", "complex"])
+@settings(deadline=None, max_examples=13)
+@given(data=st.data())
+def test_walk_expansion_reads_nu_for_any_moment_model(is_real, data):
+    # the walk route's 1/n coefficient depends on the model through (r, sigma2, s2,
+    # alpha) alone, as nu_moment's closed form says
+    model = data.draw(moment_models(is_real))
+    for k in range(2, MODEL_ORDER + 1, 2):
+        top = k // 2 + 1
+        coeffs = interpolate([(n, n**top * exact_moment(k, n, model)) for n in range(1, top + 2)])
+        assert coeffs[top] == semicircle_moment(k)
+        assert coeffs[top - 1] == nu_moment(k, model.params), k
 
 
 def test_tallies_cache_is_keyed_by_length():
