@@ -79,6 +79,7 @@ from .walks import (
     goe_model,
     gue_model,
     rademacher_model,
+    walk_polynomial,
 )
 
 __version__ = "0.1.0"

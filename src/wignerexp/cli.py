@@ -5,7 +5,8 @@ Subcommands
 moments    exact semicircle and correction moments, plus the two-term
            expansion at the requested sizes
 check      exact identity suite (series identities, coefficient agreement,
-           walk-class counts); exit code 0 iff everything passes
+           walk-class counts, the walk polynomial's sc_k and nu_k); exit
+           code 0 iff everything passes
 enumerate  classified canonical closed-walk words as CSV, with count totals
 mc         Monte Carlo correction estimates and Richardson combinations
 density    tabulated semicircle and correction densities on (-2, 2)
@@ -443,6 +444,23 @@ def _walk_count_checks(walks_kmax: int):
     return [("walks: class counts match all four closed-form families", ok, bad)]
 
 
+def _walk_polynomial_checks(walks_kmax: int):
+    name = "walks: exact polynomial reads sc_k and nu_k"
+    for ensemble, make_model in walks.PRESET_MODELS.items():
+        model = make_model()
+        for k in range(2, walks_kmax + 1, 2):
+            scale = model.sigma2 ** (k // 2)
+            got = [c / scale for c in walks.walk_polynomial(k, model)[:2]]
+            want = [comb.semicircle_moment(k), comb.nu_moment(k, comb.PRESETS[ensemble])]
+            if got != want:
+                bad = (
+                    f"{ensemble} k={k}: walk polynomial reads {got[0]}, {got[1]}; "
+                    f"closed form {want[0]}, {want[1]}"
+                )
+                return [(name, False, bad)]
+    return [(name, True, "")]
+
+
 def identity_suite(
     order: int,
     params: comb.EnsembleParams,
@@ -458,6 +476,7 @@ def identity_suite(
     ]
     checks += _coefficient_checks(order, params)
     checks += _walk_count_checks(walks_kmax)
+    checks += _walk_polynomial_checks(walks_kmax)
     return checks
 
 

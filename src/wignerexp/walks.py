@@ -1,61 +1,66 @@
 """Brute-force ground truth: closed-walk classes and exact finite-n moments.
 
-A length-k word i_1 ... i_k (closed by the step i_k -> i_1) determines a
-closed spanning walk on the graph with vertices {i_1, ..., i_k} and the
-unordered step pairs as edges (self-loops allowed, no multiplicities).
-Words that differ only by a renaming of letters contribute equally to the
-expected trace, so each equivalence class is enumerated once via its
-canonical representative: the word whose letters appear in increasing
-order of first use (a restricted-growth string).  The number of classes of
-length k is therefore the k-th Bell number, which bounds the practical
-word length; see ``MAX_WORD_LENGTH``.
+Classes.  A length-k word i_1 ... i_k (closed by the step i_k -> i_1)
+determines a closed spanning walk on the graph with vertices {i_1, ...,
+i_k} and the unordered step pairs as edges (self-loops allowed, no
+multiplicities).  Words that differ only by a renaming of letters
+contribute equally to the expected trace, so each class is enumerated once
+via its canonical representative: the word whose letters appear in
+increasing order of first use (a restricted-growth string).  There are
+Bell(k) classes of length k, which bounds the practical word length; see
+``MAX_WORD_LENGTH``.
 
-Expected moments at finite n are exact rationals
-
-    m_k(n) = sum over classes of  n (n-1) ... (n-v+1) E[W_c]
-             ----------------------------------------------
-                        n^(1 + k/2) sigma^k
-
-where v is the number of distinct letters and E[W_c] is the product of
-entry moments read off the edge traversal counts.  The entry distribution
-enters only through its moment tables (``MomentModel``); built-in models
-cover the real and complex Gaussian ensembles and real Rademacher entries.
-
-One depth-first search over restricted-growth words, ``_search``, serves
-every caller.  It keeps the directed crossing counts in one flat list (the
-step a -> b at index a * (k + 1) + b), raised on the way down and lowered
-on backtrack, and passes down a tuple of shape counters: edges, self-loops,
+The search.  One depth-first search over restricted-growth words,
+``_search(k, pruned)``, serves every caller, in lexicographic order.  It
+keeps the directed crossing counts in one flat list (the step a -> b at
+index a * (k + 1) + b), raised on the way down and lowered on backtrack,
+and passes down a tuple of shape counters (``_Tally``): edges, self-loops,
 edges crossed once and edges crossed twice, each step updating it from its
-edge's new total.  It passes down the word's text too, its letters joined
-by "-", each step appending "-" and its letter.  The loop over the last
-letter also takes the closing step back to letter 1 and classifies the
-word, with no call per leaf.  So a leaf, (word, crossings, v, e,
-cycle_type, ones, text), is classified as it is reached, with no dict, no
-rescan and no join; ``ones`` counts the edges crossed once.
-``_edge_counts`` builds a leaf's
-per-edge counts only where they are read: for ``WalkClass`` objects, for
-the weighted representatives and for the rows of ``class_rows`` (the
-table of ``wignerexp enumerate``) whose expectation is a product.
-``classify_walk`` recounts a word's steps into a dict of its own, apart
-from the search's counters; it is the reference the search is tested
-against.  Every (v, e, cycle_type) query is tested by the one matcher
-``_matcher``.
+edge's new total (``_crossed``, the one tally rule).  It passes down the
+word's text too, its letters joined by "-".  The loop over the last letter
+also takes the closing step back to letter 1 and classifies the word, with
+no call per leaf.
 
-An edge crossed once gives a first moment, which ``MomentModel`` holds at
-zero (entries are centered), so only the classes whose every edge is
-crossed at least twice contribute: a row with ``ones > 0`` is written
-0 / 1 with no product, and pruned, the search yields exactly the others.
-``exact_moment`` reads them as weighted representatives (``_tallies``):
-one class with a class count per v and multiset of edge patterns
-(is_loop, fwd, bwd), which fixes the class's moment factor.  At k = 10,
-67 representatives stand for the 4,900 classes that count, of 115,975;
-at k = 12, 192 stand for 67,880 of 4,213,597.  The class count per
-(v, e, cycle_type) is tallied in one place, ``_shape_counts``, over the
-pruned search for a query that lies wholly among those classes
-(``_pruned_answers``) and over the full search otherwise.  The
-expectation of a class is one product, ``_edge_product``, of per-edge
-factors from a table (``_EdgeFactors``) that computes each entry moment
-of a model on first use.
+The leaf.  Each word reaches its caller as one tuple, (word, crossings, v,
+e, cycle_type, ones, text) (``_Leaf``): v letters, e edges, the cycle type
+``WalkClass`` defines, ``ones`` edges crossed once and the text.
+``crossings`` is live, so read it before resuming the search;
+``_edge_counts`` builds a leaf's per-edge counts from it only where they
+are read.  ``classify_walk`` recounts a word's steps into a dict of its
+own, apart from the search's counters; it is the reference the search is
+tested against.
+
+Pruning.  An edge crossed once gives a first moment, which ``MomentModel``
+holds at zero (entries are centered), so only the classes whose every edge
+is crossed at least twice contribute.  Each remaining step, the closing one
+included, brings at most one edge crossed once to two crossings, so the
+pruned search cuts a prefix with more such edges than steps left, with its
+whole subtree.  It yields exactly the leaves with ``ones == 0``, in the
+same order.  A (v, e, cycle_type) query that lies wholly among those
+classes (``_pruned_answers``) reads the pruned search; any other reads the
+full one.  Every query is tested by the one matcher ``_matcher``.
+
+The census.  ``_census(k, pruned)`` reads one search once and keeps two
+things: the class count per (v, e, cycle_type), and the weighted
+representatives, one ``WalkClass`` per v and multiset of edge patterns
+(is_loop, fwd, bwd), which fixes the class's moment factor, each with its
+class count.  At k = 10, 67 representatives stand for the 4,900 classes
+that count, of 115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The
+oracle and the family counts share the pruned census of each k.
+
+The polynomial.  Expected moments at finite n are exact rationals,
+
+    m_k(n) = P(n) / (n^(1 + k/2) sigma^k),
+
+    P(n) = sum over representatives of  count E[W_c] n (n-1) ... (n-v+1),
+
+where E[W_c] is the product of entry moments read off the edge crossing
+counts: one product, ``_edge_product``, of per-edge factors from a table
+(``_EdgeFactors``) that computes each entry moment of a model on first
+use.  The entry distribution enters only through its moment tables
+(``MomentModel``); built-in models cover the real and complex Gaussian
+ensembles and real Rademacher entries.  ``walk_polynomial`` returns P's
+coefficients, and ``exact_moment`` evaluates them: the sum is written once.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ CYCLE_ONE_WAY = "cycle-one-way"
 CYCLE_BOTH_WAYS = "cycle-both-ways"
 OTHER = "other"
 CYCLE_TYPES = (TREE, SELF_LOOP, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS, OTHER)
-# the key a class is counted under
+# a class's (v, e, cycle_type), the key it is counted under
 _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 # directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j, as
 # ``classify_walk`` recounts them
@@ -91,6 +96,8 @@ _Counts = dict[tuple[int, int], list[int]]
 _Tally = tuple[int, int, int, int]
 # a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text)
 _Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str]
+# a census: class count per (v, e, cycle_type), and (representative, class count) pairs
+_Census = tuple[Mapping[tuple[int, int, str], int], tuple[tuple["WalkClass", int], ...]]
 # the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
 _Match = Callable[[int, int, str], bool]
 
@@ -179,17 +186,11 @@ def _crossed(shape: _Tally, crossings: list[int], ab: int, ba: int) -> _Tally:
 
 
 def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
-    """Yield one ``_Leaf`` per canonical word of length k, in lexicographic order.
+    """Yield one ``_Leaf`` per canonical word of length k, ``pruned`` or not.
 
-    Depth-first over restricted-growth strings: position 0 is letter 1 and
-    letter m+1 may only appear after letters 1..m.  ``crossings`` counts
-    every step, the closing one included, the step a -> b at index
-    a * (k + 1) + b; it is live, so read it before resuming.  ``text`` is
-    the word's letters joined by "-".  ``pruned``
-    keeps only the words whose every edge is crossed at least twice: each
-    remaining step, the closing one included, brings at most one edge
-    crossed once to two crossings, so a prefix with more such edges than
-    steps left is cut with its whole subtree.
+    The search, its leaf and its pruning rule are the module docstring's.
+    Position 0 is letter 1, and letter m+1 may only appear after letters
+    1..m.
     """
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
@@ -309,22 +310,24 @@ def check_word_length(k: int) -> None:
         )
 
 
-@lru_cache(maxsize=MAX_WORD_LENGTH)
-def _tallies(k: int) -> tuple[tuple[WalkClass, int], ...]:
-    """The module docstring's weighted representatives; k is checked, so <= MAX_WORD_LENGTH keys.
+@lru_cache(maxsize=2 * MAX_WORD_LENGTH)
+def _census(k: int, pruned: bool) -> _Census:
+    """The module docstring's census of ``_search(k, pruned)``, its class counts read-only.
 
-    Each leaf of the pruned search reads its pattern key from its
-    ``_edge_counts``; only the first leaf of a key becomes a ``WalkClass``,
-    as that key's representative.
+    k is checked, so the cache holds at most 2 * ``MAX_WORD_LENGTH`` keys.
+    Only the first leaf of a representative's key becomes a ``WalkClass``.
     """
     check_word_length(k)
+    shapes: Counter = Counter()
     weighted: dict[tuple, tuple[WalkClass, int]] = {}
-    for word, crossings, v, e, kind, _, _ in _search(k, True):
-        counts = _edge_counts(word, crossings)
-        key = (v, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
-        rep, count = weighted.get(key, (None, 0))
-        weighted[key] = (rep or _walk_class(word, counts, v, e, kind), count + 1)
-    return tuple(weighted.values())
+    for word, crossings, v, e, kind, ones, _ in _search(k, pruned):
+        shapes[v, e, kind] += 1
+        if not ones:
+            counts = _edge_counts(word, crossings)
+            key = (v, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
+            rep, count = weighted.get(key, (None, 0))
+            weighted[key] = (rep or _walk_class(word, counts, v, e, kind), count + 1)
+    return MappingProxyType(shapes), tuple(weighted.values())
 
 
 def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
@@ -364,24 +367,17 @@ def count_classes(
 ) -> int:
     """Number of classes of length k matching the given (v, e, cycle_type).
 
-    Summed from ``_shape_counts``: of the pruned search for the queries
-    that ``_pruned_answers`` accepts (the closed-form families), of the
-    full stream of all Bell(k) classes for any other.  A (v, e) that no
-    class has (see ``_possible``) is 0 with no search.
+    Summed from the class counts of ``_census``: of the pruned search for
+    the queries that ``_pruned_answers`` accepts (the closed-form
+    families), of the full stream of all Bell(k) classes for any other.  A
+    (v, e) that no class has (see ``_possible``) is 0 with no search.
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
     if not _possible(k, v, e):
         return 0
-    shapes = _shape_counts(k, _pruned_answers(k, v, e, cycle_type))
+    shapes, _ = _census(k, _pruned_answers(k, v, e, cycle_type))
     return sum(count for shape, count in shapes.items() if match is None or match(*shape))
-
-
-@lru_cache(maxsize=2 * MAX_WORD_LENGTH)
-def _shape_counts(k: int, pruned: bool) -> Mapping[_Shape, int]:
-    """Read-only class count per (v, e, cycle_type) over the leaves of ``_search(k, pruned)``."""
-    shapes = Counter(_Shape(v, e, kind) for _, _, v, e, kind, _, _ in _search(k, pruned))
-    return MappingProxyType(shapes)
 
 
 def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
@@ -646,11 +642,9 @@ def class_rows(
     straight from a search leaf, its word the leaf's text, with no
     ``WalkClass``; the query filters the leaf before its expectation is
     built, and a (v, e) that no class has (see ``_possible``) reads no
-    search at all.  A class with an edge
-    crossed once is written 0 / 1 with no product: ``MomentModel`` holds
-    every first moment at zero.  A query that ``_pruned_answers`` accepts
-    reads the pruned search, which yields all of its classes in the same
-    order.
+    search at all.  A class with an edge crossed once is written 0 / 1 with
+    no product, and a query is read from the pruned search or the full one
+    as the module docstring's pruning rule says.
     """
     check_word_length(k)
     match = _matcher(v, e, cycle_type)
@@ -667,24 +661,48 @@ def class_rows(
                 yield text, cv, ce, kind, value.numerator, value.denominator
 
 
-def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
-    """Exact expected moment of the empirical spectral measure at size n.
+def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:
+    """The coefficients of P(n) = n^(1 + k/2) sigma^k m_k(n), highest power first.
 
-    Even k only: the normalization n^(1 + k/2) sigma^k stays rational.  The
-    falling factorial n (n-1) ... (n-v+1) is polynomial in n, so any n >= 1
-    is fine; k is capped at ``MAX_WORD_LENGTH``.
+    P is the module docstring's sum over the pruned census, its weights
+    summed per v and each falling factorial expanded once, by the signed
+    Stirling numbers of the first kind.  A class that counts has v <= e + 1
+    <= k/2 + 1, so there are k/2 + 2 coefficients, c[0] / sigma^k the
+    semicircle moment and c[1] / sigma^k the 1/n correction; an integral
+    one is an int.  Even k only, at most ``MAX_WORD_LENGTH``.
     """
-    if k == 0:
-        return Fraction(1)
     if k % 2 == 1:
         raise ValueError(
             "exact finite-size moments are rational for even k only; odd moments "
             "vanish for symmetric entry distributions"
         )
-    check_word_length(k)
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
-    total = Fraction(0)
-    for cls, count in _tallies(k):
-        total += math.prod(n - i for i in range(cls.v)) * count * expected_word_product(cls, model)
-    return total / (Fraction(n) ** (1 + k // 2) * model.sigma2 ** (k // 2))
+    if k == 0:  # P(n) = n
+        return 1, 0
+    top = k // 2 + 1
+    weights: list[int | Fraction] = [0] * (top + 1)  # count E[W_c] summed per v
+    for rep, count in _census(k, True)[1]:
+        value = expected_word_product(rep, model)
+        weights[rep.v] += count * (value.numerator if value.denominator == 1 else value)
+    coeffs: list[int | Fraction] = [0] * (top + 1)  # lowest power first
+    falling = [1]  # n (n-1) ... (n-v+1), lowest power first
+    for v, weight in enumerate(weights):
+        if v:
+            falling = [a - (v - 1) * b for a, b in zip([0, *falling], [*falling, 0])]
+        for j, stirling in enumerate(falling):
+            coeffs[j] += weight * stirling
+    return tuple(reversed(coeffs))
+
+
+def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
+    """Exact expected moment of the empirical spectral measure at size n.
+
+    ``walk_polynomial``'s P(n) by Horner, divided once by n^(1 + k/2) sigma^k.
+    n must be an int >= 1 (a bool is refused); k is even, at most
+    ``MAX_WORD_LENGTH``.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"matrix size must be an int >= 1, got {n!r}")
+    total = 0
+    for coeff in walk_polynomial(k, model):
+        total = total * n + coeff
+    return Fraction(total) / (n ** (1 + k // 2) * model.sigma2 ** (k // 2))

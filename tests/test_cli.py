@@ -201,7 +201,7 @@ def test_check_passes(capsys):
     code, out, _ = run_cli(capsys, "check", "--order", "16", "--walks-kmax", "6")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
 
 
 def test_check_fault_injection(capsys):
@@ -228,6 +228,16 @@ def _one_way_cycles_off_at_6(monkeypatch):
         return count_classes(k, v, e, cycle_type) + extra
 
     monkeypatch.setattr(walks, "count_classes", count)
+
+
+def _walk_nu_off_at_4(monkeypatch):
+    walk_polynomial = walks.walk_polynomial
+
+    def polynomial(k, model):
+        top, nu, *rest = walk_polynomial(k, model)
+        return top, nu + (k == 4), *rest
+
+    monkeypatch.setattr(walks, "walk_polynomial", polynomial)
 
 
 def _s4_off_by_x3(monkeypatch):
@@ -266,8 +276,15 @@ def _s4_off_by_x3(monkeypatch):
                 "  (first failing coefficient index 3)",
             ],
         ),
+        (
+            _walk_nu_off_at_4,
+            [
+                "FAIL  walks: exact polynomial reads sc_k and nu_k"
+                "  (goe k=4: walk polynomial reads 2, 6; closed form 2, 5)",
+            ],
+        ),
     ],
-    ids=["nu-moment", "count-classes", "s-components"],
+    ids=["nu-moment", "count-classes", "s-components", "walk-polynomial"],
 )
 def test_check_names_each_failing_identity(capsys, monkeypatch, fault, want_fails):
     # each route is broken in turn: check must print exactly its FAIL lines
@@ -276,7 +293,7 @@ def test_check_names_each_failing_identity(capsys, monkeypatch, fault, want_fail
     lines = out.splitlines()
     assert code == 1
     assert [line for line in lines if line.startswith("FAIL")] == want_fails
-    assert lines[-1] == f"{10 - len(want_fails)}/10 identities hold"
+    assert lines[-1] == f"{11 - len(want_fails)}/11 identities hold"
 
 
 # -- enumerate ----------------------------------------------------------------------
@@ -718,11 +735,11 @@ GOLDEN = {
     ),
     "check": (
         ["check", "--order", "16", "--walks-kmax", "6"],
-        0, "413a6892bd2ff130dbfc9d531296d77eb78d7f2b2188fd3ae26fbab6c0db4e51",
+        0, "0572909e4ef6670cb8c02ad411fad9c85f06ca92a16cac51e844c9f0cbbb7779",
     ),
     "check-fault": (
         ["check", "--order", "16", "--walks-kmax", "6", "--inject-fault"],
-        1, "84d1370e067d9afd944294c93336b3621417af6b180e6b007ddc7a82df0d6e96",
+        1, "d95a075db30a7ce9016dc2492d65de024c62b1c5e3161854ddf152050bb11eef",
     ),
     "enumerate": (
         ["enumerate", "--k", "6"],

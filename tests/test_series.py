@@ -178,7 +178,7 @@ def test_check_at_max_order(capsys):
     code = main(["check", "--order", str(MAX_SERIES_ORDER), "--walks-kmax", "2"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines()[-1] == "10/10 identities hold"
+    assert out.splitlines()[-1] == "11/11 identities hold"
 
 
 @pytest.mark.parametrize("order", [2, 5, 17, 40])

@@ -38,6 +38,7 @@ from wignerexp import (
     rademacher_model,
     self_loop_class_count,
     semicircle_moment,
+    walk_polynomial,
 )
 from wignerexp import walks
 
@@ -102,7 +103,7 @@ def test_class_totals_are_bell_numbers():
 
 
 def count_streams(monkeypatch) -> Counter:
-    """Count the (k, pruned) leaf streams read from now on, the shape counts uncached."""
+    """Count the (k, pruned) leaf streams read from now on, the census uncached."""
     streamed: Counter = Counter()
     search = walks._search
 
@@ -110,7 +111,7 @@ def count_streams(monkeypatch) -> Counter:
         streamed[k, pruned] += 1
         return search(k, pruned)
 
-    walks._shape_counts.cache_clear()
+    walks._census.cache_clear()
     monkeypatch.setattr(walks, "_search", counting)
     return streamed
 
@@ -144,7 +145,7 @@ def test_a_shape_no_class_has_reads_no_stream(monkeypatch):
                 and (v is None or e is None or e >= v - 1)
             )
             if not possible:
-                walks._shape_counts.cache_clear()
+                walks._census.cache_clear()
                 before = streamed.copy()
                 assert list(class_rows(k, model, v, e)) == []
                 assert count_classes(k, v, e) == want == 0, (k, v, e)
@@ -176,10 +177,14 @@ def full_stream_tallies(k: int):
 def test_pruned_tallies_match_full_stream(k, monkeypatch):
     full_shapes, want = full_stream_tallies(k)
     got = {}
-    for rep, count in walks._tallies(k):
+    for rep, count in walks._census(k, True)[1]:
         patterns = sorted((i == j, f, b) for (i, j), (f, b) in rep.edge_traversals.items())
         got[(rep.v, tuple(patterns))] = (rep.canonical_word, count)
     assert got == want
+    # the census of the full search counts every class and keeps the same representatives
+    shapes, weighted = walks._census(k, False)
+    assert shapes == full_shapes
+    assert weighted == walks._census(k, True)[1]
 
     # the family queries stream the pruned search alone, and count as the full stream does
     monkeypatch.setattr(walks, "enumerate_canonical_words", None)
@@ -201,6 +206,14 @@ def test_pruned_tallies_match_full_stream(k, monkeypatch):
         want_count = sum(c for s, c in full_shapes.items() if match is None or match(*s))
         assert count_classes(k, v, e, kind) == want_count, (v, e, kind)
     assert streamed == {(k, True): 1}
+
+
+def test_oracle_and_family_counts_share_one_pruned_pass(monkeypatch):
+    streamed = count_streams(monkeypatch)
+    exact_moment(10, 64, goe_model())
+    assert count_classes(10, 6, 5) == catalan(5)
+    assert count_classes(10, 5, 5, "self-loop") == self_loop_class_count(5)
+    assert streamed == {(10, True): 1}
 
 
 def test_enumeration_rejects_bad_lengths():
@@ -311,7 +324,7 @@ def test_count_classes_rejects_unknown_type(monkeypatch):
     with pytest.raises(ValueError):
         count_classes(4, cycle_type="spiral")
     # refused before the full stream of 4.2 million classes is counted
-    monkeypatch.setattr(walks, "_shape_counts", None)
+    monkeypatch.setattr(walks, "_census", None)
     with pytest.raises(ValueError, match="unknown cycle type"):
         count_classes(12, 5, 7, "spiral")
 
@@ -543,12 +556,18 @@ def test_gue_moments_follow_harer_zagier():
 def test_exact_moment_guards():
     model = goe_model()
     assert exact_moment(0, 5, model) == 1
+    assert exact_moment(0, 1, model) == 1
     with pytest.raises(ValueError, match="even"):
         exact_moment(3, 5, model)
     with pytest.raises(ValueError):
         exact_moment(14, 5, model)
     with pytest.raises(ValueError):
         exact_moment(2, 0, model)
+    # the size is checked before any k, and must be an int: not a bool, not a float
+    for k in (0, 2, 3):
+        for n in (0, -3, 2.5, 2.0, True, Fraction(2), "2"):
+            with pytest.raises(ValueError, match="matrix size"):
+                exact_moment(k, n, model)
 
 
 def test_correction_residual_shrinks_with_n():
@@ -567,22 +586,6 @@ def test_correction_residual_shrinks_with_n():
                     assert abs(nxt) <= abs(prev) / 8
 
 
-def interpolate(points):
-    """Exact coefficients, lowest degree first, of the polynomial through (x, y) points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis, scale = [Fraction(1)], Fraction(yi)  # Lagrange: yi prod (x - xj) / (xi - xj)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = [Fraction(0)] + basis
-                for t in range(len(basis) - 1):
-                    basis[t] -= xj * basis[t + 1]
-                scale /= xi - xj
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    return coeffs
-
-
 EXPANSION_MODELS = {
     "goe": goe_model(),
     "gue": gue_model(),
@@ -593,20 +596,30 @@ EXPANSION_MODELS = {
 GUE_SECOND_ORDER = {2: 0, 4: 1, 6: 10, 8: 70, 10: 420, 12: 2310}
 
 
+def assert_polynomial_ends(k: int, model: MomentModel) -> tuple:
+    """The walk polynomial P(n) = n^(1+k/2) sigma^k m_k(n), its ends checked.
+
+    Its falling factorials n ... (n-v+1) have v <= e + 1 <= k/2 + 1, so it has
+    k/2 + 2 coefficients, highest power first; the top two are sc_k and nu_k
+    times sigma^k, P(0) = 0, and P(1) is the one diagonal entry's k-th moment.
+    """
+    coeffs = walk_polynomial(k, model)
+    scale = model.sigma2 ** (k // 2)
+    assert len(coeffs) == k // 2 + 2, k
+    assert coeffs[0] == scale * semicircle_moment(k), k
+    assert coeffs[1] == scale * nu_moment(k, model.params), k
+    assert coeffs[-1] == 0, k
+    assert sum(coeffs) == model.diag_moment(k), k
+    return coeffs
+
+
 @pytest.mark.parametrize("name", list(EXPANSION_MODELS))
 @pytest.mark.parametrize("k", range(2, 13, 2))
 def test_walk_expansion_reads_sc_and_nu_exactly(name, k):
-    # P(n) = n^(1+k/2) m_k(n) sums falling factorials n ... (n-v+1) with
-    # v <= e + 1 <= k/2 + 1, so k/2 + 2 sizes fix it, and m_k(n) = sum_j P_j n^(j-1-k/2)
-    model, top = EXPANSION_MODELS[name], k // 2 + 1
-    sizes = range(1, top + 2)
-    coeffs = interpolate([(n, n**top * exact_moment(k, n, model)) for n in sizes])
-    n = top + 2  # one size past the fit confirms the degree bound
-    assert sum(c * n**j for j, c in enumerate(coeffs)) == n**top * exact_moment(k, n, model)
-    assert coeffs[top] == semicircle_moment(k)
-    assert coeffs[top - 1] == nu_moment(k, model.params)
+    # with PINNED_MOMENTS at five sizes, these fix every coefficient up to k = 12
+    coeffs = assert_polynomial_ends(k, EXPANSION_MODELS[name])
     if name == "gue":
-        assert coeffs[top - 2] == GUE_SECOND_ORDER[k]
+        assert coeffs[2] == GUE_SECOND_ORDER[k]
 
 
 # rationals for the moments no check constrains, and for the variances
@@ -648,28 +661,25 @@ def test_walk_expansion_reads_nu_for_any_moment_model(is_real, data):
     # alpha) alone, as nu_moment's closed form says
     model = data.draw(moment_models(is_real))
     for k in range(2, MODEL_ORDER + 1, 2):
-        top = k // 2 + 1
-        coeffs = interpolate([(n, n**top * exact_moment(k, n, model)) for n in range(1, top + 2)])
-        assert coeffs[top] == semicircle_moment(k)
-        assert coeffs[top - 1] == nu_moment(k, model.params), k
+        assert_polynomial_ends(k, model)
 
 
 def test_tallies_cache_is_keyed_by_length():
     # fresh models are no cache keys: only the word lengths used are
-    walks._tallies.cache_clear()
+    walks._census.cache_clear()
     for order in range(12, 62):
         model = goe_model(order)
         assert exact_moment(2, 3, model) == Fraction(4, 3)
         assert exact_moment(4, 3, model) == Fraction(38, 9)
-    assert walks._tallies.cache_info().currsize == 2
+    assert walks._census.cache_info().currsize == 2
 
 
 def test_cold_exact_moment_is_small():
-    # a cold k = 10 oracle keeps tallies and visits the 4,900 classes that count,
+    # a cold k = 10 oracle keeps its census and visits the 4,900 classes that count,
     # never all 115,975
     bound = 16 << 20
     models = (goe_model(), gue_model(), rademacher_model())
-    walks._tallies.cache_clear()
+    walks._census.cache_clear()
     tracemalloc.start()
     try:
         for model in models:
