@@ -485,7 +485,7 @@ def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
         raise ConfigError(
             f"--walks-kmax must be within 2..{walks.MAX_WORD_LENGTH}, got {walks_kmax}"
         )
-    fault = 7 if inject_fault else None
+    fault = min(7, config.order) if inject_fault else None  # a coefficient the series holds
     checks = identity_suite(config.order, config.params, walks_kmax, fault)
     lines = []
     for name, ok, detail in checks:

@@ -24,11 +24,11 @@ no call per leaf.
 The leaf.  Each word reaches its caller as one tuple, (word, crossings, v,
 e, cycle_type, ones, text) (``_Leaf``): v letters, e edges, the cycle type
 ``WalkClass`` defines, ``ones`` edges crossed once and the text.
-``crossings`` is live, so read it before resuming the search;
-``_edge_counts`` builds a leaf's per-edge counts from it only where they
-are read.  ``classify_walk`` recounts a word's steps into a dict of its
-own, apart from the search's counters; it is the reference the search is
-tested against.
+``crossings`` is live, so read it before resuming the search.  One reader,
+``_pattern``, turns it into the leaf's per-edge counts, the (is_loop, fwd,
+bwd) of each edge.  ``classify_walk`` recounts a word's steps into a dict
+of its own, apart from the search's counters: it is the reference the
+search is tested against, and the one maker of a ``WalkClass``.
 
 Pruning.  An edge crossed once gives a first moment, which ``MomentModel``
 holds at zero (entries are centered), so only the classes whose every edge
@@ -42,10 +42,10 @@ full one.  Every query is tested by the one matcher ``_matcher``.
 
 The census.  ``_census(k, pruned)`` reads one search once and keeps two
 things: the class count per (v, e, cycle_type), and the weighted
-representatives, one ``WalkClass`` per v and multiset of edge patterns
-(is_loop, fwd, bwd), which fixes the class's moment factor, each with its
-class count.  At k = 10, 67 representatives stand for the 4,900 classes
-that count, of 115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The
+representatives, one per v and sorted ``_pattern`` (which fixes the class's
+moment factor), each the ``classify_walk`` of its first leaf, with its class
+count.  At k = 10, 67 representatives stand for the 4,900 classes that
+count, of 115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The
 oracle and the family counts share the pruned census of each k.
 
 The polynomial.  Expected moments at finite n are exact rationals,
@@ -73,7 +73,7 @@ from functools import lru_cache
 from itertools import starmap
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams
 
@@ -248,34 +248,23 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     yield from rec(1, 1, (0, 0, 0, 0), "1")
 
 
-def _edge_counts(
-    word: tuple[int, ...], crossings: list[int]
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """{(i, j): (i -> j, j -> i)} per edge of a ``_search`` leaf, i <= j, in first-crossing order.
+def _pattern(word: tuple[int, ...], crossings: list[int]) -> list[tuple[bool, int, int]]:
+    """(is_loop, fwd, bwd) per edge (i, j), i <= j, of a ``_search`` leaf, first crossed first.
 
-    Read off the word's steps; a self-loop's count sits in the first slot,
-    as in ``WalkClass``.
+    fwd counts the steps i -> j and bwd the steps j -> i, read from the
+    flat crossings; a self-loop's count is fwd, its bwd 0.  Edges are told
+    apart by their flat index.
     """
     width = len(word) + 1
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
+    seen = set()
+    pattern = []
     for a, b in zip(word, word[1:] + word[:1]):
-        key = (a, b) if a <= b else (b, a)
-        if key not in counts:
-            i, j = key
-            counts[key] = (crossings[i * width + j], crossings[j * width + i] if i != j else 0)
-    return counts
-
-
-def _walk_class(
-    word: tuple[int, ...],
-    counts: Mapping[tuple[int, int], Sequence[int]],
-    v: int,
-    e: int,
-    kind: str,
-) -> WalkClass:
-    """The ``WalkClass`` of a word, its counts frozen."""
-    frozen = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
-    return WalkClass(word, v, e, frozen, kind)
+        i, j = (a, b) if a <= b else (b, a)
+        ij = i * width + j
+        if ij not in seen:
+            seen.add(ij)
+            pattern.append((i == j, crossings[ij], crossings[j * width + i] if i != j else 0))
+    return pattern
 
 
 def classify_walk(word: Sequence) -> WalkClass:
@@ -290,13 +279,14 @@ def classify_walk(word: Sequence) -> WalkClass:
     counts: _Counts = {}
     for a, b in zip(word, word[1:] + word[:1]):
         _cross(counts, a, b)
-    return _walk_class(word, counts, *_leaf(word, counts))
+    v, e, kind = _leaf(word, counts)
+    return WalkClass(word, v, e, {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}, kind)
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
-    """Stream one classified ``WalkClass`` per equivalence class of length k."""
-    for word, crossings, v, e, kind, _, _ in _search(k, False):
-        yield _walk_class(word, _edge_counts(word, crossings), v, e, kind)
+    """Stream ``classify_walk`` of each canonical word of length k, in the search's order."""
+    for leaf in _search(k, False):
+        yield classify_walk(leaf[0])
 
 
 def check_word_length(k: int) -> None:
@@ -315,19 +305,19 @@ def _census(k: int, pruned: bool) -> _Census:
     """The module docstring's census of ``_search(k, pruned)``, its class counts read-only.
 
     k is checked, so the cache holds at most 2 * ``MAX_WORD_LENGTH`` keys.
-    Only the first leaf of a representative's key becomes a ``WalkClass``.
     """
     check_word_length(k)
     shapes: Counter = Counter()
-    weighted: dict[tuple, tuple[WalkClass, int]] = {}
+    weights: Counter = Counter()  # class count per representative key
+    firsts: dict[tuple, tuple[int, ...]] = {}  # the first word of each key
     for word, crossings, v, e, kind, ones, _ in _search(k, pruned):
         shapes[v, e, kind] += 1
         if not ones:
-            counts = _edge_counts(word, crossings)
-            key = (v, tuple(sorted((i == j, *fb) for (i, j), fb in counts.items())))
-            rep, count = weighted.get(key, (None, 0))
-            weighted[key] = (rep or _walk_class(word, counts, v, e, kind), count + 1)
-    return MappingProxyType(shapes), tuple(weighted.values())
+            key = (v, tuple(sorted(_pattern(word, crossings))))
+            weights[key] += 1
+            firsts.setdefault(key, word)
+    reps = tuple((classify_walk(firsts[key]), count) for key, count in weights.items())
+    return MappingProxyType(shapes), reps
 
 
 def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
@@ -611,12 +601,12 @@ class _EdgeFactors(dict):
 
 
 def _edge_product(
-    factors: _EdgeFactors, traversals: Mapping[tuple[int, int], Sequence[int]]
+    factors: _EdgeFactors, pattern: Iterable[tuple[bool, int, int]]
 ) -> int | Fraction:
-    """The product of ``factors`` over the edges of ``traversals``, stopped at the first zero."""
+    """The product of ``factors`` over the (is_loop, fwd, bwd) keys of ``pattern``, stopped at 0."""
     value = 1
-    for (i, j), (fwd, bwd) in traversals.items():
-        value *= factors[i == j, fwd, bwd]
+    for key in pattern:
+        value *= factors[key]
         if not value:
             break
     return value
@@ -624,7 +614,8 @@ def _edge_product(
 
 def expected_word_product(cls: WalkClass, model: MomentModel) -> Fraction:
     """E[W_c]: product of entry moments over the edges of the class graph."""
-    return Fraction(_edge_product(_EdgeFactors(model), cls.edge_traversals))
+    pattern = ((i == j, fwd, bwd) for (i, j), (fwd, bwd) in cls.edge_traversals.items())
+    return Fraction(_edge_product(_EdgeFactors(model), pattern))
 
 
 def class_rows(
@@ -657,7 +648,7 @@ def class_rows(
             if ones:
                 yield text, cv, ce, kind, 0, 1
             else:
-                value = _edge_product(factors, _edge_counts(word, crossings))
+                value = _edge_product(factors, _pattern(word, crossings))
                 yield text, cv, ce, kind, value.numerator, value.denominator
 
 

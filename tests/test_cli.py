@@ -1,5 +1,6 @@
 """CLI surface: subcommands, validation, formats, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wignerexp import PRESETS, cli, montecarlo, series, walks
@@ -204,13 +205,16 @@ def test_check_passes(capsys):
     assert out.count("PASS") == 11
 
 
-def test_check_fault_injection(capsys):
-    code, out, _ = run_cli(
-        capsys, "check", "--order", "14", "--walks-kmax", "4", "--inject-fault"
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 14])
+def test_check_fault_injection(capsys, order):
+    # the perturbed coefficient is min(7, order), one the truncated series holds
+    code, out, err = run_cli(
+        capsys, "check", "--order", str(order), "--walks-kmax", "4", "--inject-fault"
     )
     assert code == 1
-    assert "FAIL" in out
-    assert "coefficient index 7" in out
+    index = min(7, order)
+    assert f"FAIL  series: T equals 1 + x T^2  (first failing coefficient index {index})" in out
+    assert "error:" not in err
 
 
 def _nu_moment_off_at_8(monkeypatch):
@@ -704,6 +708,124 @@ def test_bad_input_writes_no_out_file(capsys, tmp_path, case):
     assert code == 2
     assert stdout == ""
     assert not out.exists()
+
+
+# values for drawn argv and config files: boundaries, garbage and huge numbers
+INT_TEXTS = [
+    "-1", "0", "1", "2", "3", "4", "6", "8", "12", "13", "16", "32", "33", "64", "320", "321",
+    "1024", "100000", "100001", "1000000", "1000001", str(2**63), str(10**30), str(-(10**30)),
+]
+FLOAT_TEXTS = ["nan", "inf", "-inf", "0", "2", "2.0000001", "4", "1e154", "1e155", "1e309", "-4"]
+RATIONAL_TEXTS = [
+    "1", "5/4", "1/3", "0", "-1", "3", "1/0", "1e400", "1e-400", "1e1001", "9" * 1001, "1.5",
+    " 2 ", "nan",
+]
+GARBAGE_TEXTS = ["", "x", "1.5", "0x10", "1e3", "-", "٣", "1_000", "1" + "0" * 5000]
+JSON_VALUES = [None, True, 1.5, 64.0, float("nan"), 1e308, [], [8], [1, 2], [0], {"a": 1}]
+# the size each run reads: (value, cap, bound); a run is admitted when every value is
+# within its cap, or when one is past its bound and the run must be refused at once
+RUN_SIZES = {
+    "check": lambda a, c: [(c.order, 40, series.MAX_SERIES_ORDER),
+                           (a.walks_kmax, 10, walks.MAX_WORD_LENGTH)],
+    "enumerate": lambda a, c: [(a.k, 8, walks.MAX_WORD_LENGTH)],
+    "mc": lambda a, c: [(c.samples, 64, montecarlo.MAX_SAMPLES),
+                        (2 * max(c.n, default=0), 64, montecarlo.MAX_MATRIX_SIZE),
+                        (c.kmax, 16, montecarlo.MAX_KMAX)],
+    "moments": lambda a, c: [((c.kmax + 1) * (1 + len(c.n)), 400, cli.MAX_MOMENT_CELLS)],
+    "density": lambda a, c: [(a.grid, 2000, cli.MAX_TABLE_POINTS)],
+    "stieltjes": lambda a, c: [(a.points, 2000, cli.MAX_TABLE_POINTS)],
+}
+
+
+def _subcommands():
+    """{name: [option actions]} of build_parser(), help aside."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+
+
+SUBCOMMANDS = _subcommands()
+MC_SIZES = ("samples", "n")
+CONFIG_KEYS = sorted({a.dest for a in SUBCOMMANDS["moments"]} - {"config"})
+
+
+def _texts(action, paths):
+    """Flag values to draw for one option action."""
+    if action.dest in ("out", "config"):
+        return st.sampled_from(paths)
+    if action.choices:
+        pool = [*action.choices, "bogus", action.choices[0].upper()]
+    elif action.type is int:
+        pool = INT_TEXTS
+    elif action.type is float:
+        pool = FLOAT_TEXTS
+    else:
+        pool = RATIONAL_TEXTS
+    return st.sampled_from([*pool, *GARBAGE_TEXTS])
+
+
+def _file_values(key, paths):
+    """Config-file values to draw for one key."""
+    if key == "out":
+        return st.sampled_from([*paths, 3])
+    ints = st.sampled_from(INT_TEXTS).map(int)
+    texts = st.sampled_from(RATIONAL_TEXTS + GARBAGE_TEXTS + ["goe", "custom", "json"])
+    return st.one_of(ints, st.lists(ints, max_size=3), texts, st.sampled_from(JSON_VALUES))
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_with_one_error_line(capsys, tmp_path, data):
+    out = tmp_path / "out.txt"
+    config = tmp_path / "run.json"
+    paths = [str(out), str(tmp_path / "no-dir" / "x"), str(tmp_path)]
+    command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)), label="command")
+    actions = SUBCOMMANDS[command]
+    # mc's default run, 1,000 samples at n = 100 and 200, is past the caps: draw its sizes
+    required = [a for a in actions if a.required or command == "mc" and a.dest in MC_SIZES]
+    chosen = data.draw(st.lists(st.sampled_from(actions), max_size=4, unique_by=id), label="flags")
+    argv = [command]
+    for action in [*required, *chosen]:
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:  # not a store_true switch
+            argv.append(data.draw(_texts(action, [*paths, str(config)]), label=action.dest))
+    if "--config" in argv:
+        keys = st.sampled_from([*CONFIG_KEYS, "grid", "bogus"])
+        body = data.draw(
+            st.lists(keys, unique=True, max_size=4)
+            .flatmap(lambda ks: st.fixed_dictionaries({k: _file_values(k, paths) for k in ks}))
+            .map(lambda settings: json.dumps(settings).encode())
+            | st.sampled_from([b"", b"{", b"[1]", b"null", b'{"n": \xff}', b"[" * 5000]),
+            label="config file",
+        )
+        config.write_bytes(body)
+    out.unlink(missing_ok=True)
+
+    # a run that passes every bound is admitted only below the test's size caps
+    try:
+        args = cli.build_parser().parse_args(argv)
+        sizes = RUN_SIZES[command](args, cli.resolve_config(args))
+    except (SystemExit, ValueError):
+        sizes = []  # refused before any work
+    assume(any(v > bound for v, _, bound in sizes) or all(v <= cap for v, cap, _ in sizes))
+    capsys.readouterr()
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == (code == 2), (argv, err)
+    if code == 2:
+        assert not out.exists(), argv
 
 
 # -- golden output ---------------------------------------------------------------------

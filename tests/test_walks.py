@@ -241,21 +241,27 @@ def test_search_counters_match_a_fresh_recount(k):
         cls = classify_walk(word)
         assert (v, e, kind) == (cls.v, cls.e, cls.cycle_type), word
         assert ones == sum(f + b == 1 for f, b in cls.edge_traversals.values()), word
-        got = walks._edge_counts(word, crossings)
-        assert got == cls.edge_traversals and list(got) == list(cls.edge_traversals), word
+        want = [(i == j, f, b) for (i, j), (f, b) in cls.edge_traversals.items()]
+        assert walks._pattern(word, crossings) == want, word
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
-    words = [word for word, *_, ones, _ in walks._search(k, False) if not ones]
-    leaves = list(walks._search(k, True))
-    assert [leaf[0] for leaf in leaves] == words
-    assert [leaf[-1] for leaf in leaves] == ["-".join(map(str, word)) for word in words]
+    # whole leaves, each (v, e, cycle_type, ones, text, pattern) as the full search has it;
+    # the live crossings are read as each leaf arrives
+    def leaves(pruned):
+        for word, crossings, v, e, kind, ones, text in walks._search(k, pruned):
+            if pruned or not ones:
+                yield word, v, e, kind, ones, text, walks._pattern(word, crossings)
+
+    got, want = list(leaves(True)), list(leaves(False))
+    assert got == want
+    assert [leaf[5] for leaf in got] == ["-".join(map(str, leaf[0])) for leaf in want]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_streamed_classes_match_a_fresh_classification(k):
-    # the stream reads counts kept under backtracking; classify_walk counts each word anew
+    # the stream is the recount of each canonical word, which relabels it to itself
     for cls in enumerate_canonical_words(k):
         assert cls == classify_walk(cls.canonical_word)
         assert (cls.cycle_type == walks.SELF_LOOP) == any(i == j for i, j in cls.edge_traversals)
