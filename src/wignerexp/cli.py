@@ -280,6 +280,31 @@ def _finite_or_null(columns: Sequence[str], row: Sequence) -> dict:
     }
 
 
+# a table value's JSON text by its exact type, as json.dumps writes it, a
+# non-finite float as null; other types (subclasses included) go to the encoder
+_JSON_SCALAR = {
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else "null",
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+# a flat row's indent-2 form is its compact form with one item a line, which
+# the C encoder writes in one call (the indent path is Python)
+_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+
+
+def _encoded_row(columns: Sequence[str], row: Sequence) -> str:
+    """`row`'s indent-2 block in the rows array, written by the JSON encoder."""
+    try:
+        body = _ROW_JSON(dict(zip(columns, row)))
+    except ValueError:  # an infinite or NaN float, rare enough to encode twice
+        body = _ROW_JSON(_finite_or_null(columns, row))
+    return "    {\n      " + body[1:-1] + "\n    }"
+
+
 def _json_at(value, depth: int) -> str:
     """`value` as indent-2 JSON whose continuation lines sit `depth` spaces in."""
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + " " * depth)
@@ -314,19 +339,22 @@ def _render(
     json.dumps(..., indent=2).
     """
     if config.format == "json":
-        # rows are flat, so a row's indent-2 form is its compact form with one item
-        # a line, which the C encoder writes in one call (the indent path is Python)
-        row_json = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+        # rows are flat, so a row's indent-2 form is one key and value a line: one
+        # template per table, filled with each value's text, as the CSV line is
+        keys = [json.dumps(key).replace("{", "{{").replace("}", "}}") for key in columns]
+        items = ",\n      ".join(f"{key}: {{}}" for key in keys)
+        row_text = ("    {{\n      " + items + "\n    }}").format
         yield "{"
         yield f'  "config": {_json_at(config.echo(), 2)},'
         held = None
         for row in rows:
             yield '  "rows": [' if held is None else held + ","
             try:
-                body = row_json(dict(zip(columns, row)))
-            except ValueError:  # an infinite or NaN float, rare enough to encode twice
-                body = row_json(_finite_or_null(columns, row))
-            held = "    {\n      " + body[1:-1] + "\n    }"
+                texts = [_JSON_SCALAR[type(value)](value) for value in row]
+            except KeyError:  # a value of another type
+                held = _encoded_row(columns, row)
+            else:
+                held = row_text(*texts)
         if held is not None:
             yield held
         close = '  "rows": []' if held is None else "  ]"

@@ -8,7 +8,9 @@ tr X^(a+b) = <X^a, X^b> of two powers formed.  A dense sample forms the
 fewest powers whose pairwise sums give every k asked for (X^2, X^4, X^8 for
 the even k up to 10: three products, one fewer than the half powers
 X^2..X^5), writing each product into a buffer that the samples of a block
-reuse.  The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
+reuse; the sample itself is gathered from its drawn upper and diagonal
+entries in one indexing step, through a flat index cached per size.  The
+size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
 
@@ -55,18 +57,20 @@ _CHUNK = 64
 # bounds on a command-line run, checked before the first draw: the largest
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
 # At the bounds the arrays alive at once stay under 512 MiB: the trace array
-# (16 rows of 10^6 floats, 122 MiB), the scatter-index cache (16 MiB) and the
+# (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and the
 # larger of one chunk's band arrays (163 MiB peak) and a dense block's six
 # power buffers with the sample being built (128 MiB peak for complex entries,
-# 64 MiB for real), peaks measured with tracemalloc at n = 1024, kmax 32
+# 60 MiB for real; 140 and 76 MiB in the block that builds a size's index),
+# peaks measured with tracemalloc at n = 1024, kmax 32
 MAX_KMAX = 32
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
 # its unit costs were measured with one BLAS thread on a 2-core x86-64 host
 # (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries; the dense cost
-# counts the products of the power plan, and the estimate reads 0.8 to 2.2
-# times the actual time at n = 8..1024 and kmax = 2..32
+# counts the products of the power plan, and the estimate reads 0.8 to 3.1
+# times the actual time at n = 8..1024 and kmax = 2..32 (above 2 only for a
+# dense run at kmax 2, whose time is all matrix build)
 MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
@@ -163,7 +167,8 @@ def rademacher_sampler() -> EnsembleSampler:
     """Signs: off-diagonal +-1, diagonal +-1, each fair."""
 
     def signs(rng: np.random.Generator, size: int) -> np.ndarray:
-        return 2.0 * rng.integers(0, 2, size) - 1.0
+        # int32 draws the same values, and leaves the same state, as int64
+        return 2.0 * rng.integers(0, 2, size, dtype=np.int32) - 1.0
 
     return EnsembleSampler(params=RADEMACHER, preset="rademacher", offdiag=signs, diag=signs)
 
@@ -246,10 +251,23 @@ class CorrectionEstimate:
 # two sizes: a run samples one size at a time, and one entry holds 8 n^2
 # bytes (8 MiB at MAX_MATRIX_SIZE), so more would break the memory budget
 @lru_cache(maxsize=2)
-def _scatter_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the strict upper triangle and of its mirror image."""
+def _gather_index(n: int, conjugate: bool) -> np.ndarray:
+    """Flat read-only index taking a sample's entries to its n x n matrix.
+
+    The entries are the m = n(n - 1)/2 strict upper ones in row order, the n
+    diagonal ones, and, if ``conjugate``, the conjugates of the upper ones;
+    a lower-triangle position reads the conjugate of its mirror image, or
+    the upper entry itself for real matrices.
+    """
+    m = n * (n - 1) // 2
     i, j = np.triu_indices(n, 1)
-    return i * n + j, j * n + i
+    upper = np.arange(m, dtype=np.intp)
+    index = np.empty(n * n, dtype=np.intp)
+    index[i * n + j] = upper
+    index[j * n + i] = upper + m + n if conjugate else upper
+    index[:: n + 1] = np.arange(m, m + n, dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 def _scale(sampler: EnsembleSampler, n: int) -> float:
@@ -258,23 +276,31 @@ def _scale(sampler: EnsembleSampler, n: int) -> float:
 
 
 def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) -> np.ndarray:
-    dtype = sampler.dtype
-    # the same divisions, element for element, as dividing the assembled W
+    """Draw the upper entries, then the diagonal, and gather X from them."""
+    m = n * (n - 1) // 2
+    conjugate, dtype = sampler.complex_entries, sampler.dtype
+    entries = np.empty(2 * m + n if conjugate else m + n, dtype=dtype)
+    # each draw divided straight into place, with no copy: the same divisions,
+    # element for element, as dividing the assembled W
     scale = _scale(sampler, n)
-    w = np.zeros(n * n, dtype=dtype)
     if n > 1:
-        upper, lower = _scatter_indices(n)
-        off = np.asarray(sampler.offdiag(rng, upper.size), dtype=dtype) / scale
-        w[upper] = off
-        w[lower] = np.conj(off)
-    w[:: n + 1] = np.asarray(sampler.diag(rng, n), dtype=dtype) / scale
-    return w.reshape(n, n)
+        np.divide(sampler.offdiag(rng, m), scale, out=entries[:m], dtype=dtype)
+    np.divide(sampler.diag(rng, n), scale, out=entries[m : m + n], dtype=dtype)
+    if conjugate:
+        np.conj(entries[:m], out=entries[m + n :])
+    # an index read, not ndarray.take: take copies a read-only index first
+    return entries[_gather_index(n, conjugate)].reshape(n, n)
+
+
+def _check_int(value, least: int, name: str) -> None:
+    """Refuse ``value`` unless it is an int >= ``least``; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     """One Hermitian matrix X = W/(sigma sqrt(n)); deterministic in (seed, n)."""
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
+    _check_int(n, 1, "matrix size")
     return _build_matrix(n, sampler, np.random.default_rng(seed))
 
 
@@ -441,7 +467,8 @@ def estimate_corrections(
     """Correction estimates for several even moment indices from one stream.
 
     The sample stream depends only on (seed, n), so each returned record is
-    bit-identical to a single-k call with the same arguments.
+    bit-identical to a single-k call with the same arguments.  n must be an
+    int >= 1 and samples an int >= 2, for a standard error (a bool is refused).
     """
     ks = sorted(set(ks))
     if not ks:
@@ -449,10 +476,8 @@ def estimate_corrections(
     for k in ks:
         if k < 2 or k % 2 == 1:
             raise ValueError(f"correction estimates are defined for even k >= 2, got {k}")
-    if samples < 2:
-        raise ValueError(f"need at least two samples for a standard error, got {samples}")
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
+    _check_int(samples, 2, "samples")
+    _check_int(n, 1, "matrix size")
     traces = _sample_traces(ks, n, samples, sampler, seed)
     out = []
     for row, k in enumerate(ks):
@@ -506,7 +531,8 @@ def richardson_corrections(
 
     The even-moment expansion proceeds in integer powers of 1/n, so the
     combination cancels the leading bias of the size-n estimate and targets
-    the correction-measure moment directly.
+    the correction-measure moment directly.  Arguments are checked as by
+    ``estimate_corrections``, before any draw.
     """
     low = estimate_corrections(ks, n, samples, sampler, seed)
     high = estimate_corrections(ks, 2 * n, samples, sampler, seed)

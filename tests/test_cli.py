@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -515,6 +516,56 @@ def test_json_render_is_one_dumps(count):
     lines = list(_render(config, columns, (tuple(row.values()) for row in rows)))
     rows[-1]["z"] = None
     assert "\n".join(lines) == json.dumps({"config": config.echo(), "rows": rows}, indent=2)
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+ROW_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),  # control characters
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(), min_size=1, max_size=6, unique=True).flatmap(
+        lambda columns: st.tuples(
+            st.just(columns),
+            st.lists(st.tuples(*[ROW_VALUES] * len(columns)), max_size=3),
+        )
+    )
+)
+def test_json_rows_equal_dumps_with_non_finite_floats_as_null(table):
+    columns, rows = table
+    config = RunConfig(command="mc", format="json")
+    lines = list(_render(config, columns, iter(rows)))
+    finite = [
+        {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in zip(columns, row)
+        }
+        for row in rows
+    ]
+    assert "\n".join(lines) == json.dumps({"config": config.echo(), "rows": finite}, indent=2)
+
+
+def test_json_rows_of_plain_values_skip_the_encoder(monkeypatch):
+    def refuse(columns, row):
+        raise AssertionError(f"encoder called for {row!r}")
+
+    monkeypatch.setattr(cli, "_encoded_row", refuse)
+    config = RunConfig(command="enumerate", format="json")
+    columns = ["word", "{v}", "x", "flag", "none"]
+    rows = [("w-1\u00fc", -(2**70), 0.1, True, None), ("", 0, float("nan"), False, None)]
+    lines = list(_render(config, columns, iter(rows)))
+    assert json.loads("\n".join(lines))["rows"][1] == dict(zip(columns, ("", 0, None, False, None)))
 
 
 def test_csv_render_writes_str_of_each_value():

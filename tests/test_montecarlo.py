@@ -175,6 +175,31 @@ def test_estimate_validation():
         estimate_corrections([], 16, 100, sampler, seed=1)
 
 
+def _bad_count_calls(value, least):
+    """Each entry point called with ``value`` as its size, then as its sample count."""
+
+    def no_draw(rng, size):
+        raise AssertionError("drew before refusing its arguments")
+
+    sampler = montecarlo.EnsembleSampler(RADEMACHER, "custom", no_draw, no_draw)
+    if least == 1:
+        yield lambda: sample_matrix(value, sampler, 0)
+        yield lambda: estimate_corrections([2], value, 4, sampler, 0)
+        yield lambda: richardson_corrections([2], value, sampler, 4, 0)
+    else:
+        yield lambda: estimate_corrections([2], 4, value, sampler, 0)
+        yield lambda: richardson_corrections([2], 4, sampler, value, 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4", 0, -1], ids=repr)
+@pytest.mark.parametrize("name,least", [("matrix size", 1), ("samples", 2)])
+def test_monte_carlo_refuses_non_int_sizes_and_sample_counts(name, least, value):
+    for call in _bad_count_calls(value, least):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an int >= {least}, got {value!r}"
+
+
 def test_richardson_cancels_finite_size_bias():
     sampler, model = SAMPLERS["goe"]
     (rich,) = richardson_corrections([4], 32, sampler, 2000, seed=20260810)
@@ -233,6 +258,84 @@ MATRIX_DIGESTS = {
 def test_sample_matrix_bytes_are_pinned(name, n):
     x = sample_matrix(n, SAMPLERS[name][0], 20261018)
     assert hashlib.sha256(x.tobytes()).hexdigest() == MATRIX_DIGESTS[(name, n)]
+
+
+def _scatter_build(n, sampler, rng):
+    """The dense build before the gather: zero fill, scatter, mirror scatter."""
+    dtype = sampler.dtype
+    scale = montecarlo._scale(sampler, n)
+    w = np.zeros(n * n, dtype=dtype)
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        off = np.asarray(sampler.offdiag(rng, i.size), dtype=dtype) / scale
+        w[i * n + j] = off
+        w[j * n + i] = np.conj(off)
+    w[:: n + 1] = np.asarray(sampler.diag(rng, n), dtype=dtype) / scale
+    return w.reshape(n, n)
+
+
+def _dense_samplers():
+    # draws of another dtype than the matrix are divided as float64 or complex128
+    int_signs = lambda rng, size: 2 * rng.integers(0, 2, size) - 1  # noqa: E731
+    return {name: SAMPLERS[name][0] for name in SAMPLERS} | {
+        "complex custom": custom_sampler(GUE, _complex_normal, _normal),
+        "float32 custom": custom_sampler(
+            GOE,
+            lambda rng, size: rng.standard_normal(size, dtype=np.float32),
+            lambda rng, size: math.sqrt(2.0) * rng.standard_normal(size, dtype=np.float32),
+        ),
+        "int custom": custom_sampler(RADEMACHER, int_signs, int_signs),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["goe", "gue", "rademacher", "complex custom", "float32 custom", "int custom"]
+)
+def test_gathered_build_equals_scatter_build_bit_for_bit(name):
+    sampler = _dense_samplers()[name]
+    for n in (1, 2, 3, 17, 64, 129):
+        for seed in (0, 7, 20261018):
+            got = sample_matrix(n, sampler, seed)
+            want = _scatter_build(n, sampler, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # values and sign bits of zeros
+
+
+def test_one_by_one_build_never_draws_offdiagonal_entries():
+    calls = {"offdiag": 0, "diag": 0}
+
+    def counted(kind):
+        def draw(rng, size):
+            calls[kind] += 1
+            return 2.0 * rng.integers(0, 2, size) - 1.0
+
+        return draw
+
+    sampler = montecarlo.EnsembleSampler(
+        params=RADEMACHER, preset="custom", offdiag=counted("offdiag"), diag=counted("diag")
+    )
+    x = sample_matrix(1, sampler, 3)
+    assert calls == {"offdiag": 0, "diag": 1} and abs(x[0, 0]) == 1.0
+    sample_matrix(2, sampler, 3)
+    assert calls == {"offdiag": 1, "diag": 2}
+
+
+def test_int32_sign_draws_equal_int64_draws_and_leave_the_same_state():
+    signs = rademacher_sampler().offdiag
+    for size in (0, 1, 5, 8128, 32640):
+        ours, theirs = np.random.default_rng(size), np.random.default_rng(size)
+        got = signs(ours, size)
+        want = 2.0 * theirs.integers(0, 2, size) - 1.0
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ours.random(4).tobytes() == theirs.random(4).tobytes()
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_gather_index_is_read_only(conjugate):
+    index = montecarlo._gather_index(5, conjugate)
+    assert index.dtype == np.intp and not index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 1
 
 
 def test_custom_sampler_accepts_matching_generators():
@@ -491,9 +594,9 @@ def test_mc_sizes_share_streams_without_changing_rows(capsys, ensemble):
     ]
 
 
-def test_scatter_index_cache_keeps_few_sizes():
+def test_gather_index_cache_keeps_few_sizes():
     # one cached size holds 8 n^2 bytes, so a run over many sizes must not keep them all
     sampler = rademacher_sampler()
     for n in range(100, 110):
         sample_matrix(n, sampler, 0)
-    assert montecarlo._scatter_indices.cache_info().currsize <= 2
+    assert montecarlo._gather_index.cache_info().currsize <= 2
