@@ -310,15 +310,33 @@ def _json_at(value, depth: int) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + " " * depth)
 
 
+# lines joined into one write: the batch is bounded, so output still streams, and
+# a write per line would cost a call per line (a system call on unbuffered stdout)
+_BATCH_LINES = 2048
+
+
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write each line and a LF to the file `out`, or to stdout; streams."""
+    """Write each line and a LF to the file `out`, or to stdout; streams.
+
+    Lines go out ``_BATCH_LINES`` at a time, and the lines a source gives
+    before it raises are still written.
+    """
     try:
         with (
             open(out, "w", encoding="utf-8", newline="\n")
             if out is not None
             else contextlib.nullcontext(sys.stdout)
         ) as fh:
-            fh.writelines(line + "\n" for line in lines)
+            held: list[str] = []
+            try:
+                for line in lines:
+                    held.append(line)
+                    if len(held) == _BATCH_LINES:
+                        batch, held = held, []
+                        fh.write("\n".join(batch) + "\n")
+            finally:
+                if held:
+                    fh.write("\n".join(held) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 

@@ -11,15 +11,16 @@ Bell(k) classes of length k, which bounds the practical word length; see
 ``MAX_WORD_LENGTH``.
 
 The search.  One depth-first search over restricted-growth words,
-``_search(k, pruned)``, serves every caller, in lexicographic order.  It
-keeps the directed crossing counts in one flat list (the step a -> b at
-index a * (k + 1) + b), raised on the way down and lowered on backtrack,
-and passes down a tuple of shape counters (``_Tally``): edges, self-loops,
-edges crossed once and edges crossed twice, each step updating it from its
-edge's new total (``_crossed``, the one tally rule).  It passes down the
-word's text too, its letters joined by "-".  The loop over the last letter
-also takes the closing step back to letter 1 and classifies the word, with
-no call per leaf.
+``_search(k, pruned)``, serves every caller, in lexicographic order.  It is
+one generator loop over an explicit stack, one entry per position 1..k-1:
+the shape counters of the steps before it (edges, self-loops, edges
+crossed once and edges crossed twice), its top letter and its text,
+the letters so far joined by "-".  The directed crossing counts sit in one
+flat list (the step a -> b at index a * (k + 1) + b), raised on each step
+and lowered on backtrack.  Every step, the last letter's and the closing
+step back to letter 1 included, goes through one inline update of the
+counters from its edge's new total, the one tally rule.  Each leaf is
+classified and yielded from that loop, with no call per step.
 
 The leaf.  Each word reaches its caller as one tuple, (word, crossings, v,
 e, cycle_type, ones, text) (``_Leaf``): v letters, e edges, the cycle type
@@ -92,8 +93,6 @@ _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 # directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j, as
 # ``classify_walk`` recounts them
 _Counts = dict[tuple[int, int], list[int]]
-# the shape of a word's steps so far: (edges, loops, edges crossed once, edges crossed twice)
-_Tally = tuple[int, int, int, int]
 # a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text)
 _Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str]
 # a census: class count per (v, e, cycle_type), and (representative, class count) pairs
@@ -167,85 +166,75 @@ def _leaf(word: tuple[int, ...], counts: _Counts) -> _Shape:
     return _Shape(v, e, kind)
 
 
-def _crossed(shape: _Tally, crossings: list[int], ab: int, ba: int) -> _Tally:
-    """``shape`` once the step at index ``ab`` of ``crossings`` (its reverse at ``ba``) is counted.
-
-    Its edge's new total decides: 1 adds an edge (and a loop when ab == ba),
-    2 moves it from once to twice, 3 takes it out of twice.
-    """
-    edges, loops, once, twice = shape
-    loop = ab == ba
-    total = crossings[ab] if loop else crossings[ab] + crossings[ba]
-    if total == 1:
-        return edges + 1, loops + loop, once + 1, twice
-    if total == 2:
-        return edges, loops, once - 1, twice + 1
-    if total == 3:
-        return edges, loops, once, twice - 1
-    return shape
-
-
 def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     """Yield one ``_Leaf`` per canonical word of length k, ``pruned`` or not.
 
     The search, its leaf and its pruning rule are the module docstring's.
     Position 0 is letter 1, and letter m+1 may only appear after letters
-    1..m.
+    1..m.  Step ``pos`` leads into letter ``pos`` of the word; step k is the
+    closing one, back to letter 1.
     """
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
     width = k + 1
     word = [1] * k
     crossings = [0] * (width * width)
-    if k == 1:  # the lone step 1 -> 1, a self-loop crossed once
-        if not pruned:
-            crossings[width + 1] = 1
-            yield (1,), crossings, 1, 1, SELF_LOOP, 1, "1"
-        return
-
-    def rec(pos: int, vmax: int, shape: _Tally, text: str) -> Iterator[_Leaf]:
-        # word[:pos] is placed and written in `text`, its steps tallied in `shape`
-        a = word[pos - 1]
-        row, left = a * width, k - pos
-        if left > 1:
-            for b in range(1, vmax + 2):
-                ab = row + b
-                crossings[ab] += 1
-                after = _crossed(shape, crossings, ab, b * width + a)
-                if not pruned or after[2] <= left:
-                    word[pos] = b
-                    yield from rec(pos + 1, vmax if b <= vmax else b, after, text + _DASHED[b])
-                crossings[ab] -= 1
-            return
-        # the last letter b, then the closing step b -> 1 completes the word
-        for b in range(1, vmax + 2):
-            ab = row + b
-            crossings[ab] += 1
-            after = _crossed(shape, crossings, ab, b * width + a)
-            if pruned and after[2] > 1:  # the closing step leaves an edge crossed once
-                crossings[ab] -= 1
-                continue
-            b1 = b * width + 1
-            crossings[b1] += 1
-            edges, loops, once, twice = _crossed(after, crossings, b1, width + b)
-            if not (once and pruned):
+    # position pos < k: the tally of word[:pos]'s steps, its top letter and its text
+    stack = [(0, 0, 0, 0, 1, "1")] * k
+    edges, loops, once, twice, top, text = stack[0]
+    pos = a = b = 1
+    while True:
+        # the step a -> b; its edge's new total decides the tally: 1 adds an edge
+        # (and a loop when a == b), 2 moves it from once to twice, 3 takes it out of twice
+        ab = a * width + b
+        crossings[ab] += 1
+        total = crossings[ab] if a == b else crossings[ab] + crossings[b * width + a]
+        if total == 1:
+            edges += 1
+            loops += a == b
+            once += 1
+        elif total == 2:
+            once -= 1
+            twice += 1
+        elif total == 3:
+            twice -= 1
+        if not pruned or once <= k - pos:
+            if pos < k:
                 word[pos] = b
-                top = vmax if b <= vmax else b
-                if edges == top - 1:
-                    kind = TREE
-                elif loops:
-                    kind = SELF_LOOP
-                elif edges != top or twice != edges:
-                    kind = OTHER
-                else:  # see ``_leaf``: one way iff some step is taken twice the same way
-                    steps = zip(word, word[1:] + word[:1])
-                    one_way = any(crossings[i * width + j] != 1 for i, j in steps)
-                    kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
-                yield tuple(word), crossings, top, edges, kind, once, text + _DASHED[b]
-            crossings[b1] -= 1
-            crossings[ab] -= 1
-
-    yield from rec(1, 1, (0, 0, 0, 0), "1")
+                text += _DASHED[b]
+                if b > top:
+                    top = b
+                pos += 1
+                if pos < k:
+                    stack[pos] = edges, loops, once, twice, top, text
+                a, b = b, 1  # at pos == k, the closing step
+                continue
+            if edges == top - 1:
+                kind = TREE
+            elif loops:
+                kind = SELF_LOOP
+            elif edges != top or twice != edges:
+                kind = OTHER
+            else:  # see ``_leaf``: one way iff some step is taken twice the same way
+                steps = zip(word, word[1:] + word[:1])
+                one_way = any(crossings[i * width + j] != 1 for i, j in steps)
+                kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
+            yield tuple(word), crossings, top, edges, kind, once, text
+        crossings[ab] -= 1
+        # the next letter at pos, backing up past each position whose letters are all
+        # tried (the closing step has one), each step undone on the way
+        while True:
+            if pos < k:
+                edges, loops, once, twice, top, text = stack[pos]
+                b += 1
+                if b <= top + 1:
+                    break
+            pos -= 1
+            if not pos:
+                return
+            b = word[pos]
+            crossings[word[pos - 1] * width + b] -= 1
+        a = word[pos - 1]
 
 
 def _pattern(word: tuple[int, ...], crossings: list[int]) -> list[tuple[bool, int, int]]:

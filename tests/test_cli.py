@@ -596,6 +596,71 @@ def test_json_tables_stream(tmp_path, argv):
     json.loads((tmp_path / "table.json").read_text())
 
 
+# -- batched writes -------------------------------------------------------------------
+
+B = cli._BATCH_LINES
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_batched_output_is_the_per_line_output(monkeypatch, tmp_path, fmt, count):
+    config = RunConfig(command="enumerate", format=fmt)
+    rows = ((f"1-{j}", j, -j, "tree", j / 3, None) for j in range(2 * B + 1))
+    lines = list(_render(config, ["word", "v", "e", "kind", "x", "y"], rows))[:count]
+    want = "".join(line + "\n" for line in lines)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(iter(lines), None)
+    assert stdout.getvalue() == want
+    assert stdout.writes == -(-count // B)  # one write per batch
+    cli._emit(iter(lines), str(tmp_path / "table"))
+    assert (tmp_path / "table").read_bytes() == want.encode()
+
+
+def test_lines_before_a_raising_source_are_written(monkeypatch, tmp_path):
+    def lines():
+        for j in range(B + 5):  # one batch written, five held
+            yield f"line {j}"
+        raise RuntimeError("source failed")
+
+    want = "".join(f"line {j}\n" for j in range(B + 5))
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    for out in (None, str(tmp_path / "table")):
+        with pytest.raises(RuntimeError, match="source failed"):
+            cli._emit(lines(), out)
+    assert stdout.getvalue() == want
+    assert (tmp_path / "table").read_text() == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_a_full_device_is_one_error_line(fmt, to_stdout):
+    # enumerate --k 8 writes 4,140 rows, over two batches and past any stdout buffer,
+    # so the failed write is met inside _emit whether or not stdout is buffered
+    argv = [sys.executable, "-m", "wignerexp", "enumerate", "--k", "8", "--format", fmt]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            argv if to_stdout else [*argv, "--out", "/dev/full"],
+            stdout=full if to_stdout else subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=package_env(), timeout=120,
+        )
+    assert proc.returncode == 2
+    name = "stdout" if to_stdout else "/dev/full"
+    assert proc.stderr.splitlines() == [f"error: cannot write {name}: No space left on device"]
+
+
 # -- bad input -----------------------------------------------------------------------
 
 
@@ -951,13 +1016,18 @@ def test_golden_stdout(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_python_dash_m_runs_the_cli():
+def package_env():
+    """This environment, with the package's source first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "wignerexp", "moments", "--kmax", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert [row["nu"] for row in parse_csv(proc.stdout)] == ["0", "0", "1"]

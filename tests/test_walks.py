@@ -9,7 +9,7 @@ classes, no falling factorials) for finite-n moments.
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -157,19 +157,22 @@ def test_a_shape_no_class_has_reads_no_stream(monkeypatch):
 def full_stream_tallies(k: int):
     """Shape counts over every class, and the weighted classes of the oracle.
 
-    The weighted part keeps the classes whose every edge is crossed at least
-    twice, keyed by v and the sorted (is_loop, fwd, bwd) edge patterns, each
-    with its first class in stream order and its class count.
+    Read from the full search's leaves, their edge patterns through
+    ``_pattern`` (the recount is the reference in
+    ``test_search_counters_match_a_fresh_recount``).  The weighted part keeps
+    the classes whose every edge is crossed at least twice, keyed by v and the
+    sorted (is_loop, fwd, bwd) edge patterns, each with its first class in
+    stream order and its class count.
     """
     shapes: Counter = Counter()
     weighted: dict = {}
-    for cls in enumerate_canonical_words(k):
-        shapes[walks._Shape(cls.v, cls.e, cls.cycle_type)] += 1
-        patterns = [(i == j, f, b) for (i, j), (f, b) in cls.edge_traversals.items()]
+    for word, crossings, v, e, kind, _, _ in walks._search(k, False):
+        shapes[walks._Shape(v, e, kind)] += 1
+        patterns = walks._pattern(word, crossings)
         if all(f + b >= 2 for _, f, b in patterns):
-            key = (cls.v, tuple(sorted(patterns)))
-            word, count = weighted.get(key, (cls.canonical_word, 0))
-            weighted[key] = (word, count + 1)
+            key = (v, tuple(sorted(patterns)))
+            first, count = weighted.get(key, (word, 0))
+            weighted[key] = (first, count + 1)
     return shapes, weighted
 
 
@@ -231,6 +234,115 @@ def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
     # every word over k letters, relabeled: no restricted-growth search involved
     want = sorted({canonicalize(word) for word in product(range(1, k + 1), repeat=k)})
     assert [cls.canonical_word for cls in enumerate_canonical_words(k)] == want
+
+
+def _crossed(shape, crossings, ab, ba):
+    """``shape`` once the step at index ``ab`` of ``crossings`` (its reverse at ``ba``) is counted."""
+    edges, loops, once, twice = shape
+    loop = ab == ba
+    total = crossings[ab] if loop else crossings[ab] + crossings[ba]
+    if total == 1:
+        return edges + 1, loops + loop, once + 1, twice
+    if total == 2:
+        return edges, loops, once - 1, twice + 1
+    if total == 3:
+        return edges, loops, once, twice - 1
+    return shape
+
+
+def recursive_search(k: int, pruned: bool):
+    """The search as one generator frame per position, each step tallied by a call.
+
+    The reference the loop of ``walks._search`` is tested against: the same
+    leaves, in the same order, with the same live crossings.
+    """
+    if k < 1:
+        raise ValueError(f"word length must be positive, got {k}")
+    width = k + 1
+    word = [1] * k
+    crossings = [0] * (width * width)
+    if k == 1:  # the lone step 1 -> 1, a self-loop crossed once
+        if not pruned:
+            crossings[width + 1] = 1
+            yield (1,), crossings, 1, 1, walks.SELF_LOOP, 1, "1"
+        return
+
+    def rec(pos, vmax, shape, text):
+        a = word[pos - 1]
+        row, left = a * width, k - pos
+        if left > 1:
+            for b in range(1, vmax + 2):
+                ab = row + b
+                crossings[ab] += 1
+                after = _crossed(shape, crossings, ab, b * width + a)
+                if not pruned or after[2] <= left:
+                    word[pos] = b
+                    yield from rec(pos + 1, max(vmax, b), after, f"{text}-{b}")
+                crossings[ab] -= 1
+            return
+        # the last letter b, then the closing step b -> 1 completes the word
+        for b in range(1, vmax + 2):
+            ab = row + b
+            crossings[ab] += 1
+            after = _crossed(shape, crossings, ab, b * width + a)
+            if pruned and after[2] > 1:  # the closing step leaves an edge crossed once
+                crossings[ab] -= 1
+                continue
+            b1 = b * width + 1
+            crossings[b1] += 1
+            edges, loops, once, twice = _crossed(after, crossings, b1, width + b)
+            if not (once and pruned):
+                word[pos] = b
+                top = max(vmax, b)
+                if edges == top - 1:
+                    kind = walks.TREE
+                elif loops:
+                    kind = walks.SELF_LOOP
+                elif edges != top or twice != edges:
+                    kind = walks.OTHER
+                else:
+                    steps = zip(word, word[1:] + word[:1])
+                    one_way = any(crossings[i * width + j] != 1 for i, j in steps)
+                    kind = walks.CYCLE_ONE_WAY if one_way else walks.CYCLE_BOTH_WAYS
+                yield tuple(word), crossings, top, edges, kind, once, f"{text}-{b}"
+            crossings[b1] -= 1
+            crossings[ab] -= 1
+
+    yield from rec(1, 1, (0, 0, 0, 0), "1")
+
+
+def assert_same_leaves(got, want):
+    """Whole leaves equal in order, each live ``crossings`` compared as its leaf arrives."""
+    count = 0
+    for leaf, ref in zip_longest(got, want):
+        assert leaf is not None and ref is not None, count
+        assert leaf == ref, ref[0]
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "k, pruned", [(k, pruned) for k in range(1, 11) for pruned in (False, True)] + [(11, True)]
+)
+def test_search_loop_matches_the_recursive_search(k, pruned):
+    assert_same_leaves(walks._search(k, pruned), recursive_search(k, pruned))
+
+
+def test_a_search_closed_partway_leaves_a_fresh_one_whole():
+    for stop in (1, 7, 500):
+        search = walks._search(8, False)
+        for _ in range(stop):
+            next(search)
+        search.close()
+        assert assert_same_leaves(walks._search(8, False), recursive_search(8, False)) == 4140
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_refuses_a_nonpositive_length_on_first_use(k, pruned):
+    search = walks._search(k, pruned)
+    with pytest.raises(ValueError, match="positive"):
+        next(search)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
