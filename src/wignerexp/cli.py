@@ -26,11 +26,13 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
@@ -268,20 +270,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- output plumbing ---------------------------------------------------------
 
 
-def _finite_or_null(columns: Sequence[str], row: Sequence) -> dict:
-    """`row` keyed by `columns`, every infinite or NaN float replaced by None (JSON null).
-
-    RFC 8259 JSON has no Infinity or NaN, which json.dumps would otherwise
-    write, e.g. for the z of a zero-variance row whose point is off by rounding.
-    """
-    return {
-        key: None if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in zip(columns, row)
-    }
-
-
 # a table value's JSON text by its exact type, as json.dumps writes it, a
-# non-finite float as null; other types (subclasses included) go to the encoder
+# non-finite float as null (RFC 8259 JSON has no Infinity or NaN)
 _JSON_SCALAR = {
     int: int.__repr__,
     str: json.encoder.encode_basestring_ascii,
@@ -291,18 +281,11 @@ _JSON_SCALAR = {
 }
 
 
-# a flat row's indent-2 form is its compact form with one item a line, which
-# the C encoder writes in one call (the indent path is Python)
-_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
-
-
-def _encoded_row(columns: Sequence[str], row: Sequence) -> str:
-    """`row`'s indent-2 block in the rows array, written by the JSON encoder."""
-    try:
-        body = _ROW_JSON(dict(zip(columns, row)))
-    except ValueError:  # an infinite or NaN float, rare enough to encode twice
-        body = _ROW_JSON(_finite_or_null(columns, row))
-    return "    {\n      " + body[1:-1] + "\n    }"
+def _json_other(value) -> str:
+    """JSON text of a type ``_JSON_SCALAR`` lacks; a float subclass takes the float rule."""
+    if isinstance(value, float):
+        return _JSON_SCALAR[float](value)
+    return json.dumps(value, allow_nan=False)
 
 
 def _json_at(value, depth: int) -> str:
@@ -337,7 +320,16 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             finally:
                 if held:
                     fh.write("\n".join(held) + "\n")
+                fh.flush()  # a buffered stdout's last write fails here, not at exit
     except OSError as exc:
+        if out is None:
+            # the flush at exit would fail again, past main: point stdout's descriptor, if
+            # it has one, at os.devnull, as the SIGPIPE note of Python's signal docs does
+            with contextlib.suppress(AttributeError, ValueError, OSError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
         raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
@@ -367,12 +359,7 @@ def _render(
         held = None
         for row in rows:
             yield '  "rows": [' if held is None else held + ","
-            try:
-                texts = [_JSON_SCALAR[type(value)](value) for value in row]
-            except KeyError:  # a value of another type
-                held = _encoded_row(columns, row)
-            else:
-                held = row_text(*texts)
+            held = row_text(*[_JSON_SCALAR.get(type(v), _json_other)(v) for v in row])
         if held is not None:
             yield held
         close = '  "rows": []' if held is None else "  ]"
@@ -427,49 +414,23 @@ def cmd_moments(config: RunConfig) -> int:
     return 0
 
 
+_INDEX = "first failing coefficient index {}".format
+
+
 def _agreement(lhs, rhs) -> tuple[bool, str]:
     idx = lhs.first_difference(rhs)
-    return idx is None, "" if idx is None else f"first failing coefficient index {idx}"
+    return idx is None, "" if idx is None else _INDEX(idx)
 
 
-def _coefficient_checks(order: int, params: comb.EnsembleParams):
-    checks = []
-    total = series.s_total(order, params)
-    parts = series.s_components(order, params)
-    summed = parts[0] + parts[1] + parts[2] + parts[3]
-    checks.append(
-        ("series: S1+S2+S3+S4 equals the reduced closed form", *_agreement(summed, total))
-    )
-    bad = ""
-    ok = True
-    for l in range(min(order, 20) + 1):
-        direct = comb.order_one_coeff(l, params).total
-        closed = comb.nu_moment(2 * l, params)
-        if not (total.coeff(l) == direct == closed):
-            ok, bad = False, f"first failing coefficient index {l}"
-            break
-    checks.append(("coefficients: series = family sum = measure moment", ok, bad))
-
-    gue_total = series.s_total(min(order, 20), comb.GUE)
-    ok = gue_total.is_zero and all(
-        comb.nu_moment(2 * l, comb.GUE) == 0 for l in range(21)
-    )
-    checks.append(("gue: correction vanishes identically", ok, ""))
-
-    ok = True
-    bad = ""
-    for l in range(21):
-        want = Fraction(4**l - math.comb(2 * l, l), 2)
-        if comb.nu_moment(2 * l, comb.GOE) != want:
-            ok, bad = False, f"first failing coefficient index {l}"
-            break
-    checks.append(("goe: moments match (4^l - C(2l, l)) / 2", ok, bad))
-    return checks
+def _first_failure(cases: Iterable[tuple]) -> tuple[bool, str]:
+    """(False, detail) at the first (got, want, detail) case with got != want, read no further."""
+    for got, want, detail in cases:
+        if got != want:
+            return False, detail
+    return True, ""
 
 
-def _walk_count_checks(walks_kmax: int):
-    ok = True
-    bad = ""
+def _walk_count_cases(walks_kmax: int):
     for l in range(1, walks_kmax // 2 + 1):
         k = 2 * l
         expected = {
@@ -481,30 +442,20 @@ def _walk_count_checks(walks_kmax: int):
         }
         for (v, e, kind), want in expected.items():
             got = walks.count_classes(k, v=v, e=e, cycle_type=kind)
-            if got != want:
-                ok = False
-                bad = f"k={k} v={v} e={e} type={kind}: counted {got}, formula {want}"
-                break
-        if not ok:
-            break
-    return [("walks: class counts match all four closed-form families", ok, bad)]
+            yield got, want, f"k={k} v={v} e={e} type={kind}: counted {got}, formula {want}"
 
 
-def _walk_polynomial_checks(walks_kmax: int):
-    name = "walks: exact polynomial reads sc_k and nu_k"
+def _walk_polynomial_cases(walks_kmax: int):
     for ensemble, make_model in walks.PRESET_MODELS.items():
         model = make_model()
         for k in range(2, walks_kmax + 1, 2):
             scale = model.sigma2 ** (k // 2)
             got = [c / scale for c in walks.walk_polynomial(k, model)[:2]]
             want = [comb.semicircle_moment(k), comb.nu_moment(k, comb.PRESETS[ensemble])]
-            if got != want:
-                bad = (
-                    f"{ensemble} k={k}: walk polynomial reads {got[0]}, {got[1]}; "
-                    f"closed form {want[0]}, {want[1]}"
-                )
-                return [(name, False, bad)]
-    return [(name, True, "")]
+            yield got, want, (
+                f"{ensemble} k={k}: walk polynomial reads {got[0]}, {got[1]}; "
+                f"closed form {want[0]}, {want[1]}"
+            )
 
 
 def identity_suite(
@@ -520,9 +471,33 @@ def identity_suite(
         (f"series: {name}", *_agreement(lhs, rhs))
         for name, lhs, rhs in series.catalan_identities(t)
     ]
-    checks += _coefficient_checks(order, params)
-    checks += _walk_count_checks(walks_kmax)
-    checks += _walk_polynomial_checks(walks_kmax)
+    total = series.s_total(order, params)
+    s1, s2, s3, s4 = series.s_components(order, params)
+    checks.append(
+        ("series: S1+S2+S3+S4 equals the reduced closed form", *_agreement(s1 + s2 + s3 + s4, total))
+    )
+    # at each l, the series coefficient, the family sum and the measure moment
+    family = (
+        ((total.coeff(l), comb.order_one_coeff(l, params).total), (nu, nu), _INDEX(l))
+        for l in range(min(order, 20) + 1)
+        for nu in [comb.nu_moment(2 * l, params)]
+    )
+    gue = chain(
+        [(series.s_total(min(order, 20), comb.GUE).is_zero, True, "")],
+        ((comb.nu_moment(2 * l, comb.GUE), 0, "") for l in range(21)),
+    )
+    goe = (
+        (comb.nu_moment(2 * l, comb.GOE), Fraction(4**l - math.comb(2 * l, l), 2), _INDEX(l))
+        for l in range(21)
+    )
+    for name, cases in (
+        ("coefficients: series = family sum = measure moment", family),
+        ("gue: correction vanishes identically", gue),
+        ("goe: moments match (4^l - C(2l, l)) / 2", goe),
+        ("walks: class counts match all four closed-form families", _walk_count_cases(walks_kmax)),
+        ("walks: exact polynomial reads sc_k and nu_k", _walk_polynomial_cases(walks_kmax)),
+    ):
+        checks.append((name, *_first_failure(cases)))
     return checks
 
 
@@ -556,21 +531,20 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
 
     def rows():
         for row in walks.class_rows(k, model, v, e, cycle_type):
-            totals[row[1:3]] = totals.get(row[1:3], 0) + 1
+            key = row[1:3]
+            totals[key] = totals.get(key, 0) + 1
             yield row
 
     # rows stream one per class: class counts grow like Bell numbers, so the
     # full table must never be materialized; the totals are read last
-    def footer():
-        for (vv, ee), count in sorted(totals.items()):
-            yield f"count[v={vv},e={ee}]={count}"
-        yield f"total_classes={sum(totals.values())}"
-
     def summary():
-        return {
-            "summary": {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())},
-            "total_classes": sum(totals.values()),
-        }
+        counts = {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())}
+        return {"summary": counts, "total_classes": sum(counts.values())}
+
+    def footer():
+        tally = summary()
+        yield from (f"count[{key}]={count}" for key, count in tally["summary"].items())
+        yield f"total_classes={tally['total_classes']}"
 
     _emit(
         _render(config, columns, rows(), tail_comments=footer(), extra_json=summary),
@@ -666,19 +640,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        if args.command == "moments":
-            return cmd_moments(config)
-        if args.command == "check":
-            return cmd_check(config, args.walks_kmax, args.inject_fault)
-        if args.command == "enumerate":
-            return cmd_enumerate(config, args.k, args.v, args.e, args.cycle_type)
-        if args.command == "mc":
-            return cmd_mc(config)
-        if args.command == "density":
-            return cmd_density(config, args.grid)
-        if args.command == "stieltjes":
-            return cmd_stieltjes(config, args.radius, args.points)
-        raise ConfigError(f"unknown command {args.command!r}")
+        run = {
+            "moments": lambda: cmd_moments(config),
+            "check": lambda: cmd_check(config, args.walks_kmax, args.inject_fault),
+            "enumerate": lambda: cmd_enumerate(config, args.k, args.v, args.e, args.cycle_type),
+            "mc": lambda: cmd_mc(config),
+            "density": lambda: cmd_density(config, args.grid),
+            "stieltjes": lambda: cmd_stieltjes(config, args.radius, args.points),
+        }[args.command]  # argparse admits no other command
+        return run()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,10 +172,8 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     The search, its leaf and its pruning rule are the module docstring's.
     Position 0 is letter 1, and letter m+1 may only appear after letters
     1..m.  Step ``pos`` leads into letter ``pos`` of the word; step k is the
-    closing one, back to letter 1.
+    closing one, back to letter 1.  Every caller checks k first.
     """
-    if k < 1:
-        raise ValueError(f"word length must be positive, got {k}")
     width = k + 1
     word = [1] * k
     crossings = [0] * (width * width)
@@ -273,7 +271,11 @@ def classify_walk(word: Sequence) -> WalkClass:
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
-    """Stream ``classify_walk`` of each canonical word of length k, in the search's order."""
+    """Stream ``classify_walk`` of each canonical word of length k, in the search's order.
+
+    k is checked as by ``check_word_length``, at the first ``next()``.
+    """
+    check_word_length(k)
     for leaf in _search(k, False):
         yield classify_walk(leaf[0])
 

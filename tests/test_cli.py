@@ -301,6 +301,27 @@ def test_check_names_each_failing_identity(capsys, monkeypatch, fault, want_fail
     assert lines[-1] == f"{11 - len(want_fails)}/11 identities hold"
 
 
+def test_check_reads_no_walk_case_past_the_first_failure(capsys, monkeypatch):
+    calls = {"count": 0, "polynomial": 0}
+    count_classes, walk_polynomial = walks.count_classes, walks.walk_polynomial
+
+    def count(k, v=None, e=None, cycle_type=None):
+        calls["count"] += 1
+        return count_classes(k, v, e, cycle_type) + (k == 4)
+
+    def polynomial(k, model):
+        calls["polynomial"] += 1
+        top, nu, *rest = walk_polynomial(k, model)
+        return top, nu + (k == 4), *rest
+
+    monkeypatch.setattr(walks, "count_classes", count)
+    monkeypatch.setattr(walks, "walk_polynomial", polynomial)
+    code, _, _ = run_cli(capsys, "check", "--order", "16", "--walks-kmax", "10")
+    assert code == 1
+    # k = 2's five families, then k = 4's first; GOE's polynomial at k = 2, then 4
+    assert calls == {"count": 6, "polynomial": 2}
+
+
 # -- enumerate ----------------------------------------------------------------------
 
 
@@ -557,10 +578,10 @@ def test_json_rows_equal_dumps_with_non_finite_floats_as_null(table):
 
 
 def test_json_rows_of_plain_values_skip_the_encoder(monkeypatch):
-    def refuse(columns, row):
-        raise AssertionError(f"encoder called for {row!r}")
+    def refuse(value):
+        raise AssertionError(f"fallback called for {value!r}")
 
-    monkeypatch.setattr(cli, "_encoded_row", refuse)
+    monkeypatch.setattr(cli, "_json_other", refuse)
     config = RunConfig(command="enumerate", format="json")
     columns = ["word", "{v}", "x", "flag", "none"]
     rows = [("w-1\u00fc", -(2**70), 0.1, True, None), ("", 0, float("nan"), False, None)]
@@ -659,6 +680,24 @@ def test_a_full_device_is_one_error_line(fmt, to_stdout):
     assert proc.returncode == 2
     name = "stdout" if to_stdout else "/dev/full"
     assert proc.stderr.splitlines() == [f"error: cannot write {name}: No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["moments"], ["check", "--order", "10", "--walks-kmax", "2"]], ids=" ".join
+)
+def test_a_short_output_to_a_full_device_is_one_error_line(argv):
+    # a few hundred bytes sit in a buffered stdout until it is flushed: the failed write
+    # must still be met inside _emit, not in the interpreter's flush at exit
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerexp", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: No space left on device"]
 
 
 # -- bad input -----------------------------------------------------------------------

@@ -210,6 +210,21 @@ def test_richardson_cancels_finite_size_bias():
     assert rich.stderr >= single.stderr
 
 
+def test_richardson_error_bars_match_the_spread_across_seeds():
+    # over 40 independent streams, the variance of each k's Richardson point
+    # against its mean squared reported stderr: for honest error bars the ratio
+    # is about chi-square(39) / 39, so it lies within that law's 0.1% and 99.9%
+    # points.  Halving the weight of the 2n error (hypot(se_2n, se_n)) reads
+    # about 2.5; the seeds were chosen once and are not tuned.
+    sampler, _ = SAMPLERS["goe"]
+    runs = [richardson_corrections([2, 4, 6], 16, sampler, 200, seed) for seed in range(1, 41)]
+    for j, k in enumerate([2, 4, 6]):
+        points = np.array([run[j].point for run in runs])
+        stderrs = np.array([run[j].stderr for run in runs])
+        ratio = points.var(ddof=1) / np.mean(stderrs**2)
+        assert 0.44 <= ratio <= 1.85, (k, ratio)
+
+
 def test_richardson_replay_is_bit_identical():
     sampler, _ = SAMPLERS["gue"]
     (a,) = richardson_corrections([4], 16, sampler, 300, seed=77)

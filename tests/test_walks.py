@@ -222,6 +222,9 @@ def test_oracle_and_family_counts_share_one_pruned_pass(monkeypatch):
 def test_enumeration_rejects_bad_lengths():
     with pytest.raises(ValueError):
         list(enumerate_canonical_words(0))
+    words = enumerate_canonical_words(13)  # a Bell(13) stream, refused before its first leaf
+    with pytest.raises(ValueError, match="exceeds the enumeration bound 12"):
+        next(words)
     with pytest.raises(ValueError):
         count_classes(13)
     for empty in ((), ""):
@@ -339,10 +342,13 @@ def test_a_search_closed_partway_leaves_a_fresh_one_whole():
 
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("k", [0, -1])
-def test_search_refuses_a_nonpositive_length_on_first_use(k, pruned):
-    search = walks._search(k, pruned)
+def test_search_readers_refuse_a_nonpositive_length(k, pruned):
+    # _search takes k as given: each reader checks it, a stream at its first next()
     with pytest.raises(ValueError, match="positive"):
-        next(search)
+        walks._census(k, pruned)
+    for stream in (enumerate_canonical_words(k), class_rows(k, goe_model())):
+        with pytest.raises(ValueError, match="positive"):
+            next(stream)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
