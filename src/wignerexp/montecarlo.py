@@ -7,9 +7,10 @@ exactly, no eigensolver involved), each read as a Frobenius product
 tr X^(a+b) = <X^a, X^b> of two powers formed.  A dense sample forms the
 fewest powers whose pairwise sums give every k asked for (X^2, X^4, X^8 for
 the even k up to 10: three products, one fewer than the half powers
-X^2..X^5), writing each product into a buffer that the samples of a block
-reuse; the sample itself is gathered from its drawn upper and diagonal
-entries in one indexing step, through a flat index cached per size.  The
+X^2..X^5), writing each product into storage that no later step reads:
+buffers that a thread's samples reuse, and X itself once X is read no more.
+The sample itself is gathered from its drawn upper and diagonal entries in
+one indexing step, through a flat index cached per size.  The
 size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
@@ -29,12 +30,16 @@ one generator seeded by (seed, n, b), so the stream is a pure function of
 (seed, n, preset) and a run of N samples is a prefix of a run of N + 1.
 For GOE and GUE a block draws _CHUNK rows of n normals, then _CHUNK rows of
 n - 1 chi-square variates, a partial last block included; for the other
-ensembles the block's dense samples draw from its generator in turn.
+ensembles the block's dense samples draw from its generator in turn, and
+the blocks are split among threads, which leaves every value as it is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -56,13 +61,17 @@ from .combinatorics import (
 _CHUNK = 64
 # bounds on a command-line run, checked before the first draw: the largest
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
-# At the bounds the arrays alive at once stay under 512 MiB: the trace array
-# (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and the
-# larger of one chunk's band arrays (163 MiB peak) and a dense block's six
-# power buffers with the sample being built (128 MiB peak for complex entries,
-# 60 MiB for real; 140 and 76 MiB in the block that builds a size's index),
-# peaks measured with tracemalloc at n = 1024, kmax 32
+# At the bounds the arrays alive at once stay under _ARRAY_BUDGET: the trace
+# array (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and
+# either one chunk's band arrays (163 MiB peak) or one share per thread of a
+# dense run, each within _dense_share_bytes: five power buffers, the sample,
+# its entries and the draws' temporaries, 128 MiB for complex entries and 64
+# MiB for real (112 and 52 MiB peaks measured with tracemalloc at n = 1024,
+# kmax 32).  So _block_workers runs at most 2 threads there for complex
+# entries and 5 for real.  Building a size's index peaks at 28 MiB, before
+# any thread starts.
 MAX_KMAX = 32
+_ARRAY_BUDGET = 512 << 20
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
@@ -167,8 +176,11 @@ def rademacher_sampler() -> EnsembleSampler:
     """Signs: off-diagonal +-1, diagonal +-1, each fair."""
 
     def signs(rng: np.random.Generator, size: int) -> np.ndarray:
-        # int32 draws the same values, and leaves the same state, as int64
-        return 2.0 * rng.integers(0, 2, size, dtype=np.int32) - 1.0
+        # int32 draws the same values, and leaves the same state, as int64;
+        # 2 s - 1 is formed in place, in one float array
+        out = np.multiply(rng.integers(0, 2, size, dtype=np.int32), 2.0)
+        out -= 1.0
+        return out
 
     return EnsembleSampler(params=RADEMACHER, preset="rademacher", offdiag=signs, diag=signs)
 
@@ -308,12 +320,20 @@ class _PowerPlan(NamedTuple):
     """The schedule of ``_dense_traces``.
 
     ``products`` holds (c, a, b) per product X^c = X^a X^b, in order;
-    ``pairs`` holds (a, b) with a + b = k per k asked for, read as the
-    Frobenius product <X^a, X^b>.
+    ``pairs`` holds (a, b) with a <= b and a + b = k per k asked for, read
+    as the Frobenius product <X^a, X^b> once X^b is formed.  ``slots`` says
+    where each product is written: 0 is the storage of X itself, s >= 1 is
+    buffer s - 1.
     """
 
     products: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...]
+    slots: tuple[int, ...]
+
+    @property
+    def buffers(self) -> int:
+        """Number of n x n buffers the products are written into, besides X."""
+        return max(self.slots, default=0)
 
 
 @lru_cache(maxsize=64)
@@ -363,21 +383,48 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
         return k - b, b
 
     products = tuple((c, *split(c, formed[:i])) for i, c in enumerate(formed) if i)
-    return _PowerPlan(products, tuple(split(k, formed) for k in ks))
+    pairs = tuple(split(k, formed) for k in ks)
+    # the last step reading each power: product s (from 1) reads its operands,
+    # and a pair is read at the step forming its larger power
+    step = {c: s for s, c in enumerate(formed)}
+    last = dict(step)
+    for s, (_, a, b) in enumerate(products, 1):
+        last[a] = last[b] = s
+    for a, b in pairs:
+        last[a] = max(last[a], step[b])
+        last[b] = max(last[b], step[b])
+    # product s takes the lowest slot whose power no step from s on reads,
+    # X's own first, or a new buffer
+    held, slots = [1], []
+    for s, (c, _, _) in enumerate(products, 1):
+        slot = next((i for i, e in enumerate(held) if last[e] < s), len(held))
+        held[slot : slot + 1] = [c]  # a new buffer when slot == len(held)
+        slots.append(slot)
+    return _PowerPlan(products, pairs, tuple(slots))
 
 
 def _dense_traces(x: np.ndarray, plan: _PowerPlan, buffers: np.ndarray) -> list[float]:
-    """tr X^k per k of ``plan`` for Hermitian X; product i writes ``buffers[i]``.
+    """tr X^k per k of ``plan`` for Hermitian X, which the plan may write over.
 
-    ``buffers`` has shape (products, n, n) and may be reused from sample to
-    sample: operands are X and powers formed earlier, so no product writes
-    into one of its own operands, and every buffer is overwritten before it
-    is read.
+    ``buffers`` has at least ``plan.buffers`` n x n buffers and may be reused
+    from sample to sample: a product writes only into storage whose power
+    no later step reads, never into one of its own operands, and every
+    buffer is overwritten before it is read.
     """
+    store = (x, *buffers)
     powers = {1: x}
-    for (c, a, b), buf in zip(plan.products, buffers):
-        powers[c] = np.matmul(powers[a], powers[b], out=buf)
-    return [float(np.vdot(powers[a], powers[b]).real) for a, b in plan.pairs]
+    traces = [0.0] * len(plan.pairs)
+
+    def read(c: int) -> None:
+        for i, (a, b) in enumerate(plan.pairs):
+            if b == c:
+                traces[i] = float(np.vdot(powers[a], powers[b]).real)
+
+    read(1)
+    for (c, a, b), slot in zip(plan.products, plan.slots):
+        powers[c] = np.matmul(powers[a], powers[b], out=store[slot])
+        read(c)
+    return traces
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
@@ -386,8 +433,9 @@ def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
         raise ValueError(f"kmax must be positive, got {kmax}")
     n = x.shape[0]
     plan = _power_plan(tuple(range(2, kmax + 1)))
-    buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
-    traces = [float(np.trace(x).real), *_dense_traces(x, plan, buffers)]
+    buffers = np.empty((plan.buffers, n, n), dtype=x.dtype)
+    own = x.copy(order="K") if 0 in plan.slots else x  # a plan may write over X
+    traces = [float(np.trace(x).real), *_dense_traces(own, plan, buffers)]
     return [t / n for t in traces]
 
 
@@ -426,13 +474,20 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     ]
 
 
+def _dense_block(n, sampler, rng, plan, buffers, out) -> None:
+    """Fill each column of ``out`` with the traces of the next sample from ``rng``."""
+    for column in out.T:
+        column[:] = _dense_traces(_build_matrix(n, sampler, rng), plan, buffers)
+
+
 def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
     """tr X^k for each k (rows) and the first ``count`` samples of a block (columns)."""
     if sampler.tridiagonal is None:
         plan = _power_plan(tuple(ks))
-        buffers = np.empty((len(plan.products), n, n), dtype=sampler.dtype)  # reused per sample
-        xs = (_build_matrix(n, sampler, rng) for _ in range(count))
-        return np.array([_dense_traces(x, plan, buffers) for x in xs]).T
+        out = np.empty((len(ks), count))
+        buffers = np.empty((plan.buffers, n, n), dtype=sampler.dtype)
+        _dense_block(n, sampler, rng, plan, buffers, out)
+        return out
     diag, off = sampler.tridiagonal(rng, n, _CHUNK)
     scale = _scale(sampler, n)
     return np.array(_tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks))
@@ -447,13 +502,144 @@ def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int],
     return samples * sum(40e-6 + 20e-9 * n**2 + products * (4e-6 + 0.06e-9 * n**3) for n in sizes)
 
 
+def _block_rng(seed, n: int, block: int) -> np.random.Generator:
+    return np.random.default_rng((int(seed) & (2**64 - 1), n, block))
+
+
+@lru_cache(maxsize=1)
+def _blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None if none is found.
+
+    Read through ctypes from the library that /proc/self/maps shows loaded,
+    under the symbol names of OpenBLAS builds with and without 64-bit
+    integers and of the scipy-openblas build in numpy's wheels.
+    """
+    import ctypes  # numpy has loaded it already
+
+    try:
+        with open("/proc/self/maps") as maps:
+            # address, perms, offset, device, inode, path
+            mapped = [line.split(maxsplit=5)[5] for line in maps if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in sorted({path.strip() for path in mapped}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, stem.format("get"), None)
+            set_ = getattr(lib, stem.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
+    """Bound on the arrays one thread of a dense run holds at once.
+
+    Its power buffers, the sample, the sample's drawn entries, and one more
+    n x n array for the temporaries of the entry generators.
+    """
+    return (plan.buffers + 3) * n * n * np.dtype(dtype).itemsize
+
+
+def _block_workers(blocks: int, n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
+    """Threads for a dense run: one per core and block, within _ARRAY_BUDGET.
+
+    One thread when no OpenBLAS thread count can be pinned, since threads
+    that each call a multithreaded BLAS would oversubscribe the cores.
+    """
+    if _blas_threads() is None:
+        return 1
+    # the trace array and the gather-index cache (two sizes of 8 n^2 bytes) are shared
+    cap = (_ARRAY_BUDGET - trace_bytes - 16 * n * n) // _dense_share_bytes(n, plan, dtype)
+    return max(1, min(len(os.sched_getaffinity(0)), blocks, cap))
+
+
+# held through a pinned section: the thread count is one per process, so two
+# sections at once would each restore what the other set
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread per call, where its count can be set; restored on exit."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _BLAS_PIN:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
+def _dense_blocks(ks, n, sampler, seed, out) -> None:
+    """Fill ``out`` (k rows, sample columns) from a dense sampler, block by block.
+
+    The blocks are split among ``_block_workers`` threads: share s takes
+    blocks s, s + workers, ..., and the calling thread takes share 0.  Each
+    block draws from its own generator and each share from its own buffers,
+    so the values do not depend on the split.  OpenBLAS runs one thread per
+    call meanwhile, which also makes every dot product sum in one order
+    whatever OPENBLAS_NUM_THREADS says.  Once every thread has stopped, the
+    lowest failing block's exception is raised; a share stops at the first
+    block above a failed one.
+    """
+    plan = _power_plan(tuple(ks))
+    _gather_index(n, sampler.complex_entries)  # built here once, not in each thread
+    blocks = -(-out.shape[1] // _CHUNK)
+    workers = _block_workers(blocks, n, plan, sampler.dtype, out.nbytes)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+
+    def share(first: int) -> None:
+        buffers = np.empty((plan.buffers, n, n), dtype=sampler.dtype)
+        for block in range(first, blocks, workers):
+            with lock:
+                if any(failed < block for failed in failures):
+                    return
+            columns = out[:, block * _CHUNK : (block + 1) * _CHUNK]
+            try:
+                _dense_block(n, sampler, _block_rng(seed, n, block), plan, buffers, columns)
+            except BaseException as exc:  # raised again below, in the calling thread
+                with lock:
+                    failures[block] = exc
+                return
+
+    threads = [threading.Thread(target=share, args=(s,)) for s in range(1, workers)]
+    with _one_blas_thread():
+        try:
+            for thread in threads:
+                thread.start()
+            share(0)
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:
     """tr X^k per k (rows) and sample (columns); block b from generator (seed, n, b)."""
     out = np.empty((len(ks), samples))
+    if sampler.tridiagonal is None:
+        _dense_blocks(ks, n, sampler, seed, out)
+        return out
     for block, start in enumerate(range(0, samples, _CHUNK)):
-        rng = np.random.default_rng((int(seed) & (2**64 - 1), n, block))
         count = min(_CHUNK, samples - start)
-        out[:, start : start + count] = _chunk_traces(ks, n, sampler, rng, count)
+        out[:, start : start + count] = _chunk_traces(
+            ks, n, sampler, _block_rng(seed, n, block), count
+        )
     return out
 
 

@@ -1072,6 +1072,20 @@ def test_python_dash_m_runs_the_cli():
     assert [row["nu"] for row in parse_csv(proc.stdout)] == ["0", "0", "1"]
 
 
+
+def test_dense_mc_stdout_does_not_depend_on_the_blas_thread_count():
+    # from n = 128 a multithreaded OpenBLAS sums a dot product in per-thread parts
+    argv = [sys.executable, "-m", "wignerexp", "mc", "--ensemble", "rademacher",
+            "--kmax", "10", "--n", "64", "--samples", "128", "--seed", "3"]
+    outs = []
+    for threads in ("1", "2"):
+        env = package_env()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
 # the benchmark's tracer wraps the public callables and hooks some of them by
 # name; this runs one call of each traced workload kind through it
 TRACED_RUN = """

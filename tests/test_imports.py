@@ -9,6 +9,9 @@ every route and are exempt.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import wignerexp
@@ -86,3 +89,29 @@ def test_the_scanner_sees_every_import_form(tmp_path):
         ("combinatorics", "catalan"),
         ("montecarlo", "goe_sampler"),
     }
+
+
+# start-up cost: the dense Monte Carlo threads come from threading, which numpy
+# imports anyway, so neither the import nor any command loads concurrent.futures
+LEAN_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import wignerexp
+loaded = ["concurrent.futures" in sys.modules]
+from wignerexp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["check", "--order", "8", "--walks-kmax", "4"])
+    loaded.append("concurrent.futures" in sys.modules)
+    cli.main(["mc", "--ensemble", "rademacher", "--kmax", "4", "--n", "8", "--samples", "130"])
+    loaded.append("concurrent.futures" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_runs_leave_concurrent_futures_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_RUN, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False]

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +119,17 @@ def test_empirical_moments_match_eigenvalue_powers():
     for k in range(1, 7):
         want = float(np.mean(eigs**k))
         assert traced[k - 1] == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_empirical_moments_leave_the_callers_matrix_alone():
+    # the plan for every k up to 41 writes its last product over X
+    assert 0 in montecarlo._power_plan(tuple(range(2, 42))).slots
+    x = sample_matrix(6, goe_sampler(), seed=98)
+    kept = x.copy()
+    got = empirical_moments(x, 41)
+    assert np.array_equal(x, kept)
+    eigs = np.linalg.eigvalsh(x)
+    assert got[-1] == pytest.approx(float(np.mean(eigs**41)), rel=1e-8, abs=1e-10)
 
 
 def test_empirical_moments_guards():
@@ -434,6 +449,23 @@ def test_power_plan_forms_each_power_once_from_formed_ones(kmax, ks):
     assert len(plan.products) <= -(-kmax // 2) - 1  # the half-power chain
     if kmax == 10:
         assert len(plan.products) == 3
+    # replay the storage: slot 0 holds X, and a product may write over a power
+    # only once no later product or pair reads it
+    store = {0: 1}
+
+    def read_pairs(c):
+        for a, b in plan.pairs:
+            if b == c:
+                assert a in store.values() and b in store.values(), (a, b)
+
+    read_pairs(1)
+    for (c, a, b), slot in zip(plan.products, plan.slots):
+        assert a in store.values() and b in store.values() and store.get(slot) not in (a, b)
+        store[slot] = c
+        read_pairs(c)
+    assert sorted(store) == list(range(plan.buffers + 1))
+    if ks == tuple(range(2, 11, 2)):
+        assert plan.buffers == 2  # X^4 is written over X
 
 
 def test_power_plan_rejects_first_powers():
@@ -615,3 +647,133 @@ def test_gather_index_cache_keeps_few_sizes():
     for n in range(100, 110):
         sample_matrix(n, sampler, 0)
     assert montecarlo._gather_index.cache_info().currsize <= 2
+
+
+# -- dense blocks on threads ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rademacher_signs_equal_the_two_temporary_form(seed):
+    signs = rademacher_sampler().offdiag
+    for size in (1, 17, 8128):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = 2.0 * ref.integers(0, 2, size, dtype=np.int32) - 1.0
+        got = signs(rng, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _blockwise_traces(ks, n, samples, sampler, seed):
+    """The dense stream one block at a time, each block from generator (seed, n, block)."""
+    return np.concatenate(
+        [
+            montecarlo._chunk_traces(
+                ks, n, sampler, np.random.default_rng((seed, n, block)),
+                min(64, samples - start),
+            )
+            for block, start in enumerate(range(0, samples, 64))
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_threaded_dense_blocks_equal_the_blockwise_loop(monkeypatch, n):
+    sampler, ks, samples, seed = rademacher_sampler(), [2, 4, 6, 8, 10], 4 * 64 + 17, 77
+    with montecarlo._one_blas_thread():  # the dot products' summation order of a run
+        want = _blockwise_traces(ks, n, samples, sampler, seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_block_workers", lambda *args, w=workers: w)
+            got = montecarlo._sample_traces(ks, n, samples, sampler, seed)
+            assert np.array_equal(got, want), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+def _failing_sampler(errors):
+    """Rademacher signs, raising errors[block] in each block of the dict."""
+    signs = rademacher_sampler().offdiag
+
+    def offdiag(rng, size):
+        block = rng.bit_generator.seed_seq.entropy[2]
+        if block in errors:
+            raise errors[block]
+        return signs(rng, size)
+
+    return montecarlo.EnsembleSampler(RADEMACHER, "custom", offdiag, signs)
+
+
+def test_a_failing_block_raises_its_own_exception_once_threads_stop(monkeypatch):
+    blas = montecarlo._blas_threads()
+    threads = threading.active_count()
+    monkeypatch.setattr(montecarlo, "_block_workers", lambda *args: 3)
+    errors = {2: _BlockFailure("block 2"), 4: _BlockFailure("block 4")}
+    if blas is not None:
+        before = blas[0]()
+        blas[1](2)
+    try:
+        for _ in range(3):
+            # blocks 2 and 4 both fail, on different threads: the lower one is raised
+            with pytest.raises(_BlockFailure) as info:
+                montecarlo._sample_traces([2, 4], 8, 20 * 64, _failing_sampler(errors), 5)
+            assert info.value is errors[2]
+            assert threading.active_count() == threads
+            if blas is not None:
+                assert blas[0]() == 2
+    finally:
+        if blas is not None:
+            blas[1](before)
+
+
+def _array_bound(n, plan, dtype, trace_bytes, workers):
+    """The bytes _block_workers budgets: traces, index cache, one share per thread."""
+    return trace_bytes + 16 * n * n + workers * montecarlo._dense_share_bytes(n, plan, dtype)
+
+
+def test_dense_threads_are_capped_by_the_array_budget(monkeypatch):
+    # at the bounds of a command-line run, on a host with many cores
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (None, None))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    n, kmax = montecarlo.MAX_MATRIX_SIZE, montecarlo.MAX_KMAX
+    plan = montecarlo._power_plan(tuple(range(2, kmax + 1, 2)))
+    trace_bytes = 8 * (kmax // 2) * montecarlo.MAX_SAMPLES
+    blocks = -(-montecarlo.MAX_SAMPLES // 64)
+    caps = {}
+    for dtype in (float, complex):
+        workers = montecarlo._block_workers(blocks, n, plan, dtype, trace_bytes)
+        assert _array_bound(n, plan, dtype, trace_bytes, workers) <= 512 << 20
+        assert _array_bound(n, plan, dtype, trace_bytes, workers + 1) > 512 << 20
+        caps[dtype] = workers
+    assert caps == {float: 5, complex: 2}  # as the comment above MAX_KMAX says
+    # never more threads than blocks or cores, and at least one
+    assert montecarlo._block_workers(2, n, plan, float, trace_bytes) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert montecarlo._block_workers(blocks, n, plan, float, trace_bytes) == 1
+    assert montecarlo._block_workers(blocks, n, plan, complex, 600 << 20) == 1
+
+
+@pytest.mark.parametrize(
+    "make", [rademacher_sampler, _complex_dense_sampler], ids=["real", "complex"]
+)
+def test_threaded_dense_run_stays_within_its_array_bound(monkeypatch, make):
+    # tracemalloc counts numpy's arrays on every thread
+    sampler, n, samples, workers = make(), 96, 3 * 64, 3
+    ks = list(range(2, montecarlo.MAX_KMAX + 1, 2))
+    plan = montecarlo._power_plan(tuple(ks))
+    monkeypatch.setattr(montecarlo, "_block_workers", lambda *args: workers)
+    montecarlo._sample_traces(ks, n, samples, sampler, 3)  # one-time costs are not counted
+    montecarlo._gather_index.cache_clear()
+    tracemalloc.start()
+    try:
+        montecarlo._sample_traces(ks, n, samples, sampler, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _array_bound(n, plan, sampler.dtype, 8 * len(ks) * samples, workers)
