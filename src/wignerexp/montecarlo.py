@@ -67,8 +67,9 @@ _CHUNK = 64
 # dense run, each within _dense_share_bytes: five power buffers, the sample,
 # its entries and the draws' temporaries, 128 MiB for complex entries and 64
 # MiB for real (112 and 52 MiB peaks measured with tracemalloc at n = 1024,
-# kmax 32).  So _block_workers runs at most 2 threads there for complex
-# entries and 5 for real.  Building a size's index peaks at 28 MiB, before
+# kmax 32).  So _thread_cap allows at most 2 threads there for complex
+# entries and 5 for real, and _block_workers runs one thread on a host with
+# more cores than that.  Building a size's index peaks at 28 MiB, before
 # any thread starts.
 MAX_KMAX = 32
 _ARRAY_BUDGET = 512 << 20
@@ -323,12 +324,14 @@ class _PowerPlan(NamedTuple):
     ``pairs`` holds (a, b) with a <= b and a + b = k per k asked for, read
     as the Frobenius product <X^a, X^b> once X^b is formed.  ``slots`` says
     where each product is written: 0 is the storage of X itself, s >= 1 is
-    buffer s - 1.
+    buffer s - 1.  ``reads`` holds, per step (X, then each product), the
+    (i, a, b) of the pairs read there, i indexing ``pairs``.
     """
 
     products: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...]
     slots: tuple[int, ...]
+    reads: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
     def buffers(self) -> int:
@@ -400,12 +403,19 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
         slot = next((i for i, e in enumerate(held) if last[e] < s), len(held))
         held[slot : slot + 1] = [c]  # a new buffer when slot == len(held)
         slots.append(slot)
-    return _PowerPlan(products, pairs, tuple(slots))
+    reads = tuple(
+        tuple((i, a, b) for i, (a, b) in enumerate(pairs) if step[b] == s)
+        for s in range(len(formed))
+    )
+    return _PowerPlan(products, pairs, tuple(slots), reads)
 
 
-def _dense_traces(x: np.ndarray, plan: _PowerPlan, buffers: np.ndarray) -> list[float]:
+def _dense_traces(
+    x: np.ndarray, plan: _PowerPlan, buffers: Sequence[np.ndarray], dot=np.vdot
+) -> list[float]:
     """tr X^k per k of ``plan`` for Hermitian X, which the plan may write over.
 
+    Each trace is read as ``dot`` (np.vdot or a pinned one) of two powers.
     ``buffers`` has at least ``plan.buffers`` n x n buffers and may be reused
     from sample to sample: a product writes only into storage whose power
     no later step reads, never into one of its own operands, and every
@@ -414,16 +424,12 @@ def _dense_traces(x: np.ndarray, plan: _PowerPlan, buffers: np.ndarray) -> list[
     store = (x, *buffers)
     powers = {1: x}
     traces = [0.0] * len(plan.pairs)
-
-    def read(c: int) -> None:
-        for i, (a, b) in enumerate(plan.pairs):
-            if b == c:
-                traces[i] = float(np.vdot(powers[a], powers[b]).real)
-
-    read(1)
-    for (c, a, b), slot in zip(plan.products, plan.slots):
+    for i, _, _ in plan.reads[0]:
+        traces[i] = float(dot(x, x).real)
+    for (c, a, b), slot, reads in zip(plan.products, plan.slots, plan.reads[1:]):
         powers[c] = np.matmul(powers[a], powers[b], out=store[slot])
-        read(c)
+        for i, p, q in reads:
+            traces[i] = float(dot(powers[p], powers[q]).real)
     return traces
 
 
@@ -474,20 +480,8 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     ]
 
 
-def _dense_block(n, sampler, rng, plan, buffers, out) -> None:
-    """Fill each column of ``out`` with the traces of the next sample from ``rng``."""
-    for column in out.T:
-        column[:] = _dense_traces(_build_matrix(n, sampler, rng), plan, buffers)
-
-
 def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
-    """tr X^k for each k (rows) and the first ``count`` samples of a block (columns)."""
-    if sampler.tridiagonal is None:
-        plan = _power_plan(tuple(ks))
-        out = np.empty((len(ks), count))
-        buffers = np.empty((plan.buffers, n, n), dtype=sampler.dtype)
-        _dense_block(n, sampler, rng, plan, buffers, out)
-        return out
+    """tr X^k for each k (rows) and the first ``count`` banded samples of a block (columns)."""
     diag, off = sampler.tridiagonal(rng, n, _CHUNK)
     scale = _scale(sampler, n)
     return np.array(_tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks))
@@ -507,12 +501,13 @@ def _block_rng(seed, n: int, block: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=1)
-def _blas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, or None if none is found.
+def _blas_threads() -> tuple:
+    """(get, set) of each loaded OpenBLAS's thread count; empty if none is found.
 
-    Read through ctypes from the library that /proc/self/maps shows loaded,
+    Read through ctypes from every library that /proc/self/maps shows loaded,
     under the symbol names of OpenBLAS builds with and without 64-bit
-    integers and of the scipy-openblas build in numpy's wheels.
+    integers and of the scipy-openblas build in numpy's wheels.  Another
+    package's OpenBLAS (scipy's, say) counts too: each keeps its own threads.
     """
     import ctypes  # numpy has loaded it already
 
@@ -521,7 +516,8 @@ def _blas_threads():
             # address, perms, offset, device, inode, path
             mapped = [line.split(maxsplit=5)[5] for line in maps if "openblas" in line.lower()]
     except OSError:
-        return None
+        return ()
+    found = []
     for path in sorted({path.strip() for path in mapped}):
         try:
             lib = ctypes.CDLL(path)
@@ -534,8 +530,9 @@ def _blas_threads():
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+                found.append((get, set_))
+                break
+    return tuple(found)
 
 
 def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
@@ -547,17 +544,33 @@ def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
     return (plan.buffers + 3) * n * n * np.dtype(dtype).itemsize
 
 
-def _block_workers(blocks: int, n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
-    """Threads for a dense run: one per core and block, within _ARRAY_BUDGET.
+def _thread_cap(n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
+    """The most threads of a dense run whose shares fit in _ARRAY_BUDGET."""
+    # the trace array and the gather-index cache (two sizes of 8 n^2 bytes) are shared
+    return (_ARRAY_BUDGET - trace_bytes - 16 * n * n) // _dense_share_bytes(n, plan, dtype)
 
-    One thread when no OpenBLAS thread count can be pinned, since threads
+
+# below this size two threads ran a dense run 1.6-2.5 times slower than one
+# (n = 32..64, 2-core host): the interpreter lock, handed over at each BLAS
+# call, is what the threads wait for; at 96 they tie, from 128 they gain
+_THREADED_SIZE = 128
+
+
+def _block_workers(blocks: int, n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
+    """Threads for a dense run: one per core, or one alone.
+
+    Threads that each run one BLAS thread pay only where they fill every
+    core; with fewer blocks than cores, or a memory cap below them, one
+    thread whose products use BLAS's own threads keeps the cores busy.  One
+    thread too when no OpenBLAS thread count can be pinned, since threads
     that each call a multithreaded BLAS would oversubscribe the cores.
     """
-    if _blas_threads() is None:
+    if not _blas_threads() or n < _THREADED_SIZE:
         return 1
-    # the trace array and the gather-index cache (two sizes of 8 n^2 bytes) are shared
-    cap = (_ARRAY_BUDGET - trace_bytes - 16 * n * n) // _dense_share_bytes(n, plan, dtype)
-    return max(1, min(len(os.sched_getaffinity(0)), blocks, cap))
+    cores = len(os.sched_getaffinity(0))
+    if min(blocks, _thread_cap(n, plan, dtype, trace_bytes)) < cores:
+        return 1
+    return cores
 
 
 # held through a pinned section: the thread count is one per process, so two
@@ -566,20 +579,38 @@ _BLAS_PIN = threading.Lock()
 
 
 @contextmanager
-def _one_blas_thread():
-    """OpenBLAS at one thread per call, where its count can be set; restored on exit."""
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
+def _pinned_blas(whole: bool):
+    """Yield the dot product that reads a trace, summing in one order.
+
+    OpenBLAS splits a long dot product among its threads, so the sum's last
+    bits follow its thread count; a matrix product gives the same bits at
+    any count.  With ``whole``, every loaded OpenBLAS runs one thread per
+    call until exit; otherwise only the yielded dot product does, and the
+    products between keep BLAS's threads.  Counts are restored on exit.
+    """
+    libs = _blas_threads()
+
+    def set_all(counts) -> None:
+        for (_, set_), count in zip(libs, counts):
+            set_(count)
+
     with _BLAS_PIN:
-        before = get()
-        set_(1)
+        before = [get() for get, _ in libs]
+        ones = [1] * len(libs)
+
+        def dot(a, b):
+            set_all(ones)
+            try:
+                return np.vdot(a, b)
+            finally:
+                set_all(before)
+
+        if whole:
+            set_all(ones)
         try:
-            yield
+            yield np.vdot if whole else dot
         finally:
-            set_(before)
+            set_all(before)
 
 
 def _dense_blocks(ks, n, sampler, seed, out) -> None:
@@ -588,11 +619,11 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     The blocks are split among ``_block_workers`` threads: share s takes
     blocks s, s + workers, ..., and the calling thread takes share 0.  Each
     block draws from its own generator and each share from its own buffers,
-    so the values do not depend on the split.  OpenBLAS runs one thread per
-    call meanwhile, which also makes every dot product sum in one order
-    whatever OPENBLAS_NUM_THREADS says.  Once every thread has stopped, the
-    lowest failing block's exception is raised; a share stops at the first
-    block above a failed one.
+    so the values do not depend on the split.  Every trace is read with
+    OpenBLAS at one thread (see ``_pinned_blas``), so none depends on
+    OPENBLAS_NUM_THREADS.  Once every thread has stopped, the lowest failing
+    block's exception is raised; a share stops at the first block above a
+    failed one, and at its next block if the calling thread is interrupted.
     """
     plan = _power_plan(tuple(ks))
     _gather_index(n, sampler.complex_entries)  # built here once, not in each thread
@@ -600,28 +631,40 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     workers = _block_workers(blocks, n, plan, sampler.dtype, out.nbytes)
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
+    stop = threading.Event()
 
-    def share(first: int) -> None:
-        buffers = np.empty((plan.buffers, n, n), dtype=sampler.dtype)
+    def share(first: int, dot) -> None:
+        buffers = list(np.empty((plan.buffers, n, n), dtype=sampler.dtype))
         for block in range(first, blocks, workers):
             with lock:
-                if any(failed < block for failed in failures):
+                if stop.is_set() or any(failed < block for failed in failures):
                     return
             columns = out[:, block * _CHUNK : (block + 1) * _CHUNK]
             try:
-                _dense_block(n, sampler, _block_rng(seed, n, block), plan, buffers, columns)
+                rng = _block_rng(seed, n, block)
+                columns[:] = np.array([
+                    _dense_traces(_build_matrix(n, sampler, rng), plan, buffers, dot)
+                    for _ in range(columns.shape[1])
+                ]).T
             except BaseException as exc:  # raised again below, in the calling thread
                 with lock:
                     failures[block] = exc
                 return
 
-    threads = [threading.Thread(target=share, args=(s,)) for s in range(1, workers)]
-    with _one_blas_thread():
+    # below _THREADED_SIZE BLAS's threads do not speed the products up, and
+    # pinning each read would cost about 4 us a sample
+    with _pinned_blas(whole=workers > 1 or n < _THREADED_SIZE) as dot:
+        threads = [threading.Thread(target=share, args=(s, dot)) for s in range(1, workers)]
         try:
             for thread in threads:
                 thread.start()
-            share(0)
+            share(0, dot)
+            for thread in threads:
+                thread.join()
         finally:
+            # early only when the calling thread was interrupted: the shares stop
+            # at their next block, and are joined before BLAS's count is restored
+            stop.set()
             for thread in threads:
                 if thread.ident is not None:
                     thread.join()

@@ -1074,17 +1074,20 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_dense_mc_stdout_does_not_depend_on_the_blas_thread_count():
-    # from n = 128 a multithreaded OpenBLAS sums a dot product in per-thread parts
-    argv = [sys.executable, "-m", "wignerexp", "mc", "--ensemble", "rademacher",
-            "--kmax", "10", "--n", "64", "--samples", "128", "--seed", "3"]
-    outs = []
-    for threads in ("1", "2"):
-        env = package_env()
-        env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    # from n = 128 a multithreaded OpenBLAS sums a dot product in per-thread parts;
+    # 128 samples run n = 128 on a thread per core (where there are two), and 64
+    # samples, one block, on one thread whose products use BLAS's threads
+    for samples in ("128", "64"):
+        argv = [sys.executable, "-m", "wignerexp", "mc", "--ensemble", "rademacher",
+                "--kmax", "10", "--n", "64", "--samples", samples, "--seed", "3"]
+        outs = []
+        for threads in ("1", "2"):
+            env = package_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], samples
 
 # the benchmark's tracer wraps the public callables and hooks some of them by
 # name; this runs one call of each traced workload kind through it

@@ -102,7 +102,7 @@ from wignerexp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["check", "--order", "8", "--walks-kmax", "4"])
     loaded.append("concurrent.futures" in sys.modules)
-    cli.main(["mc", "--ensemble", "rademacher", "--kmax", "4", "--n", "8", "--samples", "130"])
+    cli.main(["mc", "--ensemble", "rademacher", "--kmax", "4", "--n", "128", "--samples", "130"])
     loaded.append("concurrent.futures" in sys.modules)
 print(json.dumps(loaded))
 """

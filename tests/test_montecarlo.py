@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -485,14 +486,14 @@ def test_block_traces_match_each_sample_alone(make):
     sampler = make()
     kmax, n, count = 11, 9, 5
     ks = list(range(2, kmax + 1))
-    got = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(606), count)
+    got = montecarlo._sample_traces(ks, n, count, sampler, 606)
     assert got.shape == (len(ks), count)
-    rng = np.random.default_rng(606)
+    rng = montecarlo._block_rng(606, n, 0)
     for s in range(count):
         x = montecarlo._build_matrix(n, sampler, rng)
         assert list(got[:, s] / n) == empirical_moments(x, kmax)[1:]
     # the even indices of mc take their own plan, with the same values
-    evens = montecarlo._chunk_traces(ks[::2], n, sampler, np.random.default_rng(606), count)
+    evens = montecarlo._sample_traces(ks[::2], n, count, sampler, 606)
     assert np.allclose(evens, got[::2], rtol=1e-12, atol=1e-12)
 
 
@@ -525,9 +526,9 @@ def test_dense_block_makes_one_matmul_per_planned_product(monkeypatch):
 
     ks, n, count = [2, 4, 6, 8, 10], 16, 7
     sampler = rademacher_sampler()
-    want = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(5), count)
+    want = montecarlo._sample_traces(ks, n, count, sampler, 5)
     monkeypatch.setattr(np, "matmul", counting)
-    got = montecarlo._chunk_traces(ks, n, sampler, np.random.default_rng(5), count)
+    got = montecarlo._sample_traces(ks, n, count, sampler, 5)
     plan = montecarlo._power_plan(tuple(ks))
     assert len(plan.products) == 3
     assert len(calls) == len(plan.products) * count
@@ -663,29 +664,17 @@ def test_rademacher_signs_equal_the_two_temporary_form(seed):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _blockwise_traces(ks, n, samples, sampler, seed):
-    """The dense stream one block at a time, each block from generator (seed, n, block)."""
-    return np.concatenate(
-        [
-            montecarlo._chunk_traces(
-                ks, n, sampler, np.random.default_rng((seed, n, block)),
-                min(64, samples - start),
-            )
-            for block, start in enumerate(range(0, samples, 64))
-        ],
-        axis=1,
-    )
-
-
 @pytest.mark.parametrize("n", [32, 128])
-def test_threaded_dense_blocks_equal_the_blockwise_loop(monkeypatch, n):
+def test_threaded_dense_blocks_equal_one_thread(monkeypatch, n):
+    # one thread at n = 128 reads each trace pinned and forms products on
+    # BLAS's threads; more threads pin BLAS throughout: the values agree
     sampler, ks, samples, seed = rademacher_sampler(), [2, 4, 6, 8, 10], 4 * 64 + 17, 77
-    with montecarlo._one_blas_thread():  # the dot products' summation order of a run
-        want = _blockwise_traces(ks, n, samples, sampler, seed)
+    monkeypatch.setattr(montecarlo, "_block_workers", lambda *args: 1)
+    want = montecarlo._sample_traces(ks, n, samples, sampler, seed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
     try:
-        for workers in (1, 2, 3):
+        for workers in (2, 3):
             monkeypatch.setattr(montecarlo, "_block_workers", lambda *args, w=workers: w)
             got = montecarlo._sample_traces(ks, n, samples, sampler, seed)
             assert np.array_equal(got, want), workers
@@ -710,26 +699,105 @@ def _failing_sampler(errors):
     return montecarlo.EnsembleSampler(RADEMACHER, "custom", offdiag, signs)
 
 
-def test_a_failing_block_raises_its_own_exception_once_threads_stop(monkeypatch):
-    blas = montecarlo._blas_threads()
+@pytest.fixture
+def two_blas_threads():
+    """Each loaded OpenBLAS at two threads for the test, then as it was."""
+    libs = montecarlo._blas_threads()
+    before = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield libs
+    for (_, set_), count in zip(libs, before):
+        set_(count)
+
+
+def test_a_failing_block_raises_its_own_exception_once_threads_stop(
+    monkeypatch, two_blas_threads
+):
     threads = threading.active_count()
     monkeypatch.setattr(montecarlo, "_block_workers", lambda *args: 3)
     errors = {2: _BlockFailure("block 2"), 4: _BlockFailure("block 4")}
-    if blas is not None:
-        before = blas[0]()
-        blas[1](2)
-    try:
-        for _ in range(3):
-            # blocks 2 and 4 both fail, on different threads: the lower one is raised
-            with pytest.raises(_BlockFailure) as info:
-                montecarlo._sample_traces([2, 4], 8, 20 * 64, _failing_sampler(errors), 5)
-            assert info.value is errors[2]
-            assert threading.active_count() == threads
-            if blas is not None:
-                assert blas[0]() == 2
-    finally:
-        if blas is not None:
-            blas[1](before)
+    for _ in range(3):
+        # blocks 2 and 4 both fail, on different threads: the lower one is raised
+        with pytest.raises(_BlockFailure) as info:
+            montecarlo._sample_traces([2, 4], 8, 20 * 64, _failing_sampler(errors), 5)
+        assert info.value is errors[2]
+        assert threading.active_count() == threads
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+
+def test_an_interrupted_join_stops_the_other_threads(monkeypatch, two_blas_threads):
+    # Ctrl-C while the calling thread waits for the others, after its own last
+    # block: each other share stops at its next block, and BLAS is restored
+    threads = threading.active_count()
+    monkeypatch.setattr(montecarlo, "_block_workers", lambda *args: 2)
+    started = []
+    block_rng = montecarlo._block_rng
+
+    def recording(seed, n, block):
+        started.append(block)
+        return block_rng(seed, n, block)
+
+    signs = rademacher_sampler().offdiag
+
+    def slow_off_main(rng, size):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.002)  # 0.13 s a block, 1.3 s for the ten odd blocks
+        return signs(rng, size)
+
+    join = threading.Thread.join
+    interrupted = []
+
+    def join_once_interrupted(thread, timeout=None):
+        if not interrupted:
+            interrupted.append(thread)
+            raise KeyboardInterrupt
+        return join(thread, timeout)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", recording)
+    monkeypatch.setattr(threading.Thread, "join", join_once_interrupted)
+    sampler = montecarlo.EnsembleSampler(RADEMACHER, "custom", slow_off_main, signs)
+    with pytest.raises(KeyboardInterrupt):
+        montecarlo._sample_traces([2, 4], 8, 20 * 64, sampler, 5)
+    assert interrupted
+    assert set(range(0, 20, 2)) <= set(started)  # the calling thread's share ran out
+    assert len([block for block in started if block % 2]) < 10
+    assert threading.active_count() == threads
+    assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+
+class _FakeBlas:
+    """A thread count with get and set, as _blas_threads finds them."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+@pytest.mark.parametrize("whole", [True, False])
+def test_the_pin_sets_every_loaded_blas(monkeypatch, whole):
+    libs = [_FakeBlas(2), _FakeBlas(4)]
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: [(b.get, b.set) for b in libs])
+    seen = []
+    vdot = np.vdot
+
+    def recording(a, b):
+        seen.append([b_.count for b_ in libs])
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", recording)
+    x = np.eye(3)
+    with montecarlo._pinned_blas(whole) as dot:
+        assert [b.count for b in libs] == ([1, 1] if whole else [2, 4])
+        assert dot(x, x) == 3.0
+        assert [b.count for b in libs] == ([1, 1] if whole else [2, 4])
+    assert seen == [[1, 1]]  # the dot product ran on one thread of each
+    assert [b.count for b in libs] == [2, 4]
 
 
 def _array_bound(n, plan, dtype, trace_bytes, workers):
@@ -737,26 +805,38 @@ def _array_bound(n, plan, dtype, trace_bytes, workers):
     return trace_bytes + 16 * n * n + workers * montecarlo._dense_share_bytes(n, plan, dtype)
 
 
-def test_dense_threads_are_capped_by_the_array_budget(monkeypatch):
-    # at the bounds of a command-line run, on a host with many cores
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: (None, None))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+def test_dense_threads_are_capped_by_the_array_budget():
+    # at the bounds of a command-line run
     n, kmax = montecarlo.MAX_MATRIX_SIZE, montecarlo.MAX_KMAX
     plan = montecarlo._power_plan(tuple(range(2, kmax + 1, 2)))
     trace_bytes = 8 * (kmax // 2) * montecarlo.MAX_SAMPLES
-    blocks = -(-montecarlo.MAX_SAMPLES // 64)
     caps = {}
     for dtype in (float, complex):
-        workers = montecarlo._block_workers(blocks, n, plan, dtype, trace_bytes)
-        assert _array_bound(n, plan, dtype, trace_bytes, workers) <= 512 << 20
-        assert _array_bound(n, plan, dtype, trace_bytes, workers + 1) > 512 << 20
-        caps[dtype] = workers
+        cap = montecarlo._thread_cap(n, plan, dtype, trace_bytes)
+        assert _array_bound(n, plan, dtype, trace_bytes, cap) <= 512 << 20
+        assert _array_bound(n, plan, dtype, trace_bytes, cap + 1) > 512 << 20
+        caps[dtype] = cap
     assert caps == {float: 5, complex: 2}  # as the comment above MAX_KMAX says
-    # never more threads than blocks or cores, and at least one
-    assert montecarlo._block_workers(2, n, plan, float, trace_bytes) == 2
+
+
+def test_dense_runs_thread_only_where_threads_fill_the_cores(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: ((None, None),))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    plan = montecarlo._power_plan(tuple(range(2, montecarlo.MAX_KMAX + 1, 2)))
+    trace_bytes = 8 * 16 * 1000
+
+    def workers(blocks, n, dtype=float, trace_bytes=trace_bytes):
+        return montecarlo._block_workers(blocks, n, plan, dtype, trace_bytes)
+
+    assert workers(16, 128) == workers(4, 1024) == 4
+    assert workers(16, 127) == 1  # small matrices: the threads wait on the interpreter
+    assert workers(3, 256) == 1  # fewer blocks than cores: BLAS's own threads
+    assert workers(16, 1024, complex, 122 << 20) == 1  # two threads' memory only
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: ())
+    assert workers(16, 256) == 1  # no count to pin
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: ((None, None),))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert montecarlo._block_workers(blocks, n, plan, float, trace_bytes) == 1
-    assert montecarlo._block_workers(blocks, n, plan, complex, 600 << 20) == 1
+    assert workers(16, 256) == 1
 
 
 @pytest.mark.parametrize(
