@@ -7,11 +7,10 @@ exactly, no eigensolver involved), each read as a Frobenius product
 tr X^(a+b) = <X^a, X^b> of two powers formed.  A dense sample forms the
 fewest powers whose pairwise sums give every k asked for (X^2, X^4, X^8 for
 the even k up to 10: three products, one fewer than the half powers
-X^2..X^5), writing each product into storage that no later step reads:
-buffers that a thread's samples reuse, and X itself once X is read no more.
-The sample itself is gathered from its drawn upper and diagonal entries in
-one indexing step, through a flat index cached per size.  The
-size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
+X^2..X^5), each into a buffer of its own that a thread's samples reuse; X
+itself is only read.  The sample is gathered from its drawn upper and
+diagonal entries in one indexing step, through a flat index cached per size.
+The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
 
@@ -32,6 +31,11 @@ For GOE and GUE a block draws _CHUNK rows of n normals, then _CHUNK rows of
 n - 1 chi-square variates, a partial last block included; for the other
 ensembles the block's dense samples draw from its generator in turn, and
 the blocks are split among threads, which leaves every value as it is.
+A dense run takes one of three routes (``_block_workers``): one thread per
+core, OpenBLAS at one thread throughout; below n = 128, one thread with
+OpenBLAS at one thread throughout; else one thread whose products use
+OpenBLAS's own threads and whose every trace is read at one.  So no trace
+depends on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ _CHUNK = 64
 # At the bounds the arrays alive at once stay under _ARRAY_BUDGET: the trace
 # array (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and
 # either one chunk's band arrays (163 MiB peak) or one share per thread of a
-# dense run, each within _dense_share_bytes: five power buffers, the sample,
-# its entries and the draws' temporaries, 128 MiB for complex entries and 64
-# MiB for real (112 and 52 MiB peaks measured with tracemalloc at n = 1024,
+# dense run, each within _dense_share_bytes: six power buffers, the sample,
+# its entries and the draws' temporaries, 144 MiB for complex entries and 72
+# MiB for real (128 and 60 MiB peaks measured with tracemalloc at n = 1024,
 # kmax 32).  So _thread_cap allows at most 2 threads there for complex
 # entries and 5 for real, and _block_workers runs one thread on a host with
 # more cores than that.  Building a size's index peaks at 28 MiB, before
@@ -322,21 +326,11 @@ class _PowerPlan(NamedTuple):
 
     ``products`` holds (c, a, b) per product X^c = X^a X^b, in order;
     ``pairs`` holds (a, b) with a <= b and a + b = k per k asked for, read
-    as the Frobenius product <X^a, X^b> once X^b is formed.  ``slots`` says
-    where each product is written: 0 is the storage of X itself, s >= 1 is
-    buffer s - 1.  ``reads`` holds, per step (X, then each product), the
-    (i, a, b) of the pairs read there, i indexing ``pairs``.
+    as the Frobenius product <X^a, X^b> once every product is formed.
     """
 
     products: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...]
-    slots: tuple[int, ...]
-    reads: tuple[tuple[tuple[int, int, int], ...], ...]
-
-    @property
-    def buffers(self) -> int:
-        """Number of n x n buffers the products are written into, besides X."""
-        return max(self.slots, default=0)
 
 
 @lru_cache(maxsize=64)
@@ -386,51 +380,23 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
         return k - b, b
 
     products = tuple((c, *split(c, formed[:i])) for i, c in enumerate(formed) if i)
-    pairs = tuple(split(k, formed) for k in ks)
-    # the last step reading each power: product s (from 1) reads its operands,
-    # and a pair is read at the step forming its larger power
-    step = {c: s for s, c in enumerate(formed)}
-    last = dict(step)
-    for s, (_, a, b) in enumerate(products, 1):
-        last[a] = last[b] = s
-    for a, b in pairs:
-        last[a] = max(last[a], step[b])
-        last[b] = max(last[b], step[b])
-    # product s takes the lowest slot whose power no step from s on reads,
-    # X's own first, or a new buffer
-    held, slots = [1], []
-    for s, (c, _, _) in enumerate(products, 1):
-        slot = next((i for i, e in enumerate(held) if last[e] < s), len(held))
-        held[slot : slot + 1] = [c]  # a new buffer when slot == len(held)
-        slots.append(slot)
-    reads = tuple(
-        tuple((i, a, b) for i, (a, b) in enumerate(pairs) if step[b] == s)
-        for s in range(len(formed))
-    )
-    return _PowerPlan(products, pairs, tuple(slots), reads)
+    return _PowerPlan(products, tuple(split(k, formed) for k in ks))
 
 
 def _dense_traces(
     x: np.ndarray, plan: _PowerPlan, buffers: Sequence[np.ndarray], dot=np.vdot
 ) -> list[float]:
-    """tr X^k per k of ``plan`` for Hermitian X, which the plan may write over.
+    """tr X^k per k of ``plan`` for Hermitian X, which is only read.
 
-    Each trace is read as ``dot`` (np.vdot or a pinned one) of two powers.
-    ``buffers`` has at least ``plan.buffers`` n x n buffers and may be reused
-    from sample to sample: a product writes only into storage whose power
-    no later step reads, never into one of its own operands, and every
-    buffer is overwritten before it is read.
+    Product i is written into ``buffers[i]``, so ``buffers`` holds at least
+    ``len(plan.products)`` n x n arrays and may be reused from sample to
+    sample.  Each trace is then read as ``dot`` (np.vdot or a pinned one) of
+    two powers.
     """
-    store = (x, *buffers)
     powers = {1: x}
-    traces = [0.0] * len(plan.pairs)
-    for i, _, _ in plan.reads[0]:
-        traces[i] = float(dot(x, x).real)
-    for (c, a, b), slot, reads in zip(plan.products, plan.slots, plan.reads[1:]):
-        powers[c] = np.matmul(powers[a], powers[b], out=store[slot])
-        for i, p, q in reads:
-            traces[i] = float(dot(powers[p], powers[q]).real)
-    return traces
+    for i, (c, a, b) in enumerate(plan.products):
+        powers[c] = np.matmul(powers[a], powers[b], out=buffers[i])
+    return [float(dot(powers[a], powers[b]).real) for a, b in plan.pairs]
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
@@ -439,9 +405,8 @@ def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
         raise ValueError(f"kmax must be positive, got {kmax}")
     n = x.shape[0]
     plan = _power_plan(tuple(range(2, kmax + 1)))
-    buffers = np.empty((plan.buffers, n, n), dtype=x.dtype)
-    own = x.copy(order="K") if 0 in plan.slots else x  # a plan may write over X
-    traces = [float(np.trace(x).real), *_dense_traces(own, plan, buffers)]
+    buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
+    traces = [float(np.trace(x).real), *_dense_traces(x, plan, buffers)]
     return [t / n for t in traces]
 
 
@@ -541,7 +506,7 @@ def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
     Its power buffers, the sample, the sample's drawn entries, and one more
     n x n array for the temporaries of the entry generators.
     """
-    return (plan.buffers + 3) * n * n * np.dtype(dtype).itemsize
+    return (len(plan.products) + 3) * n * n * np.dtype(dtype).itemsize
 
 
 def _thread_cap(n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
@@ -634,7 +599,7 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     stop = threading.Event()
 
     def share(first: int, dot) -> None:
-        buffers = list(np.empty((plan.buffers, n, n), dtype=sampler.dtype))
+        buffers = list(np.empty((len(plan.products), n, n), dtype=sampler.dtype))
         for block in range(first, blocks, workers):
             with lock:
                 if stop.is_set() or any(failed < block for failed in failures):

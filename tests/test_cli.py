@@ -97,6 +97,26 @@ def test_custom_params_accepted(capsys):
     assert parse_csv(out)[2]["nu"] == "1/2"
 
 
+def test_the_preset_registries_agree():
+    # the exact, walk and Monte Carlo routes each keep a registry of presets,
+    # and the CLI offers one more list: each names the same ensembles, with
+    # the same params
+    names = set(PRESETS)
+    assert set(walks.PRESET_MODELS) == set(montecarlo.PRESET_SAMPLERS) == names
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = [
+        action.choices
+        for parser in sub.choices.values()
+        for action in parser._actions
+        if "--ensemble" in action.option_strings
+    ]
+    assert choices and all(set(c) == names | {"custom"} for c in choices)
+    for name in names:
+        assert walks.PRESET_MODELS[name]().params == PRESETS[name]
+        sampler = montecarlo.PRESET_SAMPLERS[name]()
+        assert sampler.params == PRESETS[name] and sampler.preset == name
+
+
 # -- config file --------------------------------------------------------------------
 
 

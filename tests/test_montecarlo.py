@@ -123,8 +123,6 @@ def test_empirical_moments_match_eigenvalue_powers():
 
 
 def test_empirical_moments_leave_the_callers_matrix_alone():
-    # the plan for every k up to 41 writes its last product over X
-    assert 0 in montecarlo._power_plan(tuple(range(2, 42))).slots
     x = sample_matrix(6, goe_sampler(), seed=98)
     kept = x.copy()
     got = empirical_moments(x, 41)
@@ -450,23 +448,6 @@ def test_power_plan_forms_each_power_once_from_formed_ones(kmax, ks):
     assert len(plan.products) <= -(-kmax // 2) - 1  # the half-power chain
     if kmax == 10:
         assert len(plan.products) == 3
-    # replay the storage: slot 0 holds X, and a product may write over a power
-    # only once no later product or pair reads it
-    store = {0: 1}
-
-    def read_pairs(c):
-        for a, b in plan.pairs:
-            if b == c:
-                assert a in store.values() and b in store.values(), (a, b)
-
-    read_pairs(1)
-    for (c, a, b), slot in zip(plan.products, plan.slots):
-        assert a in store.values() and b in store.values() and store.get(slot) not in (a, b)
-        store[slot] = c
-        read_pairs(c)
-    assert sorted(store) == list(range(plan.buffers + 1))
-    if ks == tuple(range(2, 11, 2)):
-        assert plan.buffers == 2  # X^4 is written over X
 
 
 def test_power_plan_rejects_first_powers():
@@ -495,6 +476,22 @@ def test_block_traces_match_each_sample_alone(make):
     # the even indices of mc take their own plan, with the same values
     evens = montecarlo._sample_traces(ks[::2], n, count, sampler, 606)
     assert np.allclose(evens, got[::2], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make", [rademacher_sampler, _complex_dense_sampler], ids=["real", "complex"]
+)
+def test_dense_traces_leave_x_bit_for_bit_alone(make):
+    # every product goes to a buffer, so a caller's X needs no copy
+    n = 7
+    x = montecarlo._build_matrix(n, make(), np.random.default_rng(12))
+    kept = x.tobytes()
+    ranges = [range(2, kmax + 1, step) for kmax in range(2, 42) for step in (2, 1)]
+    for ks in dict.fromkeys(tuple(r) for r in ranges):
+        plan = montecarlo._power_plan(ks)
+        buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
+        montecarlo._dense_traces(x, plan, buffers)
+        assert x.tobytes() == kept, ks
 
 
 @pytest.mark.parametrize("name", ["goe", "gue"])
