@@ -198,6 +198,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no 1
 
 
+def _within(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must be within {low}..{high}, got {value}")
+
+
+def _presets_only(need: str, api: str) -> ConfigError:
+    """The one refusal of --ensemble custom by a command that needs more than its moments."""
+    return ConfigError(f"{need}; use a preset ensemble or the library {api} API")
+
+
 def _resolve_params(settings: dict) -> dict:
     """The four parameter keys: a preset's values, or all four given for custom."""
     name = settings["ensemble"]
@@ -259,10 +269,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"matrix sizes must be positive, got {list(config.n)}")
     if config.kmax < 0:
         raise ConfigError(f"kmax must be nonnegative, got {config.kmax}")
-    if not 2 <= config.order <= series.MAX_SERIES_ORDER:
-        raise ConfigError(
-            f"series order must be within 2..{series.MAX_SERIES_ORDER}, got {config.order}"
-        )
+    _within("series order", config.order, 2, series.MAX_SERIES_ORDER)
     config.params  # surfaces parameter errors before any work
     return config
 
@@ -502,10 +509,7 @@ def identity_suite(
 
 
 def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
-    if not 2 <= walks_kmax <= walks.MAX_WORD_LENGTH:
-        raise ConfigError(
-            f"--walks-kmax must be within 2..{walks.MAX_WORD_LENGTH}, got {walks_kmax}"
-        )
+    _within("--walks-kmax", walks_kmax, 2, walks.MAX_WORD_LENGTH)
     fault = min(7, config.order) if inject_fault else None  # a coefficient the series holds
     checks = identity_suite(config.order, config.params, walks_kmax, fault)
     lines = []
@@ -521,10 +525,7 @@ def cmd_check(config: RunConfig, walks_kmax: int, inject_fault: bool) -> int:
 def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
     walks.check_word_length(k)
     if config.ensemble == "custom":
-        raise ConfigError(
-            "enumeration expectations need full entry moment tables; "
-            "use a preset ensemble or the library MomentModel API"
-        )
+        raise _presets_only("enumeration expectations need full entry moment tables", "MomentModel")
     model = walks.PRESET_MODELS[config.ensemble]()
     columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
     totals: dict[tuple[int, int], int] = {}
@@ -555,21 +556,14 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
 
 def cmd_mc(config: RunConfig) -> int:
     if config.ensemble == "custom":
-        raise ConfigError(
-            "Monte Carlo needs entry generators; use a preset ensemble or the "
-            "library custom_sampler API"
-        )
+        raise _presets_only("Monte Carlo needs entry generators", "custom_sampler")
     if not config.n:
         raise ConfigError("mc needs at least one matrix size in n, got an empty list")
     # every resource bound before the first draw of any size
+    _within("mc kmax", config.kmax, 2, montecarlo.MAX_KMAX)
+    _within("mc samples", config.samples, 2, montecarlo.MAX_SAMPLES)
     largest = 2 * max(config.n)
-    for name, value, high in (
-        ("kmax", config.kmax, montecarlo.MAX_KMAX),
-        ("samples", config.samples, montecarlo.MAX_SAMPLES),
-        ("the largest size sampled, 2 max(n),", largest, montecarlo.MAX_MATRIX_SIZE),
-    ):
-        if not 2 <= value <= high:
-            raise ConfigError(f"mc needs {name} within 2..{high}, got {value}")
+    _within("the largest size mc samples, 2 max(n),", largest, 2, montecarlo.MAX_MATRIX_SIZE)
     sampler = montecarlo.PRESET_SAMPLERS[config.ensemble]()
     # one stream per distinct size: a size's 2n partner may be another's n
     sizes = sorted({*config.n, *(2 * n for n in config.n)})
@@ -598,8 +592,7 @@ def cmd_mc(config: RunConfig) -> int:
 
 
 def cmd_density(config: RunConfig, grid: int) -> int:
-    if not 1 <= grid <= MAX_TABLE_POINTS:
-        raise ConfigError(f"grid must be within 1..{MAX_TABLE_POINTS}, got {grid}")
+    _within("grid", grid, 1, MAX_TABLE_POINTS)
     nu = measure.SignedMeasureNu.from_params(config.params)
     step = 4.0 / grid
     columns = ["x", "semicircle", "nu"]
@@ -619,8 +612,7 @@ def cmd_stieltjes(config: RunConfig, radius: float, points: int) -> int:
     # NaN fails both tests; above about 1.34e154, z * z overflows to NaN rows
     if not (radius > 2.0 and math.isfinite(radius * radius)):
         raise ConfigError(f"radius must exceed 2 and have a finite square, got {radius}")
-    if not 1 <= points <= MAX_TABLE_POINTS:
-        raise ConfigError(f"points must be within 1..{MAX_TABLE_POINTS}, got {points}")
+    _within("points", points, 1, MAX_TABLE_POINTS)
     nu = measure.SignedMeasureNu.from_params(config.params)
     columns = ["re_z", "im_z", "sc_re", "sc_im", "nu_re", "nu_im"]
 

@@ -46,6 +46,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -309,15 +310,23 @@ def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) ->
     return entries[_gather_index(n, conjugate)].reshape(n, n)
 
 
-def _check_int(value, least: int, name: str) -> None:
-    """Refuse ``value`` unless it is an int >= ``least``; a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+def _check_int(value, least: int, name: str) -> int:
+    """``value`` as an int, refused unless it is an integer >= ``least``.
+
+    A NumPy integer passes (``operator.index``); a bool is refused.
+    """
+    try:
+        number = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return number
 
 
 def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     """One Hermitian matrix X = W/(sigma sqrt(n)); deterministic in (seed, n)."""
-    _check_int(n, 1, "matrix size")
+    n = _check_int(n, 1, "matrix size")
     return _build_matrix(n, sampler, np.random.default_rng(seed))
 
 
@@ -344,6 +353,10 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
     uses more than the ceil(kmax/2) - 1 products of the half-power chain:
     3 at kmax 10 ({1, 2, 4, 8} for even k, {1, 2, 4, 5} for every k), 6 for
     the even k up to 32.  Each k takes its most balanced pair.
+
+    Past ``MAX_KMAX``, which no command asks for, the search grows steeply
+    (7.4 s for every k up to 48 on a 2-core host), so such a plan is the
+    half-power chain {1, 2, ..., ceil(kmax/2)} with no search: not minimal.
     """
     need = sorted(set(ks))
     if need and need[0] < 2:
@@ -371,9 +384,12 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
                 return found
         return None
 
-    left = 0
-    while (formed := extend([1], left)) is None:
-        left += 1
+    if need and need[-1] > MAX_KMAX:
+        formed = list(range(1, -(-need[-1] // 2) + 1))
+    else:
+        left = 0
+        while (formed := extend([1], left)) is None:
+            left += 1
 
     def split(k: int, among: list[int]) -> tuple[int, int]:
         b = min(b for b in among if 2 * b >= k and k - b in among)
@@ -400,9 +416,11 @@ def _dense_traces(
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
-    """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from a power plan."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be positive, got {kmax}")
+    """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from a power plan.
+
+    kmax is checked as the sizes of ``estimate_corrections`` are, and must be >= 1.
+    """
+    kmax = _check_int(kmax, 1, "kmax")
     n = x.shape[0]
     plan = _power_plan(tuple(range(2, kmax + 1)))
     buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
@@ -661,17 +679,18 @@ def estimate_corrections(
     """Correction estimates for several even moment indices from one stream.
 
     The sample stream depends only on (seed, n), so each returned record is
-    bit-identical to a single-k call with the same arguments.  n must be an
-    int >= 1 and samples an int >= 2, for a standard error (a bool is refused).
+    bit-identical to a single-k call with the same arguments.  Each k must be
+    an even integer >= 2, n an integer >= 1 and samples an integer >= 2, for
+    a standard error; a NumPy integer passes and a bool is refused.
     """
-    ks = sorted(set(ks))
+    ks = sorted({_check_int(k, 2, "moment index") for k in ks})
     if not ks:
         raise ValueError("need at least one moment index")
     for k in ks:
-        if k < 2 or k % 2 == 1:
+        if k % 2 == 1:
             raise ValueError(f"correction estimates are defined for even k >= 2, got {k}")
-    _check_int(samples, 2, "samples")
-    _check_int(n, 1, "matrix size")
+    samples = _check_int(samples, 2, "samples")
+    n = _check_int(n, 1, "matrix size")
     traces = _sample_traces(ks, n, samples, sampler, seed)
     out = []
     for row, k in enumerate(ks):

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from operator import eq
+from operator import eq, index
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -280,9 +280,20 @@ def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
         yield classify_walk(leaf[0])
 
 
+def _integer_length(k) -> int:
+    """k as an int (a NumPy integer passes); ValueError for a bool or a non-integer."""
+    try:
+        number = None if isinstance(k, bool) else index(k)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"word length must be an integer, got {k!r}")
+    return number
+
+
 def check_word_length(k: int) -> None:
-    """Raise ValueError unless 1 <= k <= ``MAX_WORD_LENGTH``."""
-    if k < 1:
+    """Raise ValueError unless k is an integer, not a bool, with 1 <= k <= ``MAX_WORD_LENGTH``."""
+    if _integer_length(k) < 1:
         raise ValueError(f"word length must be positive, got {k}")
     if k > MAX_WORD_LENGTH:
         raise ValueError(
@@ -653,7 +664,7 @@ def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:
     semicircle moment and c[1] / sigma^k the 1/n correction; an integral
     one is an int.  Even k only, at most ``MAX_WORD_LENGTH``.
     """
-    if k % 2 == 1:
+    if _integer_length(k) % 2 == 1:
         raise ValueError(
             "exact finite-size moments are rational for even k only; odd moments "
             "vanish for symmetric entry distributions"

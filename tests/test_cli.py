@@ -1,6 +1,7 @@
 """CLI surface: subcommands, validation, formats, determinism."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -720,6 +721,46 @@ def test_a_short_output_to_a_full_device_is_one_error_line(argv):
     assert proc.stderr.splitlines() == ["error: cannot write stdout: No space left on device"]
 
 
+# a valid custom ensemble, which enumerate and mc refuse
+CUSTOM = ["--ensemble", "custom", "--r", "1", "--sigma2", "1", "--s2", "1", "--alpha", "3"]
+
+# one small run per subcommand, a refused mc and a refused custom enumerate
+CONTRACT_ARGV = [
+    ["moments", "--kmax", "4"],
+    ["check", "--order", "10", "--walks-kmax", "2"],
+    ["enumerate", "--k", "4"],
+    ["mc", "--kmax", "4", "--n", "8", "--samples", "8"],
+    ["density", "--grid", "8"],
+    ["stieltjes", "--points", "8"],
+    ["mc", "--kmax", str(montecarlo.MAX_KMAX + 2), "--n", "8", "--samples", "8"],
+    ["enumerate", "--k", "4", *CUSTOM],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize("argv", CONTRACT_ARGV, ids=" ".join)
+def test_the_error_contract_holds_at_the_process_boundary(argv, sink):
+    # a buffered stdout, so a short output's failed write could wait for the exit flush
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with contextlib.ExitStack() as stack:
+        if sink == "full":
+            stdout = stack.enter_context(open("/dev/full", "w")).fileno()
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, stdout)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerexp", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == (proc.returncode == 2), proc.stderr
+
+
 # -- bad input -----------------------------------------------------------------------
 
 
@@ -812,6 +853,40 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _one_past_each_end(argv, flag, name, low, high):
+    # the size read is the flag's value, except mc's 2 max(n) (whose low end,
+    # n = 0, is refused earlier as a nonpositive size)
+    for value in (low - 1, high + 1):
+        yield [*argv, flag, str(value)], f"{name} must be within {low}..{high}, got {value}"
+
+
+RANGE_REFUSALS = [
+    *_one_past_each_end(["check"], "--order", "series order", 2, series.MAX_SERIES_ORDER),
+    *_one_past_each_end(["check"], "--walks-kmax", "--walks-kmax", 2, walks.MAX_WORD_LENGTH),
+    *_one_past_each_end(["mc"], "--kmax", "mc kmax", 2, montecarlo.MAX_KMAX),
+    *_one_past_each_end(["mc"], "--samples", "mc samples", 2, montecarlo.MAX_SAMPLES),
+    (["mc", "--n", str(montecarlo.MAX_MATRIX_SIZE // 2 + 1)],
+     f"the largest size mc samples, 2 max(n), must be within 2..{montecarlo.MAX_MATRIX_SIZE}, "
+     f"got {montecarlo.MAX_MATRIX_SIZE + 2}"),
+    *_one_past_each_end(["density"], "--grid", "grid", 1, cli.MAX_TABLE_POINTS),
+    *_one_past_each_end(["stieltjes"], "--points", "points", 1, cli.MAX_TABLE_POINTS),
+    (["enumerate", "--k", "4", *CUSTOM],
+     "enumeration expectations need full entry moment tables; "
+     "use a preset ensemble or the library MomentModel API"),
+    (["mc", *CUSTOM],
+     "Monte Carlo needs entry generators; use a preset ensemble or the library "
+     "custom_sampler API"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", RANGE_REFUSALS, ids=[" ".join(argv) for argv, _ in RANGE_REFUSALS]
+)
+def test_each_bound_refuses_one_past_its_ends_in_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,43 @@ def test_empirical_moments_guards():
         empirical_moments(np.eye(2), 0)
 
 
+@pytest.mark.parametrize("kmax", [2.5, True], ids=repr)
+def test_empirical_moments_refuse_a_kmax_that_is_no_integer(kmax):
+    # 2.5 raised numpy's TypeError, and True answered as if kmax were 1
+    with pytest.raises(ValueError, match=f"kmax must be an int >= 1, got {kmax!r}"):
+        empirical_moments(np.eye(2), kmax)
+
+
+def test_estimates_refuse_a_moment_index_that_is_no_integer():
+    with pytest.raises(ValueError, match="moment index must be an int >= 2, got 2.0"):
+        estimate_corrections([2.0], 8, 4, rademacher_sampler(), 1)
+
+
+def test_numpy_integers_pass_as_moment_indices_and_kmax():
+    x = sample_matrix(5, goe_sampler(), seed=97)
+    assert empirical_moments(x, np.int64(6)) == empirical_moments(x, 6)
+    sampler = rademacher_sampler()
+    got = estimate_corrections([np.int64(4)], np.int64(8), np.int64(20), sampler, 1)
+    assert got == estimate_corrections([4], 8, 20, sampler, 1)
+
+
+def test_empirical_moments_past_max_kmax_take_the_half_power_chain_at_once():
+    # the plan search grew to 7.4 s at kmax 48; past MAX_KMAX there is no search
+    kmax = 60
+    montecarlo._power_plan.cache_clear()
+    plan = montecarlo._power_plan(tuple(range(2, kmax + 1)))
+    assert [c for c, _, _ in plan.products] == list(range(2, kmax // 2 + 1))
+    x = sample_matrix(33, goe_sampler(), seed=42)
+    montecarlo._power_plan.cache_clear()
+    start = time.perf_counter()
+    got = empirical_moments(x, kmax)
+    assert time.perf_counter() - start < 1.0
+    eigs = np.linalg.eigvalsh(x)
+    for k, g in zip(range(1, kmax + 1), got):
+        # the tolerance of test_dense_traces_match_eigenvalue_power_sums, per n
+        assert abs(g - float(np.mean(eigs**k))) <= 1e-10 * float(np.mean(np.abs(eigs) ** k)), k
+
+
 # -- correction estimates ------------------------------------------------------------
 
 
@@ -143,23 +180,30 @@ def _exact_correction(k, n, model):
     return float(n * (exact_moment(k, n, model) - semicircle_moment(k)))
 
 
+# (ensemble, k, n, samples) of the estimates held against the exact walk oracle
+FINITE_SIZE_CASES = [
+    ("gue", 4, 64, 2000),
+    ("goe", 2, 32, 2000),
+    ("goe", 4, 64, 2000),
+    ("rademacher", 2, 48, 500),
+]
+
+
+def estimate_misses_exact_value(name, k, n, samples) -> bool:
+    """Whether the estimate misses the exact finite-size correction by more than 4 stderr."""
+    sampler, model = SAMPLERS[name]
+    (est,) = estimate_corrections([k], n, samples, sampler, seed=20260810)
+    exact = _exact_correction(k, n, model)
+    assert est.reference == float(nu_moment(k, sampler.params))
+    if est.stderr == 0.0:
+        # deterministic trace up to float rounding (+-1 entries, k = 2)
+        return abs(est.point - exact) > 1e-11
+    return abs(est.point - exact) > 4 * est.stderr
+
+
 def test_estimate_matches_exact_finite_size_value():
-    cases = [
-        ("gue", 4, 64, 2000),
-        ("goe", 2, 32, 2000),
-        ("goe", 4, 64, 2000),
-        ("rademacher", 2, 48, 500),
-    ]
-    for name, k, n, samples in cases:
-        sampler, model = SAMPLERS[name]
-        (est,) = estimate_corrections([k], n, samples, sampler, seed=20260810)
-        exact = _exact_correction(k, n, model)
-        assert est.reference == float(nu_moment(k, sampler.params))
-        if est.stderr == 0.0:
-            # deterministic trace up to float rounding (+-1 entries, k = 2)
-            assert abs(est.point - exact) <= 1e-11
-        else:
-            assert abs(est.point - exact) <= 4 * est.stderr
+    for case in FINITE_SIZE_CASES:
+        assert not estimate_misses_exact_value(*case), case
 
 
 def test_rademacher_second_moment_has_no_fluctuation():

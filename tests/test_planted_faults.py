@@ -1,15 +1,19 @@
-"""Planted faults: the identity suite of ``wignerexp check`` catches each one.
+"""Planted faults: a cross-route check catches each one.
 
-Each test plants one wrong fact by replacing a module attribute, runs
-``cli.identity_suite`` and asserts exactly which lines fail.  A golden digest
-would change as well, but it cannot say which route disagrees, so no test
-here leans on one.
+Each test plants one wrong fact by replacing a module attribute, runs the
+identity suite of ``wignerexp check`` or a Monte Carlo test's own check
+against the exact walk oracle, and asserts exactly what fails.  A golden
+digest would change as well, but it cannot say which route disagrees, so no
+test here leans on one.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
-from wignerexp import cli, walks
+import numpy as np
+from test_montecarlo import FINITE_SIZE_CASES, estimate_misses_exact_value
+
+from wignerexp import cli, montecarlo, series, walks
 from wignerexp import combinatorics as comb
 
 
@@ -50,3 +54,35 @@ def test_a_wrong_fourth_moment_fails_only_the_walk_polynomial(monkeypatch):
     failed = [(name, detail) for name, ok, detail in suite if not ok]
     assert [name for name, _ in failed] == ["walks: exact polynomial reads sc_k and nu_k"]
     assert failed[0][1].startswith("goe k=4:")
+
+
+def test_a_wrong_catalan_coefficient_fails_the_series_lines(monkeypatch):
+    # T + x^7, as check --inject-fault plants it; _blocks keeps the last order's T
+    right = series.catalan_series
+
+    def shifted(order):
+        return right(order) + series.TruncatedRationalSeries.monomial(7, order)
+
+    series._blocks.cache_clear()
+    monkeypatch.setattr(series, "catalan_series", shifted)
+    try:
+        failed = _failing_lines()
+    finally:
+        monkeypatch.undo()
+        series._blocks.cache_clear()
+    names = [name for name, _, _ in series.catalan_identities(right(40))]
+    assert len(names) == 5
+    assert failed == [
+        *(f"series: {name}" for name in names),
+        "coefficients: series = family sum = measure moment",
+    ]
+
+
+def test_wrong_chi_degrees_fail_the_exact_oracle_check(monkeypatch):
+    # beta (n - j + 1) where the tridiagonal model has beta (n - j): each Gaussian
+    # case misses the walk oracle by z = 33..44 (within 2.2 with nothing planted)
+    monkeypatch.setattr(montecarlo, "_chi_degrees", lambda n, beta: beta * np.arange(n, 1, -1))
+    gaussian = [case for case in FINITE_SIZE_CASES if case[0] in ("goe", "gue")]
+    assert len(gaussian) == 3
+    for case in gaussian:
+        assert estimate_misses_exact_value(*case), case

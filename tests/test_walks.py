@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product, zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -349,6 +350,28 @@ def test_search_readers_refuse_a_nonpositive_length(k, pruned):
     for stream in (enumerate_canonical_words(k), class_rows(k, goe_model())):
         with pytest.raises(ValueError, match="positive"):
             next(stream)
+
+
+# each crashed inside _search with numpy's TypeError, or, for True, counted k = 1
+NON_INTEGER_LENGTHS = {
+    "count_classes(4.0)": lambda: count_classes(4.0),
+    "class_rows(4.0)": lambda: next(class_rows(4.0, goe_model())),
+    "walk_polynomial(4.0)": lambda: walk_polynomial(4.0, goe_model()),
+    "count_classes(True)": lambda: count_classes(True),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_INTEGER_LENGTHS))
+def test_walk_readers_refuse_a_length_that_is_no_integer(call):
+    with pytest.raises(ValueError, match="word length must be an integer, got (4.0|True)$"):
+        NON_INTEGER_LENGTHS[call]()
+
+
+def test_walk_readers_take_numpy_integer_lengths():
+    k = np.int64(6)
+    assert count_classes(k) == count_classes(6)
+    assert list(class_rows(k, goe_model())) == list(class_rows(6, goe_model()))
+    assert walk_polynomial(k, goe_model()) == walk_polynomial(6, goe_model())
 
 
 @pytest.mark.parametrize("k", range(1, 10))
