@@ -20,9 +20,10 @@ of dense matrices: Householder reduction of the dense Gaussian matrix gives
 a symmetric tridiagonal matrix with the same spectrum, independent
 Gaussian diagonal and chi-distributed off-diagonal.  A banded sample forms
 only the half powers T^1 .. T^ceil(kmax/2), as bands, so it costs
-O(n kmax^2), and chunks of samples are processed as arrays.  ``sample_matrix``
-still returns the dense matrix, and Rademacher and custom ensembles are
-estimated from dense matrices.
+O(n kmax^2), and chunks of samples are processed as arrays, in work arrays
+made once per size (161 MiB at n = 1024, kmax 32, by tracemalloc) that
+every chunk reuses.  ``sample_matrix`` still returns the dense matrix, and
+Rademacher and custom ensembles are estimated from dense matrices.
 
 Reproducibility: samples come in blocks of _CHUNK, and block b draws from
 one generator seeded by (seed, n, b), so the stream is a pure function of
@@ -68,14 +69,15 @@ _CHUNK = 64
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
 # At the bounds the arrays alive at once stay under _ARRAY_BUDGET: the trace
 # array (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and
-# either one chunk's band arrays (163 MiB peak) or one share per thread of a
-# dense run, each within _dense_share_bytes: six power buffers, the sample,
-# its entries and the draws' temporaries, 144 MiB for complex entries and 72
-# MiB for real (128 and 60 MiB peaks measured with tracemalloc at n = 1024,
-# kmax 32).  So _thread_cap allows at most 2 threads there for complex
-# entries and 5 for real, and _block_workers runs one thread on a host with
-# more cores than that.  Building a size's index peaks at 28 MiB, before
-# any thread starts.
+# either the band work arrays and one chunk's draws (164 MiB peak, 161 of it
+# the work arrays, made once per size) or one share per thread of a dense
+# run, each within _dense_share_bytes: six power buffers, the sample, its
+# entries and the draws' temporaries, 144 MiB for complex entries and 72 MiB
+# for real (128 and 60 MiB peaks; every peak here measured with tracemalloc
+# at n = 1024, kmax 32).  So _thread_cap allows at most 2 threads there for
+# complex entries and 5 for real, and _block_workers runs one thread on a
+# host with more cores than that.  Building a size's index peaks at 28 MiB,
+# before any thread starts.
 MAX_KMAX = 32
 _ARRAY_BUDGET = 512 << 20
 MAX_SAMPLES = 1_000_000
@@ -352,7 +354,8 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
     section 4.6.3).  Iterative deepening finds a shortest one, so it never
     uses more than the ceil(kmax/2) - 1 products of the half-power chain:
     3 at kmax 10 ({1, 2, 4, 8} for even k, {1, 2, 4, 5} for every k), 6 for
-    the even k up to 32.  Each k takes its most balanced pair.
+    the even k up to 32.  Each k takes its most balanced pair.  The search
+    deepens no further than that chain, and raises RuntimeError past it.
 
     Past ``MAX_KMAX``, which no command asks for, the search grows steeply
     (7.4 s for every k up to 48 on a 2-core host), so such a plan is the
@@ -384,12 +387,17 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
                 return found
         return None
 
+    chain = -(-need[-1] // 2) if need else 1  # the half-power chain's top exponent
     if need and need[-1] > MAX_KMAX:
-        formed = list(range(1, -(-need[-1] // 2) + 1))
+        formed = list(range(1, chain + 1))
     else:
-        left = 0
-        while (formed := extend([1], left)) is None:
-            left += 1
+        # the half-power chain bounds the depth: a search that finds no plan
+        # within it is at fault, and stops here rather than deepening forever
+        for left in range(chain):
+            if (formed := extend([1], left)) is not None:
+                break
+        else:
+            raise RuntimeError(f"no power plan of at most {chain - 1} products for ks = {ks}")
 
     def split(k: int, among: list[int]) -> tuple[int, int]:
         b = min(b for b in among if 2 * b >= k and k - b in among)
@@ -428,34 +436,67 @@ def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
     return [t / n for t in traces]
 
 
-def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
-    """tr T^k for a batch of symmetric tridiagonal T, k >= 2 ascending.
+class _BandArrays(NamedTuple):
+    """The arrays ``_band_traces`` works in, for up to S samples of size n.
 
-    ``diag`` has shape (S, n) and ``off`` shape (S, n - 1).  T^m has
-    bandwidth m and is held as its 2m + 1 diagonals, array P of shape
+    They are made for ascending ``ks``, whose reach = ceil(kmax/2) is the
+    highest power formed and the widest offset read.  ``diag`` (S, n) and
+    ``off`` (S, n - 1) are where the samples are written, views of
+    zero-padded rows of width n + 2 reach whose padding is never written;
+    ``a_win`` and ``b_win`` (S, 2 reach + 1, n) are windows over them,
+    [s, reach + o, i] = a[i + o].  ``powers[m]`` (S, 2m + 1, n) holds T^m for
+    m = 0 .. reach, and ``scratch`` one product term.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    a_win: np.ndarray
+    b_win: np.ndarray
+    powers: list[np.ndarray]
+    scratch: np.ndarray
+
+    @classmethod
+    def make(cls, rows: int, n: int, ks: Sequence[int]) -> _BandArrays:
+        reach = -(-ks[-1] // 2)
+        a_pad = np.zeros((rows, n + 2 * reach))
+        b_pad = np.zeros_like(a_pad)
+        return cls(
+            diag=a_pad[:, reach : reach + n],
+            off=b_pad[:, reach : reach + n - 1],
+            a_win=sliding_window_view(a_pad, n, axis=1),
+            b_win=sliding_window_view(b_pad, n, axis=1),
+            powers=[np.ones((rows, 1, n))]
+            + [np.empty((rows, 2 * m + 1, n)) for m in range(1, reach + 1)],
+            scratch=np.empty((rows, 2 * reach - 1, n)),
+        )
+
+
+def _band_traces(work: _BandArrays, count: int, ks: Sequence[int]) -> list[np.ndarray]:
+    """tr T^k for the first ``count`` samples held in ``work``, made for ``ks``.
+
+    T^m has bandwidth m and is held as its 2m + 1 diagonals, array P of shape
     (S, 2m + 1, n) with P[s, m + o, i] = (T_s^m)[i, i + o] and zeros outside
     the matrix, so (P T)[i, i + o] = P_{o-1}[i] b[i+o-1] + P_o[i] a[i+o]
     + P_{o+1}[i] b[i+o] costs O(S m n).  Only T^1 .. T^ceil(kmax/2) are
     formed, since a band times T is cheap where a band times a band is not:
-    tr T^(2m) = <T^m, T^m> and tr T^(2m+1) = <T^m, T^(m+1)>.  Returns one
-    length-S array per k.
+    tr T^(2m) = <T^m, T^m> and tr T^(2m+1) = <T^m, T^(m+1)>.  Every array
+    is read through its first ``count`` rows, so the sums run over arrays of
+    ``count`` samples whatever S is.  Returns one length-``count`` array per k.
     """
-    samples, n = diag.shape
-    reach = -(-ks[-1] // 2)  # highest power formed, and the widest offset
-    # a[i + o] and b[i + o] for |o| <= reach as windows over zero-padded rows
-    a_pad = np.zeros((samples, n + 2 * reach))
-    b_pad = np.zeros_like(a_pad)
-    a_pad[:, reach : reach + n] = diag
-    b_pad[:, reach : reach + n - 1] = off
-    a_win = sliding_window_view(a_pad, n, axis=1)  # [s, reach + o, i] = a[i + o]
-    b_win = sliding_window_view(b_pad, n, axis=1)
-    powers = [np.ones((samples, 1, n))]  # T^0 as its one diagonal
-    for m in range(reach):  # T^(m+1) = T^m T
-        p, q = powers[m], np.zeros((samples, 2 * m + 3, n))
-        q[:, 1:-1] += p * a_win[:, reach - m : reach + m + 1]
-        q[:, 2:] += p * b_win[:, reach - m : reach + m + 1]
-        q[:, :-2] += p * b_win[:, reach - m - 1 : reach + m]
-        powers.append(q)
+    reach = len(work.powers) - 1
+    a_win, b_win = work.a_win[:count], work.b_win[:count]
+    powers = [power[:count] for power in work.powers]
+    for m, (p, q) in enumerate(zip(powers, powers[1:])):  # T^(m+1) = T^m T
+        # the middle rows' sums start from their first term, not from 0.0, which
+        # changes at most the sign of a zero: no trace's sum sees it
+        np.multiply(p, a_win[:, reach - m : reach + m + 1], out=q[:, 1:-1])
+        q[:, 0] = q[:, -1] = 0.0
+        term = work.scratch[:count, : 2 * m + 1]
+        for rows, window in (
+            (q[:, 2:], b_win[:, reach - m : reach + m + 1]),
+            (q[:, :-2], b_win[:, reach - m - 1 : reach + m]),
+        ):
+            np.add(rows, np.multiply(p, window, out=term), out=rows)
     # the 2m + 1 diagonals of T^m against the middle 2m + 1 of T^(m + odd)
     return [
         np.einsum("sri,sri->s", powers[m], powers[m + odd][:, odd : odd + 2 * m + 1])
@@ -463,11 +504,16 @@ def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) ->
     ]
 
 
-def _chunk_traces(ks, n, sampler, rng, count) -> np.ndarray:
-    """tr X^k for each k (rows) and the first ``count`` banded samples of a block (columns)."""
-    diag, off = sampler.tridiagonal(rng, n, _CHUNK)
-    scale = _scale(sampler, n)
-    return np.array(_tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks))
+def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
+    """tr T^k for a batch of symmetric tridiagonal T, k >= 2 ascending.
+
+    ``diag`` has shape (S, n) and ``off`` shape (S, n - 1); see ``_band_traces``.
+    """
+    samples, n = diag.shape
+    work = _BandArrays.make(samples, n, ks)
+    work.diag[:] = diag
+    work.off[:] = off
+    return _band_traces(work, samples, ks)
 
 
 def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int], samples: int):
@@ -661,11 +707,15 @@ def _sample_traces(ks, n, samples, sampler, seed) -> np.ndarray:
     if sampler.tridiagonal is None:
         _dense_blocks(ks, n, sampler, seed, out)
         return out
+    # made once for every block; a partial last block uses their first rows
+    work = _BandArrays.make(min(samples, _CHUNK), n, ks)
+    scale = _scale(sampler, n)
     for block, start in enumerate(range(0, samples, _CHUNK)):
         count = min(_CHUNK, samples - start)
-        out[:, start : start + count] = _chunk_traces(
-            ks, n, sampler, _block_rng(seed, n, block), count
-        )
+        diag, off = sampler.tridiagonal(_block_rng(seed, n, block), n, _CHUNK)
+        np.divide(diag[:count], scale, out=work.diag[:count])
+        np.divide(off[:count], scale, out=work.off[:count])
+        out[:, start : start + count] = _band_traces(work, count, ks)
     return out
 
 

@@ -690,11 +690,16 @@ def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
     """Exact expected moment of the empirical spectral measure at size n.
 
     ``walk_polynomial``'s P(n) by Horner, divided once by n^(1 + k/2) sigma^k.
-    n must be an int >= 1 (a bool is refused); k is even, at most
-    ``MAX_WORD_LENGTH``.
+    n must be an integer >= 1 (a NumPy integer passes, a bool is refused);
+    k is even, at most ``MAX_WORD_LENGTH``.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    try:
+        size = None if isinstance(n, bool) else index(n)
+    except TypeError:
+        size = None
+    if size is None or size < 1:
         raise ValueError(f"matrix size must be an int >= 1, got {n!r}")
+    n = size
     total = 0
     for coeff in walk_polynomial(k, model):
         total = total * n + coeff

@@ -8,6 +8,9 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from wignerexp import (
     richardson_corrections,
     sample_matrix,
     semicircle_moment,
+    walk_polynomial,
 )
 from wignerexp import montecarlo
 from wignerexp.cli import main
@@ -609,6 +613,182 @@ def test_tridiagonal_models_match_exact_moments():
                 exact = _exact_correction(est.k, n, model)
                 assert abs(est.point - exact) <= 4 * est.stderr
     assert SAMPLERS["rademacher"][0].tridiagonal is None
+
+
+def _per_block_traces(ks, n, samples, sampler, seed):
+    """``_sample_traces`` of a banded sampler, one standalone band call per block."""
+    scale = montecarlo._scale(sampler, n)
+    blocks = []
+    for block, start in enumerate(range(0, samples, 64)):
+        count = min(64, samples - start)
+        diag, off = sampler.tridiagonal(montecarlo._block_rng(seed, n, block), n, 64)
+        traces = montecarlo._tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks)
+        blocks.append(np.array(traces))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("name", ["goe", "gue"])
+@pytest.mark.parametrize(
+    "kmax,n,samples",
+    [(2, 1, 65), (32, 1, 3), (2, 2, 130), (32, 2, 64), (6, 17, 63), (32, 40, 129), (10, 64, 200)],
+)
+def test_banded_blocks_equal_standalone_calls_byte_for_byte(name, kmax, n, samples):
+    # the blocks share one set of work arrays, partial last blocks included:
+    # none may carry anything into the next
+    sampler = SAMPLERS[name][0]
+    ks = list(range(2, kmax + 1, 2))
+    got = montecarlo._sample_traces(ks, n, samples, sampler, 77)
+    assert got.tobytes() == _per_block_traces(ks, n, samples, sampler, 77).tobytes()
+
+
+@pytest.mark.parametrize("name", ["goe", "gue"])
+def test_banded_work_arrays_are_made_once_per_size(monkeypatch, name):
+    # count the arrays made outside the draws, whose generators make their own
+    made, drawing = Counter(), []
+
+    def counting(maker):
+        def make(*args, **kwargs):
+            if not drawing:
+                made[maker.__name__] += 1
+            return maker(*args, **kwargs)
+
+        return make
+
+    def uncounted(draw):
+        def call(*args):
+            drawing.append(draw)
+            try:
+                return draw(*args)
+            finally:
+                drawing.pop()
+
+        return call
+
+    sampler = SAMPLERS[name][0]
+    sampler = replace(sampler, tridiagonal=uncounted(sampler.tridiagonal))
+    monkeypatch.setattr(montecarlo, "_block_rng", uncounted(montecarlo._block_rng))
+    for maker in (np.empty, np.zeros, np.ones, np.empty_like, np.zeros_like):
+        monkeypatch.setattr(np, maker.__name__, counting(maker))
+    counts = []
+    for samples in (64, 6 * 64 + 1):  # one block, and seven with a partial last one
+        made.clear()
+        montecarlo._sample_traces([2, 4, 6], 16, samples, sampler, 3)
+        counts.append(dict(made))
+    assert counts[0] == counts[1]
+
+
+# -- the banded models summed exactly -----------------------------------------------
+
+
+class _LawReader:
+    """A stand-in generator: ``standard_normal`` gives ones, ``chisquare`` its degrees.
+
+    A tridiagonal sampler drawing from it returns its diagonal's standard
+    deviation and sqrt(c nu_j) per off-diagonal j; the degrees nu_j it asked
+    for are kept.
+    """
+
+    degrees: list[int] = []
+
+    def standard_normal(self, size):
+        return np.ones(size)
+
+    def chisquare(self, df, size):
+        self.degrees = [int(nu) for nu in df]
+        assert self.degrees == list(df)
+        return np.broadcast_to(np.asarray(df, dtype=float), size).copy()
+
+
+def banded_laws(sampler, n):
+    """(diagonal variance, degrees nu_j, scale c) of the size-n model of ``sampler``.
+
+    The off-diagonals b_j satisfy b_j^2 ~ c chi2(nu_j), read by drawing once
+    from a ``_LawReader``.
+    """
+    reader = _LawReader()
+    diag, off = sampler.tridiagonal(reader, n, 1)
+    assert np.all(diag == diag[0, 0])
+    variance = Fraction(float(diag[0, 0]) ** 2).limit_denominator(1000)
+    scales = {
+        Fraction(float(b) ** 2 / nu).limit_denominator(1000)
+        for b, nu in zip(off[0], reader.degrees)
+    }
+    assert len(scales) <= 1
+    return variance, reader.degrees, scales.pop() if scales else Fraction(1)
+
+
+def _tally_moment(tally, variance, degrees, scale) -> Fraction:
+    """E of the product of the entries a path reads, ``tally`` of them per slot.
+
+    Slot 2i is diagonal i, a Gaussian: E a^(2h) = variance^h (2h - 1)!!.  Slot
+    2j + 1 is off-diagonal j: E b^(2h) = E (c chi2_nu)^h = c^h nu (nu + 2) ...
+    (nu + 2h - 2).
+    """
+    value = Fraction(1)
+    for slot, power in enumerate(tally):
+        half, odd = divmod(power, 2)
+        if odd:
+            return Fraction(0)
+        if slot % 2 == 0:
+            value *= variance**half * math.prod(range(1, power, 2))
+        else:
+            nu = degrees[slot // 2]
+            value *= scale**half * math.prod(nu + 2 * t for t in range(half))
+    return value
+
+
+def banded_trace_expectation(k, n, variance, degrees, scale) -> Fraction:
+    """E tr T^k, summed over the closed paths of length k on 0..n-1 with steps -1, 0, +1.
+
+    A step from i to i' reads entry T[i, i'], whose slot (see ``_tally_moment``)
+    is i + i'; paths are merged by start, position and tally.
+    """
+    total = Fraction(0)
+    for start in range(n):
+        paths = Counter({(start, (0,) * (2 * n - 1)): 1})
+        for _ in range(k):
+            nxt = Counter()
+            for (i, tally), count in paths.items():
+                for j in (i - 1, i, i + 1):
+                    if 0 <= j < n:
+                        step = list(tally)
+                        step[i + j] += 1
+                        nxt[j, tuple(step)] += count
+            paths = nxt
+        for (end, tally), count in paths.items():
+            if end == start:
+                total += count * _tally_moment(tally, variance, degrees, scale)
+    return total
+
+
+def banded_model_misses(name) -> list[tuple[int, int]]:
+    """(n, k), n = 1..6 and even k = 2..8, where E tr T^k of the banded model is not P(n).
+
+    P is ``walk_polynomial``'s, E tr W^k of the dense ensemble, which the
+    tridiagonal model shares exactly.
+    """
+    sampler, model = SAMPLERS[name]
+    misses = []
+    for n in range(1, 7):
+        laws = banded_laws(sampler, n)
+        for k in range(2, 9, 2):
+            want = 0
+            for coeff in walk_polynomial(k, model):
+                want = want * n + coeff
+            if banded_trace_expectation(k, n, *laws) != want:
+                misses.append((n, k))
+    return misses
+
+
+def test_banded_laws_are_the_dumitriu_edelman_ones():
+    # GOE: b_j^2 ~ chi2(n - j), diagonal variance 2; GUE: b_j^2 ~ chi2(2 (n - j)) / 2, variance 1
+    assert banded_laws(SAMPLERS["goe"][0], 4) == (2, [3, 2, 1], 1)
+    assert banded_laws(SAMPLERS["gue"][0], 4) == (1, [6, 4, 2], Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name", ["goe", "gue"])
+def test_banded_models_sum_exactly_to_the_walk_polynomial(name):
+    assert banded_model_misses(name) == []
 
 
 def _one_at_a_time(ks, n, samples, sampler, seed):

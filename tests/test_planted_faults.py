@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from test_montecarlo import FINITE_SIZE_CASES, estimate_misses_exact_value
+from test_montecarlo import FINITE_SIZE_CASES, banded_model_misses, estimate_misses_exact_value
 
 from wignerexp import cli, montecarlo, series, walks
 from wignerexp import combinatorics as comb
@@ -78,11 +78,23 @@ def test_a_wrong_catalan_coefficient_fails_the_series_lines(monkeypatch):
     ]
 
 
+def _one_degree_too_many(n, beta):
+    """beta (n - j + 1) where the tridiagonal model has beta (n - j)."""
+    return beta * np.arange(n, 1, -1)
+
+
 def test_wrong_chi_degrees_fail_the_exact_oracle_check(monkeypatch):
-    # beta (n - j + 1) where the tridiagonal model has beta (n - j): each Gaussian
-    # case misses the walk oracle by z = 33..44 (within 2.2 with nothing planted)
-    monkeypatch.setattr(montecarlo, "_chi_degrees", lambda n, beta: beta * np.arange(n, 1, -1))
+    # each Gaussian case misses the walk oracle by z = 33..44 (within 2.2 with
+    # nothing planted)
+    monkeypatch.setattr(montecarlo, "_chi_degrees", _one_degree_too_many)
     gaussian = [case for case in FINITE_SIZE_CASES if case[0] in ("goe", "gue")]
     assert len(gaussian) == 3
     for case in gaussian:
         assert estimate_misses_exact_value(*case), case
+
+
+def test_wrong_chi_degrees_fail_the_exact_banded_sum(monkeypatch):
+    # summed exactly, with no z-score: every size with an off-diagonal misses
+    monkeypatch.setattr(montecarlo, "_chi_degrees", _one_degree_too_many)
+    for name in ("goe", "gue"):
+        assert banded_model_misses(name) == [(n, k) for n in range(2, 7) for k in (2, 4, 6, 8)]

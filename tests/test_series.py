@@ -123,6 +123,12 @@ def test_monomial_and_coeff_bounds():
         x.truncate(9)
 
 
+def test_truncating_to_its_own_order_keeps_the_series():
+    t = S(1, 2, 3, 4)
+    assert t.truncate(t.order) == t
+    assert t.truncate(1) == S(1, 2)
+
+
 def test_first_difference():
     assert S(1, 2, 3).first_difference(S(1, 2, 3)) is None
     assert S(1, 2, 3).first_difference(S(1, 5, 3)) == 1

@@ -568,6 +568,16 @@ def test_model_validation():
     assert gue_model(max_order=4).offdiag_moments[3][3] is None
 
 
+def test_complex_grids_must_be_three_wide():
+    diag = (1, 0, 1)
+    three = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+    model = MomentModel(is_real=False, offdiag_moments=three, diag_moments=diag)
+    assert model.params == gue_model().params
+    two = ((1, 0), (0, 1), (0, 0))  # three rows, each 2 wide
+    with pytest.raises(ValueError, match="grid covering a, b <= 2"):
+        MomentModel(is_real=False, offdiag_moments=two, diag_moments=diag)
+
+
 # -- expectations per class ------------------------------------------------------------
 
 
@@ -715,6 +725,16 @@ def test_exact_moment_guards():
         for n in (0, -3, 2.5, 2.0, True, Fraction(2), "2"):
             with pytest.raises(ValueError, match="matrix size"):
                 exact_moment(k, n, model)
+
+
+def test_exact_moment_takes_numpy_integer_sizes():
+    model = goe_model()
+    got = exact_moment(4, np.int64(8), model)
+    assert got == exact_moment(4, 8, model) == 2 + Fraction(5, 8) + Fraction(5, 64)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    for n in (True, 8.0, 0):
+        with pytest.raises(ValueError, match=rf"^matrix size must be an int >= 1, got {n!r}$"):
+            exact_moment(4, n, model)
 
 
 def test_correction_residual_shrinks_with_n():
