@@ -29,10 +29,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int_at_least(value, least: int, name: str) -> int:
+    """``value`` as a plain int, refused unless it is an integer >= ``least``.
+
+    The one integer rule of every route's arguments: a NumPy integer passes
+    (``operator.index``); a bool, a float or any other type is refused.
+    """
+    try:
+        number = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -99,15 +115,13 @@ class ExpansionTerm:
 
 def catalan(k: int) -> int:
     """Catalan number Cat(k) = C(2k, k) / (k + 1)."""
-    if k < 0:
-        raise ValueError(f"catalan is defined for k >= 0, got {k}")
+    k = _int_at_least(k, 0, "catalan index")
     return math.comb(2 * k, k) // (k + 1)
 
 
 def semicircle_moment(k: int) -> int:
     """k-th moment of the semicircle law on [-2, 2]: Cat(k/2) for even k, else 0."""
-    if k < 0:
-        raise ValueError(f"moment index must be nonnegative, got {k}")
+    k = _int_at_least(k, 0, "moment index")
     return catalan(k // 2) if k % 2 == 0 else 0
 
 
@@ -142,16 +156,19 @@ def marked_forest_count(trees: int, edges: int) -> int:
 
 def double_edge_class_count(l: int) -> int:
     """Walk classes of length 2l on a tree with one edge crossed four times."""
+    l = _int_at_least(l, 0, "half-order")
     return marked_forest_count(4, l - 2) if l >= 2 else 0
 
 
 def self_loop_class_count(l: int) -> int:
     """Walk classes of length 2l whose graph has a self-loop (crossed twice)."""
+    l = _int_at_least(l, 0, "half-order")
     return marked_forest_count(2, l - 1) if l >= 1 else 0
 
 
 def cycle_one_way_class_count(l: int) -> int:
     """Unicyclic walk classes of length 2l with all cycle edges run one way."""
+    l = _int_at_least(l, 0, "half-order")
     return sum(marked_forest_count(2 * p, l - p) for p in range(3, l + 1))
 
 
@@ -161,13 +178,13 @@ def cycle_both_ways_class_count(l: int) -> int:
     The cycle of length p can be entered at any of its p corners next to the
     root tree, hence the extra factor p relative to the one-way count.
     """
+    l = _int_at_least(l, 0, "half-order")
     return sum(p * marked_forest_count(2 * p, l - p) for p in range(3, l + 1))
 
 
 def term1_coeff(l: int) -> int:
     """Family 1 coefficient: -l(l+1)/2 * Cat(l)."""
-    if l < 0:
-        raise ValueError(f"half-order must be nonnegative, got {l}")
+    l = _int_at_least(l, 0, "half-order")
     return -(l * (l + 1) // 2) * catalan(l)
 
 
@@ -217,8 +234,7 @@ def nu_moment(k: int, params: EnsembleParams) -> Fraction:
 
     with (c4, c2, c0) from ``nu_coefficients``.  Odd moments vanish.
     """
-    if k < 0:
-        raise ValueError(f"moment index must be nonnegative, got {k}")
+    k = _int_at_least(k, 0, "moment index")
     if k % 2 == 1:
         return Fraction(0)
     l = k // 2
@@ -234,6 +250,7 @@ def nu_moment(k: int, params: EnsembleParams) -> Fraction:
 
 def order_one_coeff(l: int, params: EnsembleParams) -> ExpansionTerm:
     """All four 1/n families for moment 2l; total equals nu_moment(2l)."""
+    l = _int_at_least(l, 0, "half-order")
     c1 = Fraction(term1_coeff(l))
     c2 = term2_coeff(l, params)
     c3 = term3_coeff(l, params)
@@ -243,6 +260,5 @@ def order_one_coeff(l: int, params: EnsembleParams) -> ExpansionTerm:
 
 def expected_moment_expansion(k: int, n: int, params: EnsembleParams) -> Fraction:
     """Two-term truncation: semicircle moment plus nu moment over n."""
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
+    n = _int_at_least(n, 1, "matrix size")
     return semicircle_moment(k) + nu_moment(k, params) / n

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import EnsembleParams, nu_coefficients
+from .combinatorics import EnsembleParams, _int_at_least, nu_coefficients
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def nu_atoms(params: EnsembleParams) -> list[tuple[float, Fraction]]:
 
 
 def _theta_nodes(npoints: int) -> np.ndarray:
-    if npoints < 1:
-        raise ValueError(f"need at least one quadrature node, got {npoints}")
+    npoints = _int_at_least(npoints, 1, "npoints")
     return (np.arange(npoints) + 0.5) * (math.pi / npoints)
 
 
@@ -125,8 +124,7 @@ def nu_quadrature_moment(k: int, params: EnsembleParams, npoints: int = 400) -> 
     a trigonometric polynomial of degree k + 4); serves as the independent
     oracle for the closed-form moments.
     """
-    if k < 0:
-        raise ValueError(f"moment index must be nonnegative, got {k}")
+    k = _int_at_least(k, 0, "moment index")
     nu = SignedMeasureNu.from_params(params)
     x = 2.0 * np.cos(_theta_nodes(npoints))
     ac = float(np.mean(x**k * nu.density_polynomial(x)))

@@ -47,7 +47,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +57,7 @@ from .combinatorics import (
     GUE,
     RADEMACHER,
     EnsembleParams,
+    _int_at_least,
     catalan,
     nu_moment,
 )
@@ -312,23 +312,9 @@ def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) ->
     return entries[_gather_index(n, conjugate)].reshape(n, n)
 
 
-def _check_int(value, least: int, name: str) -> int:
-    """``value`` as an int, refused unless it is an integer >= ``least``.
-
-    A NumPy integer passes (``operator.index``); a bool is refused.
-    """
-    try:
-        number = None if isinstance(value, bool) else index(value)
-    except TypeError:
-        number = None
-    if number is None or number < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-    return number
-
-
 def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     """One Hermitian matrix X = W/(sigma sqrt(n)); deterministic in (seed, n)."""
-    n = _check_int(n, 1, "matrix size")
+    n = _int_at_least(n, 1, "matrix size")
     return _build_matrix(n, sampler, np.random.default_rng(seed))
 
 
@@ -428,7 +414,7 @@ def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
 
     kmax is checked as the sizes of ``estimate_corrections`` are, and must be >= 1.
     """
-    kmax = _check_int(kmax, 1, "kmax")
+    kmax = _int_at_least(kmax, 1, "kmax")
     n = x.shape[0]
     plan = _power_plan(tuple(range(2, kmax + 1)))
     buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
@@ -733,14 +719,14 @@ def estimate_corrections(
     an even integer >= 2, n an integer >= 1 and samples an integer >= 2, for
     a standard error; a NumPy integer passes and a bool is refused.
     """
-    ks = sorted({_check_int(k, 2, "moment index") for k in ks})
+    ks = sorted({_int_at_least(k, 2, "moment index") for k in ks})
     if not ks:
         raise ValueError("need at least one moment index")
     for k in ks:
         if k % 2 == 1:
             raise ValueError(f"correction estimates are defined for even k >= 2, got {k}")
-    samples = _check_int(samples, 2, "samples")
-    n = _check_int(n, 1, "matrix size")
+    samples = _int_at_least(samples, 2, "samples")
+    n = _int_at_least(n, 1, "matrix size")
     traces = _sample_traces(ks, n, samples, sampler, seed)
     out = []
     for row, k in enumerate(ks):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import EnsembleParams, catalan
+from .combinatorics import EnsembleParams, _int_at_least, catalan
 
 _SCALARS = (int, Fraction)
 # the largest order the command line accepts: the identity suite's series part
@@ -56,7 +56,7 @@ class TruncatedRationalSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedRationalSeries":
-        return cls((0,) * (order + 1))
+        return cls((0,) * (_int_at_least(order, 0, "truncation order") + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedRationalSeries":
@@ -64,7 +64,9 @@ class TruncatedRationalSeries:
 
     @classmethod
     def monomial(cls, exponent: int, order: int) -> "TruncatedRationalSeries":
-        if not 0 <= exponent <= order:
+        order = _int_at_least(order, 0, "truncation order")
+        exponent = _int_at_least(exponent, 0, "monomial exponent")
+        if exponent > order:
             raise ValueError(f"monomial exponent {exponent} outside order {order}")
         cs = [0] * (order + 1)
         cs[exponent] = 1
@@ -95,6 +97,7 @@ class TruncatedRationalSeries:
 
     def truncate(self, order: int) -> "TruncatedRationalSeries":
         """Drop coefficients above `order` (which must not exceed the current one)."""
+        order = _int_at_least(order, 0, "truncation order")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return TruncatedRationalSeries(self.coeffs[: order + 1])
@@ -171,11 +174,9 @@ class TruncatedRationalSeries:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers must have nonnegative integer exponents")
+        e = _int_at_least(exponent, 0, "series exponent")
         result = TruncatedRationalSeries.one(self.order)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -202,8 +203,7 @@ def catalan_series(order: int) -> TruncatedRationalSeries:
     Built from the binomial closed form; the functional equation T = 1 + x T^2
     is then a genuine cross-check (see ``tests``), not a construction artifact.
     """
-    if order < 1:
-        raise ValueError(f"truncation order must be >= 1, got {order}")
+    order = _int_at_least(order, 1, "truncation order")
     return TruncatedRationalSeries(tuple(catalan(j) for j in range(order + 1)))
 
 
@@ -233,7 +233,7 @@ def s_components(
     Coefficient l of S_i equals the corresponding termN_coeff(l) from the
     combinatorics module; that equality is part of the verification suite.
     """
-    a, b, c, d = _blocks(order)
+    a, b, c, d = _blocks(_int_at_least(order, 1, "truncation order"))
     s1 = -(c / (d * d))
     s4 = a / d + (2 + params.r) * a
     return s1, params.fourth_ratio * b, params.diag_ratio * c, s4
@@ -245,7 +245,7 @@ def s_total(order: int, params: EnsembleParams) -> TruncatedRationalSeries:
     Coefficient l is the full 1/n correction to moment 2l; it vanishes
     identically for the complex Gaussian ensemble.
     """
-    a, b, c, _ = _blocks(order)
+    a, b, c, _ = _blocks(_int_at_least(order, 1, "truncation order"))
     return params.r * a + (params.fourth_ratio - 2) * b + (params.diag_ratio - 1) * c
 
 
@@ -297,5 +297,6 @@ def verify_cancellation(order: int) -> bool:
     x^2 T^5, x^3 T^7 and x T^4 over powers of 1 - x T^2) vanishes identically
     at the truncation order (>= 2).
     """
+    order = _int_at_least(order, 2, "truncation order")
     _, combo, _ = catalan_identities(catalan_series(order))[-1]
     return combo.is_zero

@@ -72,11 +72,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from operator import eq, index
+from operator import eq
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import EnsembleParams
+from .combinatorics import EnsembleParams, _int_at_least
 
 MAX_WORD_LENGTH = 12
 # "-" and the decimal string of each letter: a word's text grows by one per step
@@ -275,31 +275,19 @@ def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
 
     k is checked as by ``check_word_length``, at the first ``next()``.
     """
-    check_word_length(k)
-    for leaf in _search(k, False):
+    for leaf in _search(check_word_length(k), False):
         yield classify_walk(leaf[0])
 
 
-def _integer_length(k) -> int:
-    """k as an int (a NumPy integer passes); ValueError for a bool or a non-integer."""
-    try:
-        number = None if isinstance(k, bool) else index(k)
-    except TypeError:
-        number = None
-    if number is None:
-        raise ValueError(f"word length must be an integer, got {k!r}")
-    return number
-
-
-def check_word_length(k: int) -> None:
-    """Raise ValueError unless k is an integer, not a bool, with 1 <= k <= ``MAX_WORD_LENGTH``."""
-    if _integer_length(k) < 1:
-        raise ValueError(f"word length must be positive, got {k}")
+def check_word_length(k: int) -> int:
+    """k as an int, refused unless 1 <= k <= ``MAX_WORD_LENGTH`` (a NumPy integer passes)."""
+    k = _int_at_least(k, 1, "word length")
     if k > MAX_WORD_LENGTH:
         raise ValueError(
             f"word length {k} exceeds the enumeration bound {MAX_WORD_LENGTH} "
             f"(class counts grow like Bell numbers)"
         )
+    return k
 
 
 @lru_cache(maxsize=2 * MAX_WORD_LENGTH)
@@ -364,7 +352,7 @@ def count_classes(
     families), of the full stream of all Bell(k) classes for any other.  A
     (v, e) that no class has (see ``_possible``) is 0 with no search.
     """
-    check_word_length(k)
+    k = check_word_length(k)
     match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
     if not _possible(k, v, e):
         return 0
@@ -519,17 +507,9 @@ def _gaussian_moments(variance: Fraction, max_order: int) -> tuple[Fraction, ...
     return tuple(out)
 
 
-def _check_max_order(max_order: int) -> None:
-    """Raise ValueError unless a preset's tables reach the fourth moment, which ``params`` reads."""
-    if max_order < 4:
-        raise ValueError(
-            f"max_order must be at least 4 so the tables hold the fourth moment, got {max_order}"
-        )
-
-
 def goe_model(max_order: int = 16) -> MomentModel:
     """Real Gaussian entries: off-diagonal variance 1, diagonal variance 2."""
-    _check_max_order(max_order)
+    max_order = _int_at_least(max_order, 4, "max_order")
     return MomentModel(
         is_real=True,
         offdiag_moments=_gaussian_moments(Fraction(1), max_order),
@@ -542,7 +522,7 @@ def gue_model(max_order: int = 16) -> MomentModel:
 
     Mixed moments: E[W^a conj(W)^b] = a! if a = b, else 0.
     """
-    _check_max_order(max_order)
+    max_order = _int_at_least(max_order, 4, "max_order")
     grid = tuple(
         tuple(
             (Fraction(math.factorial(a)) if a == b else Fraction(0))
@@ -567,7 +547,7 @@ def rademacher_model(
     Even moments are pure powers of the variances, so alpha = sigma2^2, the
     smallest fourth moment a centered distribution of that variance allows.
     """
-    _check_max_order(max_order)
+    max_order = _int_at_least(max_order, 4, "max_order")
     sigma2 = Fraction(sigma2)
     s2 = Fraction(s2)
     off = tuple(sigma2 ** (m // 2) if m % 2 == 0 else Fraction(0) for m in range(max_order + 1))
@@ -639,7 +619,7 @@ def class_rows(
     no product, and a query is read from the pruned search or the full one
     as the module docstring's pruning rule says.
     """
-    check_word_length(k)
+    k = check_word_length(k)
     match = _matcher(v, e, cycle_type)
     if not _possible(k, v, e):
         return
@@ -664,7 +644,8 @@ def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:
     semicircle moment and c[1] / sigma^k the 1/n correction; an integral
     one is an int.  Even k only, at most ``MAX_WORD_LENGTH``.
     """
-    if _integer_length(k) % 2 == 1:
+    k = _int_at_least(k, 0, "word length")
+    if k % 2 == 1:
         raise ValueError(
             "exact finite-size moments are rational for even k only; odd moments "
             "vanish for symmetric entry distributions"
@@ -690,17 +671,13 @@ def exact_moment(k: int, n: int, model: MomentModel) -> Fraction:
     """Exact expected moment of the empirical spectral measure at size n.
 
     ``walk_polynomial``'s P(n) by Horner, divided once by n^(1 + k/2) sigma^k.
-    n must be an integer >= 1 (a NumPy integer passes, a bool is refused);
-    k is even, at most ``MAX_WORD_LENGTH``.
+    n must be an integer >= 1, checked first; k is even, at most
+    ``MAX_WORD_LENGTH``.
     """
-    try:
-        size = None if isinstance(n, bool) else index(n)
-    except TypeError:
-        size = None
-    if size is None or size < 1:
-        raise ValueError(f"matrix size must be an int >= 1, got {n!r}")
-    n = size
+    n = _int_at_least(n, 1, "matrix size")
+    coeffs = walk_polynomial(k, model)
     total = 0
-    for coeff in walk_polynomial(k, model):
+    for coeff in coeffs:
         total = total * n + coeff
-    return Fraction(total) / (n ** (1 + k // 2) * model.sigma2 ** (k // 2))
+    half = len(coeffs) - 2  # P has k/2 + 2 coefficients
+    return Fraction(total) / (n ** (1 + half) * model.sigma2**half)

@@ -19,12 +19,16 @@ import wignerexp
 PACKAGE = Path(wignerexp.__file__).parent
 FRONT_ENDS = {"cli", "__init__", "__main__"}
 
+# the one integer rule of every route's arguments: a check, not a number
+INT_RULE = "the integer rule every route's arguments go through"
+
 # route module -> {(module imported from, name): reason}
 CROSS_ROUTE_IMPORTS = {
     "combinatorics": {},
     "measure": {
         ("combinatorics", "EnsembleParams"): "the parameters a measure is built for",
         ("combinatorics", "nu_coefficients"): "the density and atoms of nu come from c4, c2, c0",
+        ("combinatorics", "_int_at_least"): INT_RULE,
     },
     "montecarlo": {
         ("combinatorics", "GOE"): "the params of the goe sampler",
@@ -33,13 +37,16 @@ CROSS_ROUTE_IMPORTS = {
         ("combinatorics", "EnsembleParams"): "the params record each sampler carries",
         ("combinatorics", "catalan"): "the semicircle limit each estimate subtracts",
         ("combinatorics", "nu_moment"): "the reference column only, never the estimate",
+        ("combinatorics", "_int_at_least"): INT_RULE,
     },
     "series": {
         ("combinatorics", "EnsembleParams"): "the parameters of the S-series",
         ("combinatorics", "catalan"): "the coefficients of T; T = 1 + x T^2 checks them",
+        ("combinatorics", "_int_at_least"): INT_RULE,
     },
     "walks": {
         ("combinatorics", "EnsembleParams"): "the params a moment model reports",
+        ("combinatorics", "_int_at_least"): INT_RULE,
     },
 }
 

@@ -791,6 +791,70 @@ def test_banded_models_sum_exactly_to_the_walk_polynomial(name):
     assert banded_model_misses(name) == []
 
 
+def every_sign_pattern(n) -> montecarlo.EnsembleSampler:
+    """A Rademacher sampler whose successive samples are the 2^(n(n+1)/2) sign matrices.
+
+    Sample s takes its signs from the bits of s: the upper entries from the
+    low n(n-1)/2 bits, the diagonal from the next n.  ``_build_matrix`` draws
+    a sample's upper entries, where it has any, and then its diagonal, so the
+    diagonal draw moves on to the next sample.
+    """
+    upper = n * (n - 1) // 2
+    sample = [0]
+
+    def signs(first, size):
+        return 2.0 * (sample[0] >> np.arange(first, first + size) & 1) - 1.0
+
+    def diag(rng, size):
+        out = signs(upper, size)
+        sample[0] += 1
+        return out
+
+    return montecarlo.EnsembleSampler(RADEMACHER, "custom", lambda rng, size: signs(0, size), diag)
+
+
+def dense_sign_sum_misses(sizes) -> list[tuple[int, int]]:
+    """(n, k), even k = 2..10, where the dense estimate over every sign matrix is not exact.
+
+    With each sign matrix drawn once, ``estimate_corrections`` reads the
+    exact mean through the real build, power plan and trace reads, so its
+    point must equal n (m_k(n) - Cat(k/2)) of the walk oracle.
+    """
+    model = rademacher_model()
+    misses = []
+    for n in sizes:
+        ks = range(2, 11, 2)
+        estimates = estimate_corrections(ks, n, 2 ** (n * (n + 1) // 2), every_sign_pattern(n), 0)
+        for k, est in zip(ks, estimates):
+            want = float(n * (exact_moment(k, n, model) - semicircle_moment(k)))
+            if est.point != pytest.approx(want, rel=1e-12, abs=1e-12):
+                misses.append((n, k))
+    return misses
+
+
+def test_dense_estimates_over_every_sign_pattern_equal_the_walk_oracle():
+    assert dense_sign_sum_misses(range(2, 6)) == []
+
+
+def test_sign_matrix_trace_sums_equal_the_walk_polynomial():
+    # in integers: the sum of tr W^k over the 2^(n(n+1)/2) sign matrices W is
+    # 2^(n(n+1)/2) P(n), with int64 products and no sampler involved
+    model = rademacher_model()
+    for n in range(1, 6):
+        rows, cols = np.triu_indices(n)
+        bits = np.arange(2 ** len(rows))[:, None] >> np.arange(len(rows)) & 1
+        w = np.zeros((len(bits), n, n), dtype=np.int64)
+        w[:, rows, cols] = w[:, cols, rows] = 2 * bits - 1
+        power = w
+        for k in range(2, 11):
+            power = power @ w
+            if k % 2 == 0:
+                want = 0
+                for coeff in walk_polynomial(k, model):
+                    want = want * n + coeff
+                assert int(np.trace(power, axis1=1, axis2=2).sum()) == len(w) * want, (n, k)
+
+
 def _one_at_a_time(ks, n, samples, sampler, seed):
     """tr X^k per sample, block b from generator (seed, n, b), by dense matrix powers."""
     scale = math.sqrt(float(sampler.params.sigma2) * n)

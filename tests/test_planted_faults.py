@@ -11,7 +11,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from test_montecarlo import FINITE_SIZE_CASES, banded_model_misses, estimate_misses_exact_value
+import test_montecarlo
+from test_montecarlo import (
+    FINITE_SIZE_CASES,
+    banded_model_misses,
+    dense_sign_sum_misses,
+    estimate_misses_exact_value,
+)
 
 from wignerexp import cli, montecarlo, series, walks
 from wignerexp import combinatorics as comb
@@ -98,3 +104,31 @@ def test_wrong_chi_degrees_fail_the_exact_banded_sum(monkeypatch):
     monkeypatch.setattr(montecarlo, "_chi_degrees", _one_degree_too_many)
     for name in ("goe", "gue"):
         assert banded_model_misses(name) == [(n, k) for n in range(2, 7) for k in (2, 4, 6, 8)]
+
+
+def test_a_diagonal_mis_scale_fails_the_exact_dense_sum(monkeypatch):
+    # X_ii 1% too large after the build: every (n, k) moves, by 0.02 at k = 2
+    right = montecarlo._build_matrix
+
+    def mis_scaled(n, sampler, rng):
+        x = right(n, sampler, rng)
+        x[np.diag_indices(n)] *= 1.01
+        return x
+
+    monkeypatch.setattr(montecarlo, "_build_matrix", mis_scaled)
+    sizes = range(2, 5)
+    assert dense_sign_sum_misses(sizes) == [(n, k) for n in sizes for k in range(2, 11, 2)]
+
+
+def test_a_diagonal_mis_scale_fails_the_exact_banded_sum(monkeypatch):
+    # the tridiagonal model's diagonal drawn 1% too large: every size misses
+    for name in ("goe", "gue"):
+        sampler, model = test_montecarlo.SAMPLERS[name]
+
+        def mis_scaled(rng, n, count, right=sampler.tridiagonal):
+            diag, off = right(rng, n, count)
+            return 1.01 * diag, off
+
+        planted = replace(sampler, tridiagonal=mis_scaled)
+        monkeypatch.setitem(test_montecarlo.SAMPLERS, name, (planted, model))
+        assert banded_model_misses(name) == [(n, k) for n in range(1, 7) for k in (2, 4, 6, 8)]
