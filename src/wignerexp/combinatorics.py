@@ -70,8 +70,13 @@ class EnsembleParams:
         object.__setattr__(self, "sigma2", _frac(self.sigma2))
         object.__setattr__(self, "s2", _frac(self.s2))
         object.__setattr__(self, "alpha", _frac(self.alpha))
-        if self.r not in (0, 1):
-            raise ValueError(f"r must be 0 (complex) or 1 (real), got {self.r}")
+        try:
+            r = _int_at_least(self.r, 0, "r")
+        except ValueError:
+            r = None
+        if r not in (0, 1):
+            raise ValueError(f"r must be 0 (complex) or 1 (real), got {self.r!r}")
+        object.__setattr__(self, "r", r)
         if self.sigma2 <= 0:
             raise ValueError(f"off-diagonal variance sigma2 must be positive, got {self.sigma2}")
         if self.s2 < 0:

@@ -79,7 +79,8 @@ class TruncatedRationalSeries:
         return len(self.coeffs) - 1
 
     def coeff(self, j: int) -> int | Fraction:
-        if not 0 <= j <= self.order:
+        j = _int_at_least(j, 0, "coefficient index")
+        if j > self.order:
             raise IndexError(f"coefficient index {j} outside truncation order {self.order}")
         return self.coeffs[j]
 

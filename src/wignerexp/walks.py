@@ -14,21 +14,33 @@ The search.  One depth-first search over restricted-growth words,
 ``_search(k, pruned)``, serves every caller, in lexicographic order.  It is
 one generator loop over an explicit stack, one entry per position 1..k-1:
 the shape counters of the steps before it (edges, self-loops, edges
-crossed once and edges crossed twice), its top letter and its text,
-the letters so far joined by "-".  The directed crossing counts sit in one
-flat list (the step a -> b at index a * (k + 1) + b), raised on each step
-and lowered on backtrack.  Every step, the last letter's and the closing
-step back to letter 1 included, goes through one inline update of the
-counters from its edge's new total, the one tally rule.  Each leaf is
+crossed once and edges crossed twice), its top letter, its text (the
+letters so far joined by "-") and its code.  The directed crossing counts
+sit in one flat list (the step a -> b at index a * (k + 1) + b; slot 0,
+which no step reaches, is read as a loop's other way), raised on each
+step and lowered on backtrack.  Every step, the last letter's and the
+closing step back to letter 1 included, goes through one inline update of
+the counters from its edge's new counts, the one tally rule.  Each leaf is
 classified and yielded from that loop, with no call per step.
 
+The code.  Each edge state (is_loop, fwd, bwd) a length-k word can have
+weighs (k + 1) ** index, one index per state (``_code_tables``), and a
+word's code is the sum of its edges' weights.  No state is on more than k
+edges, so the sum is a base-(k + 1) numeral of the state counts: two words
+have equal codes exactly when their multisets of edge states are equal.
+The tally rule keeps it as the counters are kept: a step adds, from one of
+three tables (step i -> j, step j -> i, loop), its edge's weight after the
+step less its weight before.  Like Zobrist's keys for game positions, it is
+kept step by step, but it is exact, with no hashing.
+
 The leaf.  Each word reaches its caller as one tuple, (word, crossings, v,
-e, cycle_type, ones, text) (``_Leaf``): v letters, e edges, the cycle type
-``WalkClass`` defines, ``ones`` edges crossed once and the text.
-``crossings`` is live, so read it before resuming the search.  One reader,
-``_pattern``, turns it into the leaf's per-edge counts, the (is_loop, fwd,
-bwd) of each edge.  ``classify_walk`` recounts a word's steps into a dict
-of its own, apart from the search's counters: it is the reference the
+e, cycle_type, ones, text, code) (``_Leaf``): v letters, e edges, the cycle
+type ``WalkClass`` defines, ``ones`` edges crossed once, the text and the
+code.  ``crossings`` is live, so read it before resuming the search.  One
+reader, ``_pattern``, turns it into the leaf's per-edge counts, the
+(is_loop, fwd, bwd) of each edge; ``class_rows`` calls it only for the
+first leaf of each code.  ``classify_walk`` recounts a word's steps into a
+dict of its own, apart from the search's counters: it is the reference the
 search is tested against, and the one maker of a ``WalkClass``.
 
 Pruning.  An edge crossed once gives a first moment, which ``MomentModel``
@@ -43,11 +55,12 @@ full one.  Every query is tested by the one matcher ``_matcher``.
 
 The census.  ``_census(k, pruned)`` reads one search once and keeps two
 things: the class count per (v, e, cycle_type), and the weighted
-representatives, one per v and sorted ``_pattern`` (which fixes the class's
-moment factor), each the ``classify_walk`` of its first leaf, with its class
-count.  At k = 10, 67 representatives stand for the 4,900 classes that
-count, of 115,975; at k = 12, 192 stand for 67,880 of 4,213,597.  The
-oracle and the family counts share the pruned census of each k.
+representatives, one per v and code (which fix the class's moment factor),
+each the ``classify_walk`` of its first leaf, with its class count.  No
+leaf is read again.  At k = 10, 67 representatives stand for the 4,900
+classes that count, of 115,975; at k = 12, 192 stand for 67,880 of
+4,213,597.  The oracle and the family counts share the pruned census of
+each k.
 
 The polynomial.  Expected moments at finite n are exact rationals,
 
@@ -93,12 +106,23 @@ _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 # directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j, as
 # ``classify_walk`` recounts them
 _Counts = dict[tuple[int, int], list[int]]
-# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text)
-_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str]
+# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text, code)
+_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str, int]
+# an edge's state, as ``_pattern`` reports it: (is_loop, fwd, bwd)
+_State = tuple[bool, int, int]
 # a census: class count per (v, e, cycle_type), and (representative, class count) pairs
 _Census = tuple[Mapping[tuple[int, int, str], int], tuple[tuple["WalkClass", int], ...]]
 # the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
 _Match = Callable[[int, int, str], bool]
+
+
+class _CodeTables(NamedTuple):
+    """The leaf code's weight per edge state, and its change per step (``_code_tables``)."""
+
+    weights: Mapping[_State, int]
+    rise: tuple[int, ...]  # a step i -> j, i < j
+    fall: tuple[int, ...]  # a step j -> i
+    loop: tuple[int, ...]  # a step i -> i
 
 
 class MissingMomentError(LookupError):
@@ -166,6 +190,32 @@ def _leaf(word: tuple[int, ...], counts: _Counts) -> _Shape:
     return _Shape(v, e, kind)
 
 
+@lru_cache(maxsize=MAX_WORD_LENGTH)
+def _code_tables(k: int) -> _CodeTables:
+    """The weight of each edge state of a length-k word, and the search's step tables.
+
+    The states are indexed by their total crossings first, so a word whose
+    edges are crossed few times has a small code.  Each step table holds,
+    by the edge's counts after the step (``here * (k + 1) + there``: this
+    way, then the other way), the weight of its state then less the weight
+    of its state before.  A loop has no other way, so its ``there`` is 0.
+    """
+    width = k + 1
+    states = [(False, fwd, total - fwd) for total in range(1, width) for fwd in range(total + 1)]
+    states += [(True, count, 0) for count in range(1, width)]
+    states.sort(key=lambda state: state[1] + state[2])
+    weights = {state: width**index for index, state in enumerate(states)}
+    weight = {**weights, (False, 0, 0): 0, (True, 0, 0): 0}.__getitem__
+    rise, fall, loop = ([0] * (width * width) for _ in range(3))
+    for here in range(1, width):
+        for there in range(width - here):
+            at = here * width + there
+            rise[at] = weight((False, here, there)) - weight((False, here - 1, there))
+            fall[at] = weight((False, there, here)) - weight((False, there, here - 1))
+        loop[here * width] = weight((True, here, 0)) - weight((True, here - 1, 0))
+    return _CodeTables(MappingProxyType(weights), tuple(rise), tuple(fall), tuple(loop))
+
+
 def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     """Yield one ``_Leaf`` per canonical word of length k, ``pruned`` or not.
 
@@ -177,25 +227,41 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     width = k + 1
     word = [1] * k
     crossings = [0] * (width * width)
-    # position pos < k: the tally of word[:pos]'s steps, its top letter and its text
-    stack = [(0, 0, 0, 0, 1, "1")] * k
-    edges, loops, once, twice, top, text = stack[0]
+    tables = _code_tables(k)
+    # by the flat index of a step a -> b: its code table, that table's entry for a new
+    # edge, and the index of the step b -> a, or 0 for a loop (a slot no step reaches)
+    changes = [
+        tables.loop if a == b else tables.rise if a < b else tables.fall
+        for a in range(width)
+        for b in range(width)
+    ]
+    firsts = [table[width] for table in changes]
+    reverse = [b * width + a if a != b else 0 for a in range(width) for b in range(width)]
+    # position pos < k: the tally of word[:pos]'s steps, its top letter, its text and its code
+    stack = [(0, 0, 0, 0, 1, "1", 0)] * k
+    edges, loops, once, twice, top, text, code = stack[0]
     pos = a = b = 1
     while True:
         # the step a -> b; its edge's new total decides the tally: 1 adds an edge
-        # (and a loop when a == b), 2 moves it from once to twice, 3 takes it out of twice
+        # (and a loop when a == b), 2 moves it from once to twice, 3 takes it out of
+        # twice; its counts, this way and the other, give the change of the code
         ab = a * width + b
-        crossings[ab] += 1
-        total = crossings[ab] if a == b else crossings[ab] + crossings[b * width + a]
+        here = crossings[ab] + 1
+        crossings[ab] = here
+        there = crossings[reverse[ab]]
+        total = here + there
         if total == 1:
             edges += 1
             loops += a == b
             once += 1
-        elif total == 2:
-            once -= 1
-            twice += 1
-        elif total == 3:
-            twice -= 1
+            code += firsts[ab]
+        else:
+            code += changes[ab][here * width + there]
+            if total == 2:
+                once -= 1
+                twice += 1
+            elif total == 3:
+                twice -= 1
         if not pruned or once <= k - pos:
             if pos < k:
                 word[pos] = b
@@ -204,7 +270,7 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
                     top = b
                 pos += 1
                 if pos < k:
-                    stack[pos] = edges, loops, once, twice, top, text
+                    stack[pos] = edges, loops, once, twice, top, text, code
                 a, b = b, 1  # at pos == k, the closing step
                 continue
             if edges == top - 1:
@@ -217,13 +283,13 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
                 steps = zip(word, word[1:] + word[:1])
                 one_way = any(crossings[i * width + j] != 1 for i, j in steps)
                 kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
-            yield tuple(word), crossings, top, edges, kind, once, text
+            yield tuple(word), crossings, top, edges, kind, once, text, code
         crossings[ab] -= 1
         # the next letter at pos, backing up past each position whose letters are all
         # tried (the closing step has one), each step undone on the way
         while True:
             if pos < k:
-                edges, loops, once, twice, top, text = stack[pos]
+                edges, loops, once, twice, top, text, code = stack[pos]
                 b += 1
                 if b <= top + 1:
                     break
@@ -235,7 +301,7 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
         a = word[pos - 1]
 
 
-def _pattern(word: tuple[int, ...], crossings: list[int]) -> list[tuple[bool, int, int]]:
+def _pattern(word: tuple[int, ...], crossings: list[int]) -> list[_State]:
     """(is_loop, fwd, bwd) per edge (i, j), i <= j, of a ``_search`` leaf, first crossed first.
 
     fwd counts the steps i -> j and bwd the steps j -> i, read from the
@@ -298,12 +364,12 @@ def _census(k: int, pruned: bool) -> _Census:
     """
     check_word_length(k)
     shapes: Counter = Counter()
-    weights: Counter = Counter()  # class count per representative key
-    firsts: dict[tuple, tuple[int, ...]] = {}  # the first word of each key
-    for word, crossings, v, e, kind, ones, _ in _search(k, pruned):
+    weights: Counter = Counter()  # class count per representative key (v, code)
+    firsts: dict[tuple[int, int], tuple[int, ...]] = {}  # the first word of each key
+    for word, _, v, e, kind, ones, _, code in _search(k, pruned):
         shapes[v, e, kind] += 1
         if not ones:
-            key = (v, tuple(sorted(_pattern(word, crossings))))
+            key = (v, code)
             weights[key] += 1
             firsts.setdefault(key, word)
     reps = tuple((classify_walk(firsts[key]), count) for key, count in weights.items())
@@ -575,16 +641,14 @@ class _EdgeFactors(dict):
         super().__init__()
         self.model = model
 
-    def __missing__(self, key: tuple[bool, int, int]) -> int | Fraction:
+    def __missing__(self, key: _State) -> int | Fraction:
         is_loop, fwd, bwd = key
         value = self.model.diag_moment(fwd) if is_loop else self.model.offdiag_mixed(fwd, bwd)
         value = self[key] = value.numerator if value.denominator == 1 else value
         return value
 
 
-def _edge_product(
-    factors: _EdgeFactors, pattern: Iterable[tuple[bool, int, int]]
-) -> int | Fraction:
+def _edge_product(factors: _EdgeFactors, pattern: Iterable[_State]) -> int | Fraction:
     """The product of ``factors`` over the (is_loop, fwd, bwd) keys of ``pattern``, stopped at 0."""
     value = 1
     for key in pattern:
@@ -615,23 +679,28 @@ def class_rows(
     straight from a search leaf, its word the leaf's text, with no
     ``WalkClass``; the query filters the leaf before its expectation is
     built, and a (v, e) that no class has (see ``_possible``) reads no
-    search at all.  A class with an edge crossed once is written 0 / 1 with
-    no product, and a query is read from the pruned search or the full one
-    as the module docstring's pruning rule says.
+    search at all.  The product is built once per leaf code, from the first
+    leaf with it, and a class with an edge crossed once is written 0 / 1
+    with no product.  A query is read from the pruned search or the full
+    one as the module docstring's pruning rule says.
     """
     k = check_word_length(k)
     match = _matcher(v, e, cycle_type)
     if not _possible(k, v, e):
         return
     factors = _EdgeFactors(model)
+    values: dict[int, tuple[int, int]] = {}  # (exp_num, exp_den) per leaf code
     pruned = _pruned_answers(k, v, e, cycle_type)
-    for word, crossings, cv, ce, kind, ones, text in _search(k, pruned):
+    for word, crossings, cv, ce, kind, ones, text, code in _search(k, pruned):
         if match is None or match(cv, ce, kind):
             if ones:
                 yield text, cv, ce, kind, 0, 1
-            else:
-                value = _edge_product(factors, _pattern(word, crossings))
-                yield text, cv, ce, kind, value.numerator, value.denominator
+                continue
+            value = values.get(code)
+            if value is None:
+                product = _edge_product(factors, _pattern(word, crossings))
+                value = values[code] = product.numerator, product.denominator
+            yield text, cv, ce, kind, *value
 
 
 def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:

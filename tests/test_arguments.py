@@ -127,6 +127,7 @@ SERIES_METHODS = {
     ),
     ("TruncatedRationalSeries.truncate", "order"): ("truncation order", 0, 6, T.truncate),
     ("TruncatedRationalSeries.__pow__", "exponent"): ("series exponent", 0, 9, lambda v: T**v),
+    ("TruncatedRationalSeries.coeff", "j"): ("coefficient index", 0, 6, T.coeff),
 }
 
 CASES = {**SURFACE, **SERIES_METHODS}

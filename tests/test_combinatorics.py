@@ -6,9 +6,11 @@ enumeration of integer compositions.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +291,20 @@ def test_params_validation():
         EnsembleParams(r=1, sigma2=1, s2=-1, alpha=1)
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         EnsembleParams(r=1, sigma2=1, s2=1, alpha=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("r", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_r_is_refused_unless_it_is_the_integer_zero_or_one(r):
+    # r = 1.0 was kept, and nu_moment then raised TypeError from Fraction(r, 2)
+    message = f"^r must be 0 \\(complex\\) or 1 \\(real\\), got {re.escape(repr(r))}$"
+    with pytest.raises(ValueError, match=message):
+        EnsembleParams(r=r, sigma2=1, s2=2, alpha=3)
+
+
+def test_r_of_a_numpy_integer_is_a_plain_int():
+    params = EnsembleParams(r=np.int64(1), sigma2=1, s2=2, alpha=3)
+    assert type(params.r) is int and params == GOE
+    assert nu_moment(4, params) == nu_moment(4, GOE)
 
 
 def test_preset_ratios():

@@ -11,7 +11,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import test_montecarlo
+import test_walks
 from test_montecarlo import (
     FINITE_SIZE_CASES,
     banded_model_misses,
@@ -132,3 +134,43 @@ def test_a_diagonal_mis_scale_fails_the_exact_banded_sum(monkeypatch):
         planted = replace(sampler, tridiagonal=mis_scaled)
         monkeypatch.setitem(test_montecarlo.SAMPLERS, name, (planted, model))
         assert banded_model_misses(name) == [(n, k) for n in range(1, 7) for k in (2, 4, 6, 8)]
+
+
+def _base_two_code_tables(k, right):
+    """``walks._code_tables(k)`` with the state of index i weighed 2 ** i, not (k + 1) ** i.
+
+    ``right`` is the true weight per state.  Two edges in one state then sum
+    to one edge in the next, so the code stops telling edge-state multisets
+    apart.  The step tables are built here from the weights, apart from the
+    module's.
+    """
+    weights = {state: 2**index for index, state in enumerate(sorted(right, key=right.get))}
+    weight = {**weights, (False, 0, 0): 0, (True, 0, 0): 0}.__getitem__
+    width = k + 1
+    rise, fall, loop = ([0] * (width * width) for _ in range(3))
+    for here in range(1, width):
+        for there in range(width - here):
+            at = here * width + there
+            rise[at] = weight((False, here, there)) - weight((False, here - 1, there))
+            fall[at] = weight((False, there, here)) - weight((False, there, here - 1))
+        loop[here * width] = weight((True, here, 0)) - weight((True, here - 1, 0))
+    return walks._CodeTables(weights, tuple(rise), tuple(fall), tuple(loop))
+
+
+def test_a_base_two_code_fails_the_census_check(monkeypatch):
+    # the census groups leaves by (v, code); a base-2 code first merges two of them
+    # at k = 10, where 67 representatives become 66
+    real = walks._code_tables
+    walks._census.cache_clear()
+    monkeypatch.setattr(walks, "_code_tables", lambda k: _base_two_code_tables(k, real(k).weights))
+    try:
+        for k in range(1, 10):
+            test_walks.test_pruned_tallies_match_full_stream(k, monkeypatch)
+        with pytest.raises(AssertionError):
+            test_walks.test_pruned_tallies_match_full_stream(10, monkeypatch)
+        walks._census.cache_clear()
+        assert len(walks._census(10, True)[1]) == 66
+    finally:
+        monkeypatch.undo()
+        walks._census.cache_clear()
+    assert len(walks._census(10, True)[1]) == 67

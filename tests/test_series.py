@@ -117,6 +117,10 @@ def test_monomial_and_coeff_bounds():
     assert x == S(0, 1, 0, 0)
     with pytest.raises(IndexError):
         x.coeff(4)
+    # an index that is no int is refused by the integer rule: coeff(True) read coefficient 1
+    for j in (True, 1.5, -1):
+        with pytest.raises(ValueError, match=f"^coefficient index must be an int >= 0, got {j}$"):
+            x.coeff(j)
     with pytest.raises(ValueError):
         Series.monomial(5, 3)
     with pytest.raises(ValueError):

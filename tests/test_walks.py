@@ -168,7 +168,7 @@ def full_stream_tallies(k: int):
     """
     shapes: Counter = Counter()
     weighted: dict = {}
-    for word, crossings, v, e, kind, _, _ in walks._search(k, False):
+    for word, crossings, v, e, kind, _, _, _ in walks._search(k, False):
         shapes[walks._Shape(v, e, kind)] += 1
         patterns = walks._pattern(word, crossings)
         if all(f + b >= 2 for _, f, b in patterns):
@@ -255,11 +255,25 @@ def _crossed(shape, crossings, ab, ba):
     return shape
 
 
+def flat_code(k: int, crossings: list[int]) -> int:
+    """A leaf's code summed edge by edge (i <= j) over its flat crossings, with no step table."""
+    width = k + 1
+    weights = walks._code_tables(k).weights
+    code = 0
+    for i in range(1, width):
+        for j in range(i, width):
+            fwd, bwd = crossings[i * width + j], crossings[j * width + i] if i != j else 0
+            if fwd or bwd:
+                code += weights[i == j, fwd, bwd]
+    return code
+
+
 def recursive_search(k: int, pruned: bool):
     """The search as one generator frame per position, each step tallied by a call.
 
     The reference the loop of ``walks._search`` is tested against: the same
-    leaves, in the same order, with the same live crossings.
+    leaves, in the same order, with the same live crossings.  Its code is
+    summed anew at each leaf by ``flat_code``.
     """
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
@@ -269,7 +283,7 @@ def recursive_search(k: int, pruned: bool):
     if k == 1:  # the lone step 1 -> 1, a self-loop crossed once
         if not pruned:
             crossings[width + 1] = 1
-            yield (1,), crossings, 1, 1, walks.SELF_LOOP, 1, "1"
+            yield (1,), crossings, 1, 1, walks.SELF_LOOP, 1, "1", flat_code(k, crossings)
         return
 
     def rec(pos, vmax, shape, text):
@@ -309,7 +323,8 @@ def recursive_search(k: int, pruned: bool):
                     steps = zip(word, word[1:] + word[:1])
                     one_way = any(crossings[i * width + j] != 1 for i, j in steps)
                     kind = walks.CYCLE_ONE_WAY if one_way else walks.CYCLE_BOTH_WAYS
-                yield tuple(word), crossings, top, edges, kind, once, f"{text}-{b}"
+                code = flat_code(k, crossings)
+                yield tuple(word), crossings, top, edges, kind, once, f"{text}-{b}", code
             crossings[b1] -= 1
             crossings[ab] -= 1
 
@@ -380,7 +395,7 @@ def test_walk_readers_take_numpy_integer_lengths():
 @pytest.mark.parametrize("k", range(1, 10))
 def test_search_counters_match_a_fresh_recount(k):
     # the search's flat crossings, shape counters and text against classify_walk's own dict
-    for word, crossings, v, e, kind, ones, text in walks._search(k, False):
+    for word, crossings, v, e, kind, ones, text, _ in walks._search(k, False):
         assert text == "-".join(map(str, word)), word
         cls = classify_walk(word)
         assert (v, e, kind) == (cls.v, cls.e, cls.cycle_type), word
@@ -389,12 +404,46 @@ def test_search_counters_match_a_fresh_recount(k):
         assert walks._pattern(word, crossings) == want, word
 
 
+def test_code_weights_are_distinct_powers_of_k_plus_one():
+    # no state is on more than k edges, so each power's count is one base-(k + 1) digit
+    for k in range(1, walks.MAX_WORD_LENGTH + 1):
+        weights = walks._code_tables(k).weights
+        states = {(False, f, b) for f in range(k + 1) for b in range(k + 1 - f) if f + b}
+        states |= {(True, c, 0) for c in range(1, k + 1)}
+        assert set(weights) == states
+        assert sorted(weights.values()) == [(k + 1) ** i for i in range(len(states))]
+
+
+# every leaf of the full search to k = 9, and of the pruned one at 10 and 11
+CODE_SEARCHES = [(k, False) for k in range(1, 10)] + [(10, True), (11, True)]
+
+
+@pytest.mark.parametrize("k, pruned", CODE_SEARCHES)
+def test_search_codes_sum_the_weights_of_the_edge_states(k, pruned):
+    # the code kept step by step against its sum over _pattern and over the recount
+    weights = walks._code_tables(k).weights
+    for word, crossings, *_, code in walks._search(k, pruned):
+        assert code == sum(weights[state] for state in walks._pattern(word, crossings)), word
+        traversals = classify_walk(word).edge_traversals.items()
+        assert code == sum(weights[i == j, f, b] for (i, j), (f, b) in traversals), word
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_equal_codes_are_equal_sorted_patterns(k):
+    patterns: dict = {}
+    codes: dict = {}
+    for word, crossings, *_, code in walks._search(k, False):
+        pattern = tuple(sorted(walks._pattern(word, crossings)))
+        assert patterns.setdefault(code, pattern) == pattern, word
+        assert codes.setdefault(pattern, code) == code, word
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
     # whole leaves, each (v, e, cycle_type, ones, text, pattern) as the full search has it;
     # the live crossings are read as each leaf arrives
     def leaves(pruned):
-        for word, crossings, v, e, kind, ones, text in walks._search(k, pruned):
+        for word, crossings, v, e, kind, ones, text, _ in walks._search(k, pruned):
             if pruned or not ones:
                 yield word, v, e, kind, ones, text, walks._pattern(word, crossings)
 
