@@ -64,6 +64,24 @@ def test_a_wrong_fourth_moment_fails_only_the_walk_polynomial(monkeypatch):
     assert failed[0][1].startswith("goe k=4:")
 
 
+def test_a_wrong_fourth_moment_fails_after_the_true_model_is_summed(monkeypatch):
+    # the heavy model is replaced from a true one whose polynomials are summed and
+    # kept: it starts with no memo, so the walks still see E W^4 = 4
+    true = walks.goe_model()
+    for k in range(2, 7, 2):
+        walks.walk_polynomial(k, true)
+    moments = list(true.offdiag_moments)
+    moments[4] = Fraction(4)
+    heavy = replace(true, offdiag_moments=tuple(moments))
+    assert list(true._polynomials) == [2, 4, 6] and heavy._polynomials == {}
+
+    monkeypatch.setitem(walks.PRESET_MODELS, "goe", lambda max_order=16: heavy)
+    suite = cli.identity_suite(40, comb.GOE, 6)
+    failed = [(name, detail) for name, ok, detail in suite if not ok]
+    assert [name for name, _ in failed] == ["walks: exact polynomial reads sc_k and nu_k"]
+    assert failed[0][1].startswith("goe k=4:")
+
+
 def test_a_wrong_catalan_coefficient_fails_the_series_lines(monkeypatch):
     # T + x^7, as check --inject-fault plants it; _blocks keeps the last order's T
     right = series.catalan_series

@@ -9,6 +9,7 @@ classes, no falling factorials) for finite-n moments.
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product, zip_longest
 
@@ -452,6 +453,71 @@ def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
     assert [leaf[5] for leaf in got] == ["-".join(map(str, leaf[0])) for leaf in want]
 
 
+def pruned_prefixes(k: int):
+    """(prefix, flat crossings, edges crossed once) per length-(k - 1) prefix kept by pruning.
+
+    Restricted-growth prefixes, each step counted anew into a flat list of
+    its own; a prefix is kept while, after each step into position j, no
+    more edges are crossed once than the k - j steps left.
+    """
+    width = k + 1
+
+    def ones(crossings):
+        return sum(
+            (crossings[i * width + j] + (crossings[j * width + i] if i != j else 0)) == 1
+            for i in range(1, width)
+            for j in range(i, width)
+        )
+
+    def rec(prefix, crossings):
+        if len(prefix) == k - 1:
+            yield tuple(prefix), crossings, ones(crossings)
+            return
+        for b in range(1, max(prefix) + 2):
+            after = crossings.copy()
+            after[prefix[-1] * width + b] += 1
+            if ones(after) <= k - len(prefix):
+                yield from rec([*prefix, b], after)
+
+    yield from rec([1], [0] * (width * width))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_closing_letters_are_the_last_letters_that_leave_no_edge_crossed_once(k):
+    # brute force over every last letter b: count the steps a -> b and b -> 1, then
+    # look for an edge crossed once
+    width = k + 1
+    prefixes = 0
+    for prefix, crossings, once in pruned_prefixes(k):
+        a, top = prefix[-1], max(prefix)
+        want = []
+        for b in range(1, top + 2):
+            after = crossings.copy()
+            after[a * width + b] += 1
+            after[b * width + 1] += 1
+            totals = [
+                after[i * width + j] + (after[j * width + i] if i != j else 0)
+                for i in range(1, width)
+                for j in range(i, width)
+            ]
+            if 1 not in totals:
+                want.append(b)
+        assert walks._closing_letters(crossings, width, a, top, once) == want, prefix
+        prefixes += 1
+    assert prefixes > 0
+
+
+def test_pruned_census_at_twelve_is_pinned():
+    # the longest word the oracle takes; the last-letter rule cuts the most there
+    shapes, reps = walks._census(12, True)
+    assert sum(shapes.values()) == 67880
+    assert len(reps) == 192
+    assert sum(count for _, count in reps) == 67880
+    assert all(f + b >= 2 for rep, _ in reps for f, b in rep.edge_traversals.values())
+    assert [rep.canonical_word for rep, _ in reps] == sorted(rep.canonical_word for rep, _ in reps)
+    # test_walk_expansion_reads_sc_and_nu_exactly reads sc_6 and nu_12 off this census
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_streamed_classes_match_a_fresh_classification(k):
     # the stream is the recount of each canonical word, which relabels it to itself
@@ -630,6 +696,35 @@ def test_complex_grids_must_be_three_wide():
         MomentModel(is_real=False, offdiag_moments=two, diag_moments=diag)
 
 
+def test_models_keep_their_own_tables():
+    # lists are stored as tuples, so the model hashes, and a caller's later change
+    # to its lists moves neither the tables nor the moments
+    real, real_diag = [1, 0, 1, 0, 3], [1, 0, 2, 0, 12]
+    grid, grid_diag = [[1, 0, 0], [0, 1, 0], [0, 0, 2]], [1, 0, 1, 0, 3]
+    models = [
+        (MomentModel(True, real, real_diag), MomentModel(True, tuple(real), tuple(real_diag))),
+        (
+            MomentModel(False, grid, grid_diag),
+            MomentModel(False, tuple(map(tuple, grid)), tuple(grid_diag)),
+        ),
+    ]
+    before = [exact_moment(4, 10, model) for model, _ in models]
+    assert before == [exact_moment(4, 10, goe_model()), exact_moment(4, 10, gue_model())]
+    for model, twin in models:
+        assert model == twin and hash(model) == hash(twin)
+        assert type(model.diag_moments) is tuple and type(model.offdiag_moments) is tuple
+        assert model.is_real or all(type(row) is tuple for row in model.offdiag_moments)
+    real[4] = 7
+    real_diag[2] = 5
+    grid[2][2] = 9
+    grid_diag[4] = 0
+    for (model, twin), value in zip(models, before):
+        assert model == twin
+        walks._census.cache_clear()
+        fresh = MomentModel(model.is_real, model.offdiag_moments, model.diag_moments)
+        assert exact_moment(4, 10, model) == exact_moment(4, 10, fresh) == value
+
+
 # -- expectations per class ------------------------------------------------------------
 
 
@@ -729,6 +824,73 @@ def test_class_rows_raise_missing_moments():
     with pytest.raises(MissingMomentError, match="order 6"):
         list(class_rows(6, goe_model(max_order=4)))
     assert len(list(class_rows(4, goe_model(max_order=4)))) == 15
+
+
+# tables to order 5 at k = 9: one class has a loop crossed three times (E W_ii^3 = 0)
+# and an edge crossed six times (not in the table); the second model's diagonal goes
+# on to order 9, so only the off-diagonal moment is missing
+SHORT_MODELS = [
+    goe_model(5),
+    MomentModel(
+        is_real=True,
+        offdiag_moments=goe_model(5).offdiag_moments,
+        diag_moments=goe_model(9).diag_moments,
+    ),
+]
+
+
+def recounted_outcome(word: tuple[int, ...], model: MomentModel):
+    """(v, e, cycle_type, E[W_c] or None for a missing moment) of a word, by ``classify_walk``.
+
+    Every edge's moment is looked up, with no stop at a zero; a class with an
+    edge crossed once is 0.
+    """
+    cls = classify_walk(word)
+    shape = cls.v, cls.e, cls.cycle_type
+    if any(f + b == 1 for f, b in cls.edge_traversals.values()):
+        return (*shape, Fraction(0))
+    value = Fraction(1)
+    try:
+        for (i, j), (f, b) in cls.edge_traversals.items():
+            value *= model.diag_moment(f) if i == j else model.offdiag_mixed(f, b)
+    except MissingMomentError:
+        return (*shape, None)
+    return (*shape, value)
+
+
+@pytest.mark.parametrize("model", SHORT_MODELS, ids=["goe5", "goe5-diag9"])
+def test_a_code_raises_missing_moments_whichever_leaf_is_read(model):
+    outcomes: dict = {}
+    for word, crossings, *_, code in walks._search(9, True):
+        try:
+            pattern = walks._pattern(word, crossings)
+            outcome = walks._edge_product(walks._EdgeFactors(model), pattern)
+        except MissingMomentError:
+            outcome = None
+        outcomes.setdefault(code, set()).add(outcome)
+        assert outcome == recounted_outcome(word, model)[3], word
+    assert len(outcomes) == 15
+    assert all(len(seen) == 1 for seen in outcomes.values())
+
+
+@pytest.mark.parametrize("model", SHORT_MODELS, ids=["goe5", "goe5-diag9"])
+def test_class_rows_raise_where_a_leaf_recount_does(model):
+    leaves = [(leaf[0], leaf[6]) for leaf in walks._search(9, False)]
+    recount = [(text, *recounted_outcome(word, model)) for word, text in leaves]
+    for v in (None, 2, 3):
+        want = []
+        for text, cv, ce, kind, value in recount:
+            if v is None or cv == v:
+                if value is None:
+                    break
+                want.append((text, cv, ce, kind, value.numerator, value.denominator))
+        else:
+            assert list(class_rows(9, model, v)) == want, v
+            continue
+        rows = class_rows(9, model, v)
+        assert [next(rows) for _ in want] == want, v
+        with pytest.raises(MissingMomentError):
+            next(rows)
 
 
 # -- exact finite-n moments --------------------------------------------------------------
@@ -891,6 +1053,44 @@ def test_tallies_cache_is_keyed_by_length():
         assert exact_moment(2, 3, model) == Fraction(4, 3)
         assert exact_moment(4, 3, model) == Fraction(38, 9)
     assert walks._census.cache_info().currsize == 2
+
+
+def count_products(monkeypatch) -> list:
+    """The classes ``expected_word_product`` is called with from now on."""
+    seen: list = []
+    product = walks.expected_word_product
+
+    def counting(cls, model):
+        seen.append(cls)
+        return product(cls, model)
+
+    monkeypatch.setattr(walks, "expected_word_product", counting)
+    return seen
+
+
+def test_each_model_sums_each_polynomial_once(monkeypatch):
+    reps = len(walks._census(10, True)[1])
+    seen = count_products(monkeypatch)
+    model = goe_model()
+    values = [exact_moment(10, n, model) for n in ORACLE_SIZES]
+    assert walk_polynomial(10, model) == walk_polynomial(np.int64(10), model)
+    assert len(seen) == reps == 67
+    assert [str(value) for value in values] == list(PINNED_MOMENTS["goe", 10])
+    # an equal model is no key: it sums its own, and the memo moves no comparison
+    twin = goe_model()
+    assert twin == model and hash(twin) == hash(model)
+    assert [exact_moment(10, n, twin) for n in ORACLE_SIZES] == values
+    assert len(seen) == 2 * reps
+    assert list(model._polynomials) == list(twin._polynomials) == [10]
+    # a replaced model starts empty, so it sums its own tables
+    heavy = replace(model, offdiag_moments=(1, 0, 1, 0, 4, *model.offdiag_moments[5:]))
+    assert heavy._polynomials == {}
+    fresh = MomentModel(True, heavy.offdiag_moments, heavy.diag_moments)
+    assert exact_moment(4, 2, heavy) == exact_moment(4, 2, fresh) != exact_moment(4, 2, model)
+    # the length is checked before the memo, which now holds 4, is read: 4.0 is refused
+    assert 4 in model._polynomials
+    with pytest.raises(ValueError, match="^word length must be an int >= 0, got 4.0$"):
+        walk_polynomial(4.0, model)
 
 
 def test_cold_exact_moment_is_small():
