@@ -32,8 +32,11 @@ from functools import lru_cache
 from operator import index
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(value, name: str) -> Fraction:
+    """``value`` as a Fraction, refused by ``name`` if it is a bool (True would read as 1)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a rational number, not a bool, got {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _int_at_least(value, least: int, name: str) -> int:
@@ -67,9 +70,8 @@ class EnsembleParams:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma2", _frac(self.sigma2))
-        object.__setattr__(self, "s2", _frac(self.s2))
-        object.__setattr__(self, "alpha", _frac(self.alpha))
+        for name in ("sigma2", "s2", "alpha"):
+            object.__setattr__(self, name, _frac(getattr(self, name), name))
         try:
             r = _int_at_least(self.r, 0, "r")
         except ValueError:

@@ -13,35 +13,43 @@ Bell(k) classes of length k, which bounds the practical word length; see
 The search.  One depth-first search over restricted-growth words,
 ``_search(k, pruned)``, serves every caller, in lexicographic order.  It is
 one generator loop over an explicit stack, one entry per position 1..k-1:
-the shape counters of the steps before it (edges, self-loops, edges
-crossed once and edges crossed twice), its top letter, its text (the
-letters so far joined by "-") and its code.  The directed crossing counts
-sit in one flat list (the step a -> b at index a * (k + 1) + b; slot 0,
-which no step reaches, is read as a loop's other way), raised on each
-step and lowered on backtrack.  Every step, the last letter's and the
-closing step back to letter 1 included, goes through one inline update of
-the counters from its edge's new counts, the one tally rule.  Each leaf is
-classified and yielded from that loop, with no call per step.
+the two running counts of the steps before it (``once``, the edges crossed
+once, and the code), its top letter and its text (the letters so far
+joined by "-").  The directed crossing counts sit in one flat list (the
+step a -> b at index a * (k + 1) + b; slot 0, which no step reaches, is
+read as a loop's other way), raised on each step and lowered on
+backtrack.  Every step, the last letter's and the closing step back to
+letter 1 included, goes through one inline update of the two counts from
+its edge's new counts, the one tally rule.  Each leaf is yielded from that
+loop, with no call per step and no classification: what else a leaf's
+class needs, the key below fixes.
 
 The code.  Each edge state (is_loop, fwd, bwd) a length-k word can have
 weighs (k + 1) ** index, one index per state (``_code_tables``), and a
 word's code is the sum of its edges' weights.  No state is on more than k
 edges, so the sum is a base-(k + 1) numeral of the state counts: two words
 have equal codes exactly when their multisets of edge states are equal.
-The tally rule keeps it as the counters are kept: a step adds, from one of
+The tally rule keeps it as ``once`` is kept: a step adds, from one of
 three tables (step i -> j, step j -> i, loop), its edge's weight after the
 step less its weight before.  Like Zobrist's keys for game positions, it is
-kept step by step, but it is exact, with no hashing.
+kept step by step, but it is exact, with no hashing.  So a leaf's v and
+code, its key, fix its e (the number of edges), its cycle type (``_leaf``
+reads only v and the edge states) and ``ones``; the code alone does not:
+at k = 6, 1-2-1-3-1-4 (a tree, v = 4) and 1-2-3-1-3-2 (a cycle run both
+ways, v = 3) cross each of three edges once each way.
 
 The leaf.  Each word reaches its caller as one tuple, (word, crossings, v,
-e, cycle_type, ones, text, code) (``_Leaf``): v letters, e edges, the cycle
-type ``WalkClass`` defines, ``ones`` edges crossed once, the text and the
-code.  ``crossings`` is live, so read it before resuming the search.  One
-reader, ``_pattern``, turns it into the leaf's per-edge counts, the
-(is_loop, fwd, bwd) of each edge; ``class_rows`` calls it only for the
-first leaf of each code.  ``classify_walk`` recounts a word's steps into a
-dict of its own, apart from the search's counters: it is the reference the
-search is tested against, and the one maker of a ``WalkClass``.
+ones, text, code) (``_Leaf``): the letters, the flat counts, v letters,
+``ones`` edges crossed once, the text and the code.  ``word`` and
+``crossings`` are live, so read them before resuming the search; a reader
+that keeps a word copies it.  One reader, ``_pattern``, turns the
+crossings into the leaf's per-edge counts, the (is_loop, fwd, bwd) of each
+edge.  ``class_rows`` calls it, and ``_leaf`` on what it returns, only for
+the first leaf of each key, and keeps that leaf's (v, e, cycle_type,
+exp_num, exp_den) for the key's other leaves.  ``classify_walk`` recounts a
+word's steps into a dict of its own, apart from the search's counts: it is
+the reference the search is tested against, and the one maker of a
+``WalkClass``.
 
 Pruning.  An edge crossed once gives a first moment, which ``MomentModel``
 holds at zero (entries are centered), so only the classes whose every edge
@@ -60,14 +68,16 @@ cycle_type) query that lies wholly among those classes
 (``_pruned_answers``) reads the pruned search; any other reads the full
 one.  Every query is tested by the one matcher ``_matcher``.
 
-The census.  ``_census(k, pruned)`` reads one search once and keeps two
-things: the class count per (v, e, cycle_type), and the weighted
-representatives, one per v and code (which fix the class's moment factor),
-each the ``classify_walk`` of its first leaf, with its class count.  No
-leaf is read again.  At k = 10, 67 representatives stand for the 4,900
-classes that count, of 115,975; at k = 12, 192 stand for 67,880 of
-4,213,597.  The oracle and the family counts share the pruned census of
-each k.
+The census.  ``_census(k, pruned)`` reads one search once, with one tally
+a leaf: its count per key (v, code), and each key's first word and
+``ones``.  From the ``classify_walk`` of each key's first word it then
+makes two things: the class count per (v, e, cycle_type), summed over the
+keys, and the weighted representatives, the keys with ``ones == 0`` in
+first-seen order, each with its class count.  No leaf is read again.  At
+k = 10 the full search's 115,975 leaves fall under 897 keys, and 67
+representatives stand for the 4,900 classes that count; at k = 12, 192
+stand for 67,880 of 4,213,597, under 4,393 keys.  The oracle and the
+family counts share the pruned census of each k.
 
 The polynomial.  Expected moments at finite n are exact rationals,
 
@@ -95,12 +105,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import starmap
-from operator import eq
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .combinatorics import EnsembleParams, _int_at_least
+from .combinatorics import EnsembleParams, _frac, _int_at_least
 
 MAX_WORD_LENGTH = 12
 # "-" and the decimal string of each letter: a word's text grows by one per step
@@ -117,8 +125,8 @@ _Shape = NamedTuple("_Shape", [("v", int), ("e", int), ("cycle_type", str)])
 # directed crossing counts [i->j, j->i] per unordered edge (i, j), i <= j, as
 # ``classify_walk`` recounts them
 _Counts = dict[tuple[int, int], list[int]]
-# a search leaf: (word, crossings, v, e, cycle_type, edges crossed once, text, code)
-_Leaf = tuple[tuple[int, ...], list[int], int, int, str, int, str, int]
+# a search leaf: (word, crossings, v, edges crossed once, text, code); word and crossings live
+_Leaf = tuple[list[int], list[int], int, int, str, int]
 # an edge's state, as ``_pattern`` reports it: (is_loop, fwd, bwd)
 _State = tuple[bool, int, int]
 # a census: class count per (v, e, cycle_type), and (representative, class count) pairs
@@ -179,24 +187,26 @@ def _cross(counts: _Counts, a: int, b: int) -> None:
     slot[a > b] += 1
 
 
-def _leaf(word: tuple[int, ...], counts: _Counts) -> _Shape:
-    """The (v, e, cycle_type) of a canonical word from the crossing counts of all its steps.
+def _leaf(v: int, states: Sequence[_State]) -> _Shape:
+    """The (v, e, cycle_type) of a class of v letters from the (is_loop, fwd, bwd) of its edges.
 
-    v counts the letters, e the edges, and the cycle type is the
-    ``CYCLE_TYPES`` entry the ``WalkClass`` docstring defines.
+    e counts the edges, and the cycle type is the ``CYCLE_TYPES`` entry the
+    ``WalkClass`` docstring defines.  This is the one cycle-type rule: it
+    reads only v and the multiset of edge states, which a leaf's v and code
+    fix.
     """
-    v, e = max(word), len(counts)
+    e = len(states)
     if e == v - 1:
         kind = TREE
-    elif any(starmap(eq, counts)):  # a key (i, i)
+    elif any(is_loop for is_loop, _, _ in states):
         kind = SELF_LOOP
-    elif e != v or any(f + b != 2 for f, b in counts.values()):
+    elif e != v or any(f + b != 2 for _, f, b in states):
         kind = OTHER
     else:
         # a closed walk is a circulation: equal flow each way over a bridge,
         # one net flow round the cycle, so the cycle is run one way iff some
         # edge is crossed (2, 0) or (0, 2)
-        one_way = any(f != b for f, b in counts.values())
+        one_way = any(f != b for _, f, b in states)
         kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
     return _Shape(v, e, kind)
 
@@ -239,44 +249,34 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
     word = [1] * k
     crossings = [0] * (width * width)
     tables = _code_tables(k)
-    # by the flat index of a step a -> b: its code table, that table's entry for a new
-    # edge, and the index of the step b -> a, or 0 for a loop (a slot no step reaches)
+    # by the flat index of a step a -> b: its code table, and the index of the step
+    # b -> a, or 0 for a loop (a slot no step reaches)
     changes = [
         tables.loop if a == b else tables.rise if a < b else tables.fall
         for a in range(width)
         for b in range(width)
     ]
-    firsts = [table[width] for table in changes]
     reverse = [b * width + a if a != b else 0 for a in range(width) for b in range(width)]
-    # position pos < k: the tally of word[:pos]'s steps, its top letter, its text and its code
-    stack = [(0, 0, 0, 0, 1, "1", 0)] * k
-    edges, loops, once, twice, top, text, code = stack[0]
+    # the change of ``once`` by an edge's new total: 1 adds an edge crossed once, 2 takes
+    # one out, and no other total moves it
+    moves = [0, 1, -1] + [0] * k
+    # position pos < k: word[:pos]'s edges crossed once, its top letter, its text and its code
+    stack = [(0, 1, "1", 0)] * k
+    once, top, text, code = stack[0]
     pos = a = b = 1
     # the pruned search's last letter, past k = 2 (where letter 1 has no step before it,
     # so every letter closes): its letters are ``_closing_letters``, last first
     last = k - 1 if pruned and k > 2 else k
     letters: list[int] = []
     while True:
-        # the step a -> b; its edge's new total decides the tally: 1 adds an edge
-        # (and a loop when a == b), 2 moves it from once to twice, 3 takes it out of
-        # twice; its counts, this way and the other, give the change of the code
+        # the step a -> b; its edge's counts, this way and the other, give the change of
+        # the code, and their new total that of ``once``
         ab = a * width + b
         here = crossings[ab] + 1
         crossings[ab] = here
         there = crossings[reverse[ab]]
-        total = here + there
-        if total == 1:
-            edges += 1
-            loops += a == b
-            once += 1
-            code += firsts[ab]
-        else:
-            code += changes[ab][here * width + there]
-            if total == 2:
-                once -= 1
-                twice += 1
-            elif total == 3:
-                twice -= 1
+        code += changes[ab][here * width + there]
+        once += moves[here + there]
         if not pruned or once <= k - pos:
             if pos < k:
                 word[pos] = b
@@ -285,7 +285,7 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
                     top = b
                 pos += 1
                 if pos < last:
-                    stack[pos] = edges, loops, once, twice, top, text, code
+                    stack[pos] = once, top, text, code
                     a, b = b, 1
                     continue
                 if pos == k:
@@ -293,34 +293,24 @@ def _search(k: int, pruned: bool) -> Iterator[_Leaf]:
                     continue
                 letters = _closing_letters(crossings, width, b, top, once)
                 if letters:  # the pruned search's last letter: only those that close
-                    stack[pos] = edges, loops, once, twice, top, text, code
+                    stack[pos] = once, top, text, code
                     letters.reverse()
                     a, b = b, letters.pop()
                     continue
                 pos -= 1  # no letter closes, so the step into pos is cut after all
             else:
-                if edges == top - 1:
-                    kind = TREE
-                elif loops:
-                    kind = SELF_LOOP
-                elif edges != top or twice != edges:
-                    kind = OTHER
-                else:  # see ``_leaf``: one way iff some step is taken twice the same way
-                    steps = zip(word, word[1:] + word[:1])
-                    one_way = any(crossings[i * width + j] != 1 for i, j in steps)
-                    kind = CYCLE_ONE_WAY if one_way else CYCLE_BOTH_WAYS
-                yield tuple(word), crossings, top, edges, kind, once, text, code
+                yield word, crossings, top, once, text, code
         crossings[ab] -= 1
         # the next letter at pos, backing up past each position whose letters are all
         # tried (the closing step has one), each step undone on the way
         while True:
             if pos < last:
-                edges, loops, once, twice, top, text, code = stack[pos]
+                once, top, text, code = stack[pos]
                 b += 1
                 if b <= top + 1:
                     break
             elif letters and pos < k:
-                edges, loops, once, twice, top, text, code = stack[pos]
+                once, top, text, code = stack[pos]
                 b = letters.pop()
                 break
             pos -= 1
@@ -395,8 +385,10 @@ def classify_walk(word: Sequence) -> WalkClass:
     counts: _Counts = {}
     for a, b in zip(word, word[1:] + word[:1]):
         _cross(counts, a, b)
-    v, e, kind = _leaf(word, counts)
-    return WalkClass(word, v, e, {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}, kind)
+    traversals = {key: (fwd, bwd) for key, (fwd, bwd) in counts.items()}
+    states = [(i == j, fwd, bwd) for (i, j), (fwd, bwd) in traversals.items()]
+    v, e, kind = _leaf(max(word), states)
+    return WalkClass(word, v, e, traversals, kind)
 
 
 def enumerate_canonical_words(k: int) -> Iterator[WalkClass]:
@@ -426,22 +418,25 @@ def _census(k: int, pruned: bool) -> _Census:
     k is checked, so the cache holds at most 2 * ``MAX_WORD_LENGTH`` keys.
     """
     check_word_length(k)
+    tallies: list[dict[int, int]] = [{} for _ in range(k + 1)]  # leaf count per code, by v
+    firsts = []  # (v, code, first word, ones) per key, in first-seen order
+    for word, _, v, ones, _, code in _search(k, pruned):
+        tally = tallies[v]
+        count = tally.get(code)
+        if count is None:
+            tally[code] = 1
+            firsts.append((v, code, tuple(word), ones))
+        else:
+            tally[code] = count + 1
     shapes: dict[tuple[int, int, str], int] = {}
-    weights: dict[tuple[int, int], int] = {}  # class count per representative key (v, code)
-    firsts: dict[tuple[int, int], tuple[int, ...]] = {}  # the first word of each key
-    for word, _, v, e, kind, ones, _, code in _search(k, pruned):
-        shape = v, e, kind
-        shapes[shape] = shapes.get(shape, 0) + 1
+    reps = []
+    for v, code, word, ones in firsts:
+        cls, count = classify_walk(word), tallies[v][code]
+        shape = cls.v, cls.e, cls.cycle_type
+        shapes[shape] = shapes.get(shape, 0) + count
         if not ones:
-            key = v, code
-            count = weights.get(key)
-            if count is None:
-                weights[key] = 1
-                firsts[key] = word
-            else:
-                weights[key] = count + 1
-    reps = tuple((classify_walk(firsts[key]), count) for key, count in weights.items())
-    return MappingProxyType(shapes), reps
+            reps.append((cls, count))
+    return MappingProxyType(shapes), tuple(reps)
 
 
 def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
@@ -530,7 +525,8 @@ class MomentModel:
     are real in both cases.  Tables must reach the longest word the oracle
     will see (one edge can absorb every step of a word).  The tables are
     stored as tuples, a complex grid's rows too, so a caller's lists can be
-    changed afterwards without changing the model.
+    changed afterwards without changing the model.  A bool entry is
+    refused, as ``EnsembleParams`` refuses a bool scalar: True would read as 1.
 
     ``walk_polynomial`` keeps each word length's coefficients, with
     sigma^k, in the model's own memo, which no comparison or hash reads
@@ -563,10 +559,10 @@ class MomentModel:
             entries = [*diag]
             for a, row in enumerate(off):
                 entries += (x for b, x in enumerate(row) if x is not None or max(a, b) <= 2)
-        if not all(isinstance(x, (int, Fraction)) for x in entries):
+        if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in entries):
             raise ValueError(
-                "moment tables must hold ints or Fractions, or None in a complex grid "
-                "where a or b exceeds 2"
+                "moment tables must hold ints or Fractions, not bools, or None in a complex "
+                "grid where a or b exceeds 2"
             )
         if diag[0] != 1 or diag[1] != 0:
             raise ValueError("diagonal entries must be centered with E[W^0] = 1")
@@ -694,8 +690,7 @@ def rademacher_model(
     smallest fourth moment a centered distribution of that variance allows.
     """
     max_order = _int_at_least(max_order, 4, "max_order")
-    sigma2 = Fraction(sigma2)
-    s2 = Fraction(s2)
+    sigma2, s2 = _frac(sigma2, "sigma2"), _frac(s2, "s2")
     off = tuple(sigma2 ** (m // 2) if m % 2 == 0 else Fraction(0) for m in range(max_order + 1))
     diag = tuple(s2 ** (m // 2) if m % 2 == 0 else Fraction(0) for m in range(max_order + 1))
     return MomentModel(is_real=True, offdiag_moments=off, diag_moments=diag)
@@ -759,28 +754,35 @@ def class_rows(
     straight from a search leaf, its word the leaf's text, with no
     ``WalkClass``; the query filters the leaf before its expectation is
     built, and a (v, e) that no class has (see ``_possible``) reads no
-    search at all.  The product is built once per leaf code, from the first
-    leaf with it, and a class with an edge crossed once is written 0 / 1
-    with no product.  A query is read from the pruned search or the full
-    one as the module docstring's pruning rule says.
+    search at all.  The row past its word is built once per key (v, code),
+    from the first leaf with it: its shape, its query test and its product,
+    and a class with an edge crossed once is written 0 / 1 with no product.
+    A query is read from the pruned search or the full one as the module
+    docstring's pruning rule says.
     """
     k = check_word_length(k)
     match = _matcher(v, e, cycle_type)
     if not _possible(k, v, e):
         return
     factors = _EdgeFactors(model)
-    values: dict[int, tuple[int, int]] = {}  # (exp_num, exp_den) per leaf code
-    pruned = _pruned_answers(k, v, e, cycle_type)
-    for word, crossings, cv, ce, kind, ones, text, code in _search(k, pruned):
-        if match is None or match(cv, ce, kind):
-            if ones:
-                yield text, cv, ce, kind, 0, 1
-                continue
-            value = values.get(code)
-            if value is None:
-                product = _edge_product(factors, _pattern(word, crossings))
-                value = values[code] = product.numerator, product.denominator
-            yield text, cv, ce, kind, *value
+    # by v, then code: the row past its word, or () where the query refuses the class
+    tails: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
+    reads = [tail.get for tail in tails]
+    for word, crossings, cv, ones, text, code in _search(k, _pruned_answers(k, v, e, cycle_type)):
+        tail = reads[cv](code)
+        if tail is None:
+            pattern = _pattern(word, crossings)
+            shape = _leaf(cv, pattern)
+            if match is not None and not match(*shape):
+                tail = ()
+            elif ones:
+                tail = (*shape, 0, 1)
+            else:
+                product = _edge_product(factors, pattern)
+                tail = (*shape, product.numerator, product.denominator)
+            tails[cv][code] = tail
+        if tail:
+            yield (text,) + tail
 
 
 def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:

@@ -254,3 +254,42 @@ def test_cached_readers_are_not_reached_through_a_bool_or_a_float():
     for value in (4.0, True):
         with pytest.raises(ValueError, match=rf"^moment index must be an int >= 2, got {value}$"):
             wignerexp.estimate_corrections([value], 3, 4, SAMPLER, 1)
+
+
+# a bool is no moment: True == 1 and False == 0, so each would stand for a real value
+BOOL_MOMENTS = {
+    "EnsembleParams sigma2": (lambda v: wignerexp.EnsembleParams(1, v, 2, 3), "sigma2"),
+    "EnsembleParams s2": (lambda v: wignerexp.EnsembleParams(1, 1, v, 3), "s2"),
+    "EnsembleParams alpha": (lambda v: wignerexp.EnsembleParams(1, 1, 2, v), "alpha"),
+    "rademacher_model sigma2": (lambda v: wignerexp.rademacher_model(v, 1), "sigma2"),
+    "rademacher_model s2": (lambda v: wignerexp.rademacher_model(1, v), "s2"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("case", list(BOOL_MOMENTS))
+def test_a_bool_is_refused_as_a_moment_scalar(case, value):
+    call, name = BOOL_MOMENTS[case]
+    message = f"^{name} must be a rational number, not a bool, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def test_a_bool_is_refused_in_a_moment_table():
+    # GOE's tables with each 0 and 1 written as a bool were accepted, with GOE's moments
+    goe = wignerexp.goe_model(4)
+    real = (True, False, True, False, 3)
+    grid = ((True, False, False), (False, True, False), (False, False, 2))
+    diag = (1, 0, 2, 0, 12)
+    cases = [
+        (True, real, diag),
+        (True, goe.offdiag_moments, (True, 0, 2, 0, 12)),
+        (True, goe.offdiag_moments, (1, False, 2, 0, 12)),
+        (False, grid, (1, 0, 1, 0, 3)),
+    ]
+    for is_real, off, diagonal in cases:
+        with pytest.raises(ValueError, match="^moment tables must hold ints or Fractions, not bools"):
+            wignerexp.MomentModel(is_real, off, diagonal)
+    # the same tables in ints are GOE's and GUE's
+    assert wignerexp.MomentModel(True, (1, 0, 1, 0, 3), diag).params == GOE
+    assert wignerexp.MomentModel(False, ((1, 0, 0), (0, 1, 0), (0, 0, 2)), (1, 0, 1)).params == GUE

@@ -47,6 +47,7 @@ CROSS_ROUTE_IMPORTS = {
     "walks": {
         ("combinatorics", "EnsembleParams"): "the params a moment model reports",
         ("combinatorics", "_int_at_least"): INT_RULE,
+        ("combinatorics", "_frac"): "the rule a variance goes through, a bool refused: a check",
     },
 }
 

@@ -176,16 +176,18 @@ def _base_two_code_tables(k, right):
 
 
 def test_a_base_two_code_fails_the_census_check(monkeypatch):
-    # the census groups leaves by (v, code); a base-2 code first merges two of them
-    # at k = 10, where 67 representatives become 66
+    # the census groups leaves by (v, code) and reads each key's shape off its first
+    # leaf; a base-2 code first merges two keys of the full search at k = 6, which
+    # moves its shape counts, and two representatives at k = 10, where 67 become 66
     real = walks._code_tables
     walks._census.cache_clear()
     monkeypatch.setattr(walks, "_code_tables", lambda k: _base_two_code_tables(k, real(k).weights))
     try:
-        for k in range(1, 10):
+        for k in range(1, 6):
             test_walks.test_pruned_tallies_match_full_stream(k, monkeypatch)
-        with pytest.raises(AssertionError):
-            test_walks.test_pruned_tallies_match_full_stream(10, monkeypatch)
+        for k in range(6, 11):
+            with pytest.raises(AssertionError):
+                test_walks.test_pruned_tallies_match_full_stream(k, monkeypatch)
         walks._census.cache_clear()
         assert len(walks._census(10, True)[1]) == 66
     finally:

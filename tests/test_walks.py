@@ -160,21 +160,22 @@ def test_a_shape_no_class_has_reads_no_stream(monkeypatch):
 def full_stream_tallies(k: int):
     """Shape counts over every class, and the weighted classes of the oracle.
 
-    Read from the full search's leaves, their edge patterns through
-    ``_pattern`` (the recount is the reference in
-    ``test_search_counters_match_a_fresh_recount``).  The weighted part keeps
-    the classes whose every edge is crossed at least twice, keyed by v and the
-    sorted (is_loop, fwd, bwd) edge patterns, each with its first class in
-    stream order and its class count.
+    Read from the full search's leaves, each shape by ``_leaf`` from the
+    leaf's own edge patterns through ``_pattern`` (the recount is the
+    reference in ``test_search_counters_match_a_fresh_recount``), not once per
+    key as the census reads it.  The weighted part keeps the classes whose
+    every edge is crossed at least twice, keyed by v and the sorted (is_loop,
+    fwd, bwd) edge patterns, each with its first class in stream order and its
+    class count.
     """
     shapes: Counter = Counter()
     weighted: dict = {}
-    for word, crossings, v, e, kind, _, _, _ in walks._search(k, False):
-        shapes[walks._Shape(v, e, kind)] += 1
+    for word, crossings, v, _, _, _ in walks._search(k, False):
         patterns = walks._pattern(word, crossings)
+        shapes[walks._leaf(v, patterns)] += 1
         if all(f + b >= 2 for _, f, b in patterns):
             key = (v, tuple(sorted(patterns)))
-            first, count = weighted.get(key, (word, 0))
+            first, count = weighted.get(key, (tuple(word), 0))
             weighted[key] = (first, count + 1)
     return shapes, weighted
 
@@ -242,18 +243,10 @@ def test_canonical_words_are_the_sorted_distinct_canonical_forms(k):
     assert [cls.canonical_word for cls in enumerate_canonical_words(k)] == want
 
 
-def _crossed(shape, crossings, ab, ba):
-    """``shape`` once the step at index ``ab`` of ``crossings`` (its reverse at ``ba``) is counted."""
-    edges, loops, once, twice = shape
-    loop = ab == ba
-    total = crossings[ab] if loop else crossings[ab] + crossings[ba]
-    if total == 1:
-        return edges + 1, loops + loop, once + 1, twice
-    if total == 2:
-        return edges, loops, once - 1, twice + 1
-    if total == 3:
-        return edges, loops, once, twice - 1
-    return shape
+def _crossed(once, crossings, ab, ba):
+    """Edges crossed once, ``once`` before, after the step at index ``ab`` (its reverse ``ba``)."""
+    total = crossings[ab] if ab == ba else crossings[ab] + crossings[ba]
+    return once + (total == 1) - (total == 2)
 
 
 def flat_code(k: int, crossings: list[int]) -> int:
@@ -273,8 +266,8 @@ def recursive_search(k: int, pruned: bool):
     """The search as one generator frame per position, each step tallied by a call.
 
     The reference the loop of ``walks._search`` is tested against: the same
-    leaves, in the same order, with the same live crossings.  Its code is
-    summed anew at each leaf by ``flat_code``.
+    leaves, in the same order, with the same live word and crossings.  Its
+    code is summed anew at each leaf by ``flat_code``.
     """
     if k < 1:
         raise ValueError(f"word length must be positive, got {k}")
@@ -284,18 +277,18 @@ def recursive_search(k: int, pruned: bool):
     if k == 1:  # the lone step 1 -> 1, a self-loop crossed once
         if not pruned:
             crossings[width + 1] = 1
-            yield (1,), crossings, 1, 1, walks.SELF_LOOP, 1, "1", flat_code(k, crossings)
+            yield word, crossings, 1, 1, "1", flat_code(k, crossings)
         return
 
-    def rec(pos, vmax, shape, text):
+    def rec(pos, vmax, once, text):
         a = word[pos - 1]
         row, left = a * width, k - pos
         if left > 1:
             for b in range(1, vmax + 2):
                 ab = row + b
                 crossings[ab] += 1
-                after = _crossed(shape, crossings, ab, b * width + a)
-                if not pruned or after[2] <= left:
+                after = _crossed(once, crossings, ab, b * width + a)
+                if not pruned or after <= left:
                     word[pos] = b
                     yield from rec(pos + 1, max(vmax, b), after, f"{text}-{b}")
                 crossings[ab] -= 1
@@ -304,42 +297,38 @@ def recursive_search(k: int, pruned: bool):
         for b in range(1, vmax + 2):
             ab = row + b
             crossings[ab] += 1
-            after = _crossed(shape, crossings, ab, b * width + a)
-            if pruned and after[2] > 1:  # the closing step leaves an edge crossed once
+            after = _crossed(once, crossings, ab, b * width + a)
+            if pruned and after > 1:  # the closing step leaves an edge crossed once
                 crossings[ab] -= 1
                 continue
             b1 = b * width + 1
             crossings[b1] += 1
-            edges, loops, once, twice = _crossed(after, crossings, b1, width + b)
-            if not (once and pruned):
+            ones = _crossed(after, crossings, b1, width + b)
+            if not (ones and pruned):
                 word[pos] = b
-                top = max(vmax, b)
-                if edges == top - 1:
-                    kind = walks.TREE
-                elif loops:
-                    kind = walks.SELF_LOOP
-                elif edges != top or twice != edges:
-                    kind = walks.OTHER
-                else:
-                    steps = zip(word, word[1:] + word[:1])
-                    one_way = any(crossings[i * width + j] != 1 for i, j in steps)
-                    kind = walks.CYCLE_ONE_WAY if one_way else walks.CYCLE_BOTH_WAYS
                 code = flat_code(k, crossings)
-                yield tuple(word), crossings, top, edges, kind, once, f"{text}-{b}", code
+                yield word, crossings, max(vmax, b), ones, f"{text}-{b}", code
             crossings[b1] -= 1
             crossings[ab] -= 1
 
-    yield from rec(1, 1, (0, 0, 0, 0), "1")
+    yield from rec(1, 1, 0, "1")
 
 
 def assert_same_leaves(got, want):
-    """Whole leaves equal in order, each live ``crossings`` compared as its leaf arrives."""
+    """Whole leaves equal in order, each live word and ``crossings`` copied as its leaf arrives."""
     count = 0
     for leaf, ref in zip_longest(got, want):
         assert leaf is not None and ref is not None, count
+        leaf, ref = copied(leaf), copied(ref)
         assert leaf == ref, ref[0]
         count += 1
     return count
+
+
+def copied(leaf):
+    """A ``_search`` leaf with its live word and crossings copied, to keep past the next leaf."""
+    word, crossings, *rest = leaf
+    return (tuple(word), tuple(crossings), *rest)
 
 
 @pytest.mark.parametrize(
@@ -395,14 +384,45 @@ def test_walk_readers_take_numpy_integer_lengths():
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_search_counters_match_a_fresh_recount(k):
-    # the search's flat crossings, shape counters and text against classify_walk's own dict
-    for word, crossings, v, e, kind, ones, text, _ in walks._search(k, False):
+    # the search's flat crossings, running counts and text against classify_walk's own
+    # dict, and the shape ``_leaf`` reads off the leaf's pattern against the recount's
+    for word, crossings, v, ones, text, _ in walks._search(k, False):
         assert text == "-".join(map(str, word)), word
         cls = classify_walk(word)
-        assert (v, e, kind) == (cls.v, cls.e, cls.cycle_type), word
+        assert v == cls.v, word
         assert ones == sum(f + b == 1 for f, b in cls.edge_traversals.values()), word
         want = [(i == j, f, b) for (i, j), (f, b) in cls.edge_traversals.items()]
-        assert walks._pattern(word, crossings) == want, word
+        pattern = walks._pattern(word, crossings)
+        assert pattern == want, word
+        assert walks._leaf(v, pattern) == (cls.v, cls.e, cls.cycle_type), word
+
+
+# every leaf of the full search to k = 10, and of the pruned one at 11
+KEY_SEARCHES = [(k, False) for k in range(1, 11)] + [(11, True)]
+
+
+@pytest.mark.parametrize("k, pruned", KEY_SEARCHES)
+def test_every_leaf_has_the_recount_shape_of_its_keys_first_leaf(k, pruned):
+    # the census and the rows read a class's shape once per (v, code), off its first leaf
+    firsts: dict = {}
+    for word, _, v, _, _, code in walks._search(k, pruned):
+        cls = classify_walk(word)
+        shape = cls.v, cls.e, cls.cycle_type
+        assert firsts.setdefault((v, code), shape) == shape, word
+
+
+def test_a_code_alone_does_not_fix_the_shape():
+    # a tree of three edges and a cycle of three run both ways cross each edge once
+    # each way: one multiset of edge states, so one code, and only v tells them apart
+    leaves = {text: (v, code) for _, _, v, _, text, code in walks._search(6, False)}
+    assert leaves["1-2-1-3-1-4"] == (4, 7203)
+    assert leaves["1-2-3-1-3-2"] == (3, 7203)
+    tree, cycle = classify_walk((1, 2, 1, 3, 1, 4)), classify_walk((1, 2, 3, 1, 3, 2))
+    assert (tree.v, tree.e, tree.cycle_type) == (4, 3, walks.TREE)
+    assert (cycle.v, cycle.e, cycle.cycle_type) == (3, 3, walks.CYCLE_BOTH_WAYS)
+    rows = {row[0]: row[1:4] for row in class_rows(6, goe_model())}
+    assert rows["1-2-1-3-1-4"] == (4, 3, walks.TREE)
+    assert rows["1-2-3-1-3-2"] == (3, 3, walks.CYCLE_BOTH_WAYS)
 
 
 def test_code_weights_are_distinct_powers_of_k_plus_one():
@@ -441,16 +461,16 @@ def test_equal_codes_are_equal_sorted_patterns(k):
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_pruned_search_keeps_the_words_with_no_edge_crossed_once(k):
-    # whole leaves, each (v, e, cycle_type, ones, text, pattern) as the full search has it;
-    # the live crossings are read as each leaf arrives
+    # whole leaves, each (v, ones, text, pattern) as the full search has it; the live
+    # word and crossings are read as each leaf arrives
     def leaves(pruned):
-        for word, crossings, v, e, kind, ones, text, _ in walks._search(k, pruned):
+        for word, crossings, v, ones, text, _ in walks._search(k, pruned):
             if pruned or not ones:
-                yield word, v, e, kind, ones, text, walks._pattern(word, crossings)
+                yield tuple(word), v, ones, text, walks._pattern(word, crossings)
 
     got, want = list(leaves(True)), list(leaves(False))
     assert got == want
-    assert [leaf[5] for leaf in got] == ["-".join(map(str, leaf[0])) for leaf in want]
+    assert [leaf[3] for leaf in got] == ["-".join(map(str, leaf[0])) for leaf in want]
 
 
 def pruned_prefixes(k: int):
@@ -875,7 +895,7 @@ def test_a_code_raises_missing_moments_whichever_leaf_is_read(model):
 
 @pytest.mark.parametrize("model", SHORT_MODELS, ids=["goe5", "goe5-diag9"])
 def test_class_rows_raise_where_a_leaf_recount_does(model):
-    leaves = [(leaf[0], leaf[6]) for leaf in walks._search(9, False)]
+    leaves = [(tuple(leaf[0]), leaf[4]) for leaf in walks._search(9, False)]
     recount = [(text, *recounted_outcome(word, model)) for word, text in leaves]
     for v in (None, 2, 3):
         want = []
