@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
@@ -340,6 +340,26 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
+def _row_parts(config: RunConfig, columns: Sequence[str]) -> tuple[list[str], Callable]:
+    """The text around each value of a row in the config's format, and one value's text.
+
+    A row's text is parts[0] + cell(row[0]) + parts[1] + ... + cell(row[-1]) +
+    parts[-1].  CSV writes str of each value after a comma; a JSON row, flat,
+    writes one key and value a line, each value's text picked by its exact type.
+    """
+    if config.format == "json":
+        parts = [f",\n      {json.dumps(key)}: " for key in columns]
+        parts[0] = "    {" + parts[0][1:]  # the row's first line opens it
+        parts.append("\n    }")
+        return parts, lambda value: _JSON_SCALAR.get(type(value), _json_other)(value)
+    return ["", *[","] * (len(columns) - 1), ""], str
+
+
+def _text_past(parts: Sequence[str], cell: Callable, values: Sequence) -> str:
+    """A row's text from its last ``len(values)`` values on, in ``_row_parts``' layout."""
+    return "".join(map(str.__add__, parts[-1 - len(values) : -1], map(cell, values))) + parts[-1]
+
+
 def _render(
     config: RunConfig,
     columns: Sequence[str],
@@ -350,23 +370,40 @@ def _render(
 ) -> Iterator[str]:
     """Output lines, consuming `rows` one at a time in both formats.
 
-    Each row holds its values in `columns` order.  CSV then consumes
-    `tail_comments`.  JSON holds each row until the next decides its comma,
-    then writes the keys of `extra_json()`; with none, the bytes are those of
-    json.dumps(..., indent=2).
+    Each row holds its values in `columns` order; ``_frame`` writes their
+    texts with the rest of the output.
+    """
+    parts, cell = _row_parts(config, columns)
+    # format(x, "") is str(x) for every value a table holds (int, float, str,
+    # Fraction, numpy float64, bool, None), str of a float its shortest
+    # round-trip repr: so a CSV row's values need no cell first
+    line = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in parts).format
+    if config.format == "json":
+        rows = (map(cell, row) for row in rows)
+    return _frame(config, columns, starmap(line, rows), head_comments, tail_comments, extra_json)
+
+
+def _frame(
+    config: RunConfig,
+    columns: Sequence[str],
+    texts: Iterable[str],
+    head_comments: Iterable[str] = (),
+    tail_comments: Iterable[str] = (),
+    extra_json: Callable[[], dict] = dict,
+) -> Iterator[str]:
+    """Output lines around the row `texts`, each made by ``_row_parts``' layout.
+
+    CSV consumes `tail_comments` after the rows.  JSON holds each row until
+    the next decides its comma, then writes the keys of `extra_json()`; with
+    none, the bytes are those of json.dumps(..., indent=2).
     """
     if config.format == "json":
-        # rows are flat, so a row's indent-2 form is one key and value a line: one
-        # template per table, filled with each value's text, as the CSV line is
-        keys = [json.dumps(key).replace("{", "{{").replace("}", "}}") for key in columns]
-        items = ",\n      ".join(f"{key}: {{}}" for key in keys)
-        row_text = ("    {{\n      " + items + "\n    }}").format
         yield "{"
         yield f'  "config": {_json_at(config.echo(), 2)},'
         held = None
-        for row in rows:
+        for text in texts:
             yield '  "rows": [' if held is None else held + ","
-            held = row_text(*[_JSON_SCALAR.get(type(v), _json_other)(v) for v in row])
+            held = text
         if held is not None:
             yield held
         close = '  "rows": []' if held is None else "  ]"
@@ -377,12 +414,7 @@ def _render(
     yield "# config: " + json.dumps(config.echo(), sort_keys=True)
     yield from (f"# {comment}" for comment in head_comments)
     yield ",".join(columns)
-    # format(x, "") is str(x) for every value a table holds (int, float, str,
-    # Fraction, numpy float64, bool, None); str of a float is its shortest
-    # round-trip repr
-    line = ",".join(["{}"] * len(columns)).format
-    for row in rows:
-        yield line(*row)
+    yield from texts
     yield from (f"# {comment}" for comment in tail_comments)
 
 
@@ -528,17 +560,26 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
         raise _presets_only("enumeration expectations need full entry moment tables", "MomentModel")
     model = walks.PRESET_MODELS[config.ensemble]()
     columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
-    totals: dict[tuple[int, int], int] = {}
+    parts, cell = _row_parts(config, columns)
+    lead = parts[0]
+    # by tail, the (v, e, cycle_type, exp_num, exp_den) every row of a key shares:
+    # its text past the word, made once, and its rows so far
+    tails: dict[tuple, list] = {}
 
-    def rows():
-        for row in walks.class_rows(k, model, v, e, cycle_type):
-            key = row[1:3]
-            totals[key] = totals.get(key, 0) + 1
-            yield row
+    def texts():
+        for word, tail in walks._keyed_rows(k, model, v, e, cycle_type):
+            entry = tails.get(tail)
+            if entry is None:
+                entry = tails[tail] = [_text_past(parts, cell, tail), 0]
+            entry[1] += 1
+            yield lead + cell(word) + entry[0]
 
     # rows stream one per class: class counts grow like Bell numbers, so the
     # full table must never be materialized; the totals are read last
     def summary():
+        totals: dict[tuple[int, int], int] = {}
+        for (vv, ee, *_), (_, rows) in tails.items():
+            totals[vv, ee] = totals.get((vv, ee), 0) + rows
         counts = {f"v={vv},e={ee}": c for (vv, ee), c in sorted(totals.items())}
         return {"summary": counts, "total_classes": sum(counts.values())}
 
@@ -548,7 +589,7 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
         yield f"total_classes={tally['total_classes']}"
 
     _emit(
-        _render(config, columns, rows(), tail_comments=footer(), extra_json=summary),
+        _frame(config, columns, texts(), tail_comments=footer(), extra_json=summary),
         config.out,
     )
     return 0

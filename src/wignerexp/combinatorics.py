@@ -33,10 +33,23 @@ from operator import index
 
 
 def _frac(value, name: str) -> Fraction:
-    """``value`` as a Fraction, refused by ``name`` if it is a bool (True would read as 1)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a rational number, not a bool, got {value!r}")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction, refused by ``name`` unless it is an int or a Fraction.
+
+    The one rule of every exact moment: a NumPy integer passes as its plain
+    int (``operator.index``); a bool (True would read as 1), a float (a NaN
+    too: a float is no exact moment), a str (``Fraction`` of a long one runs
+    for seconds) or any other type is refused.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, bool):
+        try:
+            return Fraction(index(value))
+        except TypeError:
+            pass
+    raise ValueError(
+        f"{name} must be a rational number, not a {type(value).__name__}, got {value!r}"
+    )
 
 
 def _int_at_least(value, least: int, name: str) -> int:

@@ -44,12 +44,12 @@ ones, text, code) (``_Leaf``): the letters, the flat counts, v letters,
 ``crossings`` are live, so read them before resuming the search; a reader
 that keeps a word copies it.  One reader, ``_pattern``, turns the
 crossings into the leaf's per-edge counts, the (is_loop, fwd, bwd) of each
-edge.  ``class_rows`` calls it, and ``_leaf`` on what it returns, only for
-the first leaf of each key, and keeps that leaf's (v, e, cycle_type,
-exp_num, exp_den) for the key's other leaves.  ``classify_walk`` recounts a
-word's steps into a dict of its own, apart from the search's counts: it is
-the reference the search is tested against, and the one maker of a
-``WalkClass``.
+edge.  The rows (``_keyed_rows``, behind ``class_rows``) call it, and
+``_leaf`` on what it returns, only for the first leaf of each key, and
+share that leaf's (v, e, cycle_type, exp_num, exp_den) tuple with the
+key's other leaves.  ``classify_walk`` recounts a word's steps into a dict
+of its own, apart from the search's counts: it is the reference the search
+is tested against, and the one maker of a ``WalkClass``.
 
 Pruning.  An edge crossed once gives a first moment, which ``MomentModel``
 holds at zero (entries are centered), so only the classes whose every edge
@@ -59,12 +59,8 @@ pruned search cuts a prefix with more such edges than steps left, with its
 whole subtree.  At the last letter only the two steps into it and back to
 letter 1 are left, so there it tries only the letters those two steps
 close (``_closing_letters``), and each one tried is a leaf; a prefix with
-none is cut.  At k = 10 the search tries 24,190 steps for its 4,900
-leaves, 44,969 without the last-letter rule; 16,137 of them lie on a path
-to a leaf (the steps into a leaf's letters, and one closing step a leaf).
-At k = 12 it tries 404,655 for 67,880, against 812,126 and 228,590.  It yields
-exactly the leaves with ``ones == 0``, in the same order.  A (v, e,
-cycle_type) query that lies wholly among those classes
+none is cut.  It yields exactly the leaves with ``ones == 0``, in the same
+order.  A (v, e, cycle_type) query that lies wholly among those classes
 (``_pruned_answers``) reads the pruned search; any other reads the full
 one.  Every query is tested by the one matcher ``_matcher``.
 
@@ -73,11 +69,10 @@ a leaf: its count per key (v, code), and each key's first word and
 ``ones``.  From the ``classify_walk`` of each key's first word it then
 makes two things: the class count per (v, e, cycle_type), summed over the
 keys, and the weighted representatives, the keys with ``ones == 0`` in
-first-seen order, each with its class count.  No leaf is read again.  At
-k = 10 the full search's 115,975 leaves fall under 897 keys, and 67
-representatives stand for the 4,900 classes that count; at k = 12, 192
-stand for 67,880 of 4,213,597, under 4,393 keys.  The oracle and the
-family counts share the pruned census of each k.
+first-seen order, each with its class count.  No leaf is read again, and
+far fewer keys than leaves stand for the classes that count
+(``test_pruned_census_at_twelve_is_pinned`` holds k = 12's figures).  The
+oracle and the family counts share the pruned census of each k.
 
 The polynomial.  Expected moments at finite n are exact rationals,
 
@@ -517,7 +512,7 @@ def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None
 
 @dataclass(frozen=True)
 class MomentModel:
-    """Full moment tables of an entry distribution, as exact rationals (ints or Fractions).
+    """Full moment tables of an entry distribution, as exact rationals (Fractions).
 
     Real case: ``offdiag_moments[m]`` is E[W^m].  Complex case:
     ``offdiag_moments[a][b]`` is E[W^a conj(W)^b] (None where a + b exceeds
@@ -525,8 +520,10 @@ class MomentModel:
     are real in both cases.  Tables must reach the longest word the oracle
     will see (one edge can absorb every step of a word).  The tables are
     stored as tuples, a complex grid's rows too, so a caller's lists can be
-    changed afterwards without changing the model.  A bool entry is
-    refused, as ``EnsembleParams`` refuses a bool scalar: True would read as 1.
+    changed afterwards without changing the model.  Each entry is read by
+    the one moment rule of ``EnsembleParams``' scalars (``_frac``): an int,
+    a NumPy integer or a Fraction, stored as a Fraction; a bool, a float or
+    a str is refused, naming the entry.
 
     ``walk_polynomial`` keeps each word length's coefficients, with
     sigma^k, in the model's own memo, which no comparison or hash reads
@@ -547,7 +544,6 @@ class MomentModel:
         if self.is_real:
             if len(off) < 5:
                 raise ValueError("real off-diagonal table must cover orders 0..4")
-            entries = [*diag, *off]
         else:
             if not (
                 len(off) >= 3
@@ -555,15 +551,25 @@ class MomentModel:
                 and min(map(len, off[:3])) >= 3
             ):
                 raise ValueError("complex off-diagonal table must be a grid covering a, b <= 2")
-            off = tuple(map(tuple, off))
-            entries = [*diag]
-            for a, row in enumerate(off):
-                entries += (x for b, x in enumerate(row) if x is not None or max(a, b) <= 2)
-        if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in entries):
+        try:
+            diag = tuple(_frac(x, f"diag_moments[{m}]") for m, x in enumerate(diag))
+            if self.is_real:
+                off = tuple(_frac(x, f"offdiag_moments[{m}]") for m, x in enumerate(off))
+            else:
+                off = tuple(
+                    tuple(
+                        _frac(x, f"offdiag_moments[{a}][{b}]")
+                        if x is not None or max(a, b) <= 2
+                        else None
+                        for b, x in enumerate(row)
+                    )
+                    for a, row in enumerate(off)
+                )
+        except ValueError as exc:
             raise ValueError(
-                "moment tables must hold ints or Fractions, not bools, or None in a complex "
-                "grid where a or b exceeds 2"
-            )
+                "moment tables must hold ints or Fractions, not bools, floats or strs, or None "
+                f"in a complex grid where a or b exceeds 2: {exc}"
+            ) from None
         if diag[0] != 1 or diag[1] != 0:
             raise ValueError("diagonal entries must be centered with E[W^0] = 1")
         if self.is_real:
@@ -754,12 +760,24 @@ def class_rows(
     straight from a search leaf, its word the leaf's text, with no
     ``WalkClass``; the query filters the leaf before its expectation is
     built, and a (v, e) that no class has (see ``_possible``) reads no
-    search at all.  The row past its word is built once per key (v, code),
-    from the first leaf with it: its shape, its query test and its product,
-    and a class with an edge crossed once is written 0 / 1 with no product.
-    A query is read from the pruned search or the full one as the module
-    docstring's pruning rule says.
+    search at all.  A query is read from the pruned search or the full one
+    as the module docstring's pruning rule says.
+
+    The rows come from ``_keyed_rows``, which yields each as (word, tail):
+    the row past its word is built once per key (v, code), from the first
+    leaf with it (its shape, its query test and its product; a class with
+    an edge crossed once is written 0 / 1 with no product), and every row
+    of the key shares that one ``tail`` tuple.  A reader that does the
+    same work for every row of a key, as ``enumerate``'s text, can do it
+    once per tail.
     """
+    return ((text, *tail) for text, tail in _keyed_rows(k, model, v, e, cycle_type))
+
+
+def _keyed_rows(
+    k: int, model: MomentModel, v: int | None, e: int | None, cycle_type: str | None
+) -> Iterator[tuple[str, tuple[int, int, str, int, int]]]:
+    """``class_rows``' rows as (word, tail), one ``tail`` tuple per key (v, code)."""
     k = check_word_length(k)
     match = _matcher(v, e, cycle_type)
     if not _possible(k, v, e):
@@ -782,7 +800,7 @@ def class_rows(
                 tail = (*shape, product.numerator, product.denominator)
             tails[cv][code] = tail
         if tail:
-            yield (text,) + tail
+            yield text, tail
 
 
 def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:

@@ -10,6 +10,7 @@ the library twin of the command line's argv property in ``test_cli``.
 
 import dataclasses
 import inspect
+import math
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -293,3 +294,134 @@ def test_a_bool_is_refused_in_a_moment_table():
     # the same tables in ints are GOE's and GUE's
     assert wignerexp.MomentModel(True, (1, 0, 1, 0, 3), diag).params == GOE
     assert wignerexp.MomentModel(False, ((1, 0, 0), (0, 1, 0), (0, 0, 2)), (1, 0, 1)).params == GUE
+
+
+# -- the moment rule ----------------------------------------------------------------
+#
+# Every exact moment a caller gives, a scalar of EnsembleParams or rademacher_model
+# or an entry of a MomentModel table, is read by ``combinatorics._frac``: an int, a
+# NumPy integer or a Fraction passes, and a bool, a float (NaN too), a str or any
+# other type is refused with ``<name> must be a rational number, not a <type>, got
+# <value!r>``.  A table entry's refusal follows TABLES and names the entry.
+
+TABLES = (
+    "moment tables must hold ints or Fractions, not bools, floats or strs, or None in a "
+    "complex grid where a or b exceeds 2: "
+)
+
+
+def fair_signs(variance):
+    """A custom sampler's draws: +-sqrt(variance), each with probability 1/2."""
+    root = math.sqrt(variance)
+    return lambda rng, size: root * (2.0 * rng.integers(0, 2, size) - 1.0)
+
+
+def custom_params(v):
+    # alpha = sigma2^2 = 1 and diagonal variance v, which fair signs meet exactly
+    params = wignerexp.EnsembleParams(1, 1, v, 1)
+    return wignerexp.custom_sampler(params, fair_signs(1), fair_signs(v)).params
+
+
+# label -> ((callable, parameter), the name its refusal gives, the text before it, call)
+MOMENTS = {
+    "EnsembleParams sigma2": (
+        ("EnsembleParams", "sigma2"), "sigma2", "", lambda v: wignerexp.EnsembleParams(1, v, 2, 3)
+    ),
+    "EnsembleParams s2": (
+        ("EnsembleParams", "s2"), "s2", "", lambda v: wignerexp.EnsembleParams(1, 1, v, 3)
+    ),
+    "EnsembleParams alpha": (
+        ("EnsembleParams", "alpha"), "alpha", "", lambda v: wignerexp.EnsembleParams(1, 1, 2, v)
+    ),
+    "rademacher_model sigma2": (
+        ("rademacher_model", "sigma2"), "sigma2", "", lambda v: wignerexp.rademacher_model(v, 1, 6)
+    ),
+    "rademacher_model s2": (
+        ("rademacher_model", "s2"), "s2", "", lambda v: wignerexp.rademacher_model(1, v, 6)
+    ),
+    "MomentModel real off-diagonal": (
+        ("MomentModel", "offdiag_moments"), "offdiag_moments[4]", TABLES,
+        lambda v: wignerexp.MomentModel(True, (1, 0, 1, 0, v, 0, 15), (1, 0, 2)),
+    ),
+    "MomentModel complex grid": (
+        ("MomentModel", "offdiag_moments"), "offdiag_moments[1][1]", TABLES,
+        lambda v: wignerexp.MomentModel(False, ((1, 0, 0), (0, v, 0), (0, 0, 2)), (1, 0, 1)),
+    ),
+    "MomentModel diagonal": (
+        ("MomentModel", "diag_moments"), "diag_moments[2]", TABLES,
+        lambda v: wignerexp.MomentModel(True, (1, 0, 1, 0, 3), (1, 0, v, 0)),
+    ),
+    "custom_sampler params": (("custom_sampler", "params"), "s2", "", custom_params),
+}
+
+# exported Fraction-annotated parameters that are no moment a caller gives
+NOT_MOMENTS = {
+    **{("ExpansionTerm", name): "a result record" for name in ("c1", "c2", "c3", "c4", "total")},
+    **{
+        ("SignedMeasureNu", name): "made from params by SignedMeasureNu.from_params"
+        for name in ("c4", "c2", "c0", "atom_mass", "arcsine_coeff", "c2_plus_4c4")
+    },
+    ("TruncatedRationalSeries", "coeffs"): "series coefficients, a value type of their own",
+}
+
+
+def fraction_parameters() -> set[tuple[str, str]]:
+    """(callable, parameter) for every exported function's or class's Fraction parameter."""
+    found = set()
+    for name in dir(wignerexp):
+        obj = getattr(wignerexp, name)
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception)):
+            for parameter in inspect.signature(obj).parameters.values():
+                if "Fraction" in str(parameter.annotation):
+                    found.add((name, parameter.name))
+    return found
+
+
+def test_the_moment_table_covers_every_fraction_parameter_of_the_surface():
+    found = fraction_parameters()
+    assert set(NOT_MOMENTS) <= found
+    assert found - set(NOT_MOMENTS) <= {case[0] for case in MOMENTS.values()}
+
+
+def moment_refusal(label, value) -> str:
+    _, name, before, call = MOMENTS[label]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    message = str(info.value)
+    assert message.startswith(before), message
+    return message[len(before) :]
+
+
+def rule_message(name, value) -> str:
+    return f"{name} must be a rational number, not a {type(value).__name__}, got {value!r}"
+
+
+NOT_EXACT = [True, False, 0.5, 3.0, float("nan"), float("inf"), np.float64(1.0), "1/2", "1e4000000"]
+
+
+@pytest.mark.parametrize("label", list(MOMENTS))
+def test_bools_floats_and_strs_are_refused_as_moments_by_name(label):
+    name = MOMENTS[label][1]
+    for value in NOT_EXACT:
+        assert moment_refusal(label, value) == rule_message(name, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_inexact_value_is_refused_by_the_moment_rule(data):
+    label = data.draw(st.sampled_from(sorted(MOMENTS)))
+    value = data.draw(st.booleans() | st.floats() | st.text(max_size=6) | st.none())
+    assert moment_refusal(label, value) == rule_message(MOMENTS[label][1], value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_numpy_integer_moments_give_the_plain_int_answer(data):
+    label = data.draw(st.sampled_from(sorted(MOMENTS)))
+    call = MOMENTS[label][3]
+    value = data.draw(st.integers(0, 6))
+    numpy_type = data.draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    want = answer(call, value)
+    got = answer(call, numpy_type(value))
+    assert got == want and plain(got), (label, value, numpy_type)
+    assert answer(call, Fraction(value)) == want

@@ -406,6 +406,80 @@ def test_enumerate_refuses_large_k(capsys):
     assert "12" in err
 
 
+# (--v, --e, --cycle-type) of the row-path tests; v = 2 with e = 5 is no class's
+ROW_QUERIES = [
+    (None, None, None), (3, None, None), (None, 2, None), (None, None, "tree"),
+    (None, None, "self-loop"), (3, 3, None), (2, 5, None),
+]
+
+
+def query_flags(v, e, cycle_type):
+    flags = [] if v is None else ["--v", str(v)]
+    flags += [] if e is None else ["--e", str(e)]
+    return flags + ([] if cycle_type is None else ["--cycle-type", cycle_type])
+
+
+@pytest.mark.parametrize("ensemble", sorted(PRESETS))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_enumerate_rows_are_the_public_class_rows(capsys, ensemble, k):
+    # the CLI writes each row from text made once per key; the public rows, written
+    # value by value, must give the same lines, footer and JSON
+    model = walks.PRESET_MODELS[ensemble]()
+    columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
+    for query in ROW_QUERIES:
+        argv = ["enumerate", "--k", str(k), "--ensemble", ensemble, *query_flags(*query)]
+        rows = list(walks.class_rows(k, model, *query))
+        totals: dict = {}
+        for row in rows:
+            totals[row[1:3]] = totals.get(row[1:3], 0) + 1
+        footer = [f"# count[v={v},e={e}]={count}" for (v, e), count in sorted(totals.items())]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == ",".join(columns)
+        assert lines[2:] == [",".join(map(str, row)) for row in rows] + footer + [
+            f"# total_classes={len(rows)}"
+        ], query
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["rows"] == [dict(zip(columns, row)) for row in rows], query
+        assert payload["total_classes"] == len(rows)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_makes_each_row_tail_text_once(monkeypatch, fmt):
+    # 115,975 rows at k = 10 share 897 keys (v, code), whose tails, the row past its
+    # word, take fewer values still: each value's text is made once
+    tails = {row[1:] for row in walks.class_rows(10, walks.goe_model())}
+    calls = []
+    text_past = cli._text_past
+
+    def counted(parts, cell, values):
+        calls.append(values)
+        return text_past(parts, cell, values)
+
+    monkeypatch.setattr(cli, "_text_past", counted)
+    assert main(["enumerate", "--k", "10", "--format", fmt, "--out", os.devnull]) == 0
+    assert len(calls) == len(tails) == len(set(calls))
+    assert set(calls) == tails
+
+
+def test_csv_enumerate_streams(tmp_path):
+    # the CSV twin of test_json_tables_stream: the per-tail texts and counts are
+    # few, and the rows are never held
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--k", "9", "--out", str(tmp_path / "table.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20
+    assert (tmp_path / "table.csv").read_text().endswith("# total_classes=21147\n")
+
+
 # -- mc -----------------------------------------------------------------------------
 
 

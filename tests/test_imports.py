@@ -47,7 +47,7 @@ CROSS_ROUTE_IMPORTS = {
     "walks": {
         ("combinatorics", "EnsembleParams"): "the params a moment model reports",
         ("combinatorics", "_int_at_least"): INT_RULE,
-        ("combinatorics", "_frac"): "the rule a variance goes through, a bool refused: a check",
+        ("combinatorics", "_frac"): "the one rule of an exact moment, a float refused: a check",
     },
 }
 

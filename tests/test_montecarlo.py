@@ -20,6 +20,7 @@ from wignerexp import (
     GUE,
     RADEMACHER,
     EnsembleParams,
+    MomentModel,
     custom_sampler,
     empirical_moments,
     estimate_corrections,
@@ -834,6 +835,61 @@ def dense_sign_sum_misses(sizes) -> list[tuple[int, int]]:
 
 def test_dense_estimates_over_every_sign_pattern_equal_the_walk_oracle():
     assert dense_sign_sum_misses(range(2, 6)) == []
+
+
+# the off-diagonal values of the complex exact sum: W^a conj(W)^b = i^(a - b)
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def every_quarter_turn_matrix(n) -> montecarlo.EnsembleSampler:
+    """A complex sampler whose successive samples are the 4^(n(n-1)/2) 2^n matrices
+    with off-diagonal entries in {1, i, -1, -i} and diagonal entries +-1.
+
+    Sample s takes each upper entry from two bits of s, low bits first, and
+    its diagonal signs from the n bits past them, as ``every_sign_pattern``
+    does with one bit an entry.
+    """
+    upper = n * (n - 1) // 2
+    sample = [0]
+
+    def offdiag(rng, size):
+        return QUARTER_TURNS[sample[0] >> 2 * np.arange(size) & 3]
+
+    def diag(rng, size):
+        out = 2.0 * (sample[0] >> np.arange(2 * upper, 2 * upper + size) & 1) - 1.0
+        sample[0] += 1
+        return out
+
+    return montecarlo.EnsembleSampler(EnsembleParams(0, 1, 1, 1), "custom", offdiag, diag)
+
+
+def quarter_turn_model(max_order=10) -> MomentModel:
+    """The walk model of those entries: E[W^a conj(W)^b] = 1 if a = b mod 4, else 0."""
+    orders = range(max_order + 1)
+    grid = [[int((a - b) % 4 == 0) for b in orders] for a in orders]
+    return MomentModel(False, grid, [int(m % 2 == 0) for m in orders])
+
+
+def dense_complex_sum_misses(sizes) -> list[tuple[int, int]]:
+    """(n, k), even k = 2..10, where the complex dense estimate over every
+    quarter-turn matrix is not the walk oracle's n (m_k(n) - Cat(k/2))."""
+    model = quarter_turn_model()
+    misses = []
+    for n in sizes:
+        ks = range(2, 11, 2)
+        samples = 4 ** (n * (n - 1) // 2) * 2**n
+        estimates = estimate_corrections(ks, n, samples, every_quarter_turn_matrix(n), 0)
+        for k, est in zip(ks, estimates):
+            want = float(n * (exact_moment(k, n, model) - semicircle_moment(k)))
+            if est.point != pytest.approx(want, rel=1e-12, abs=1e-12):
+                misses.append((n, k))
+    return misses
+
+
+def test_dense_complex_estimates_over_every_quarter_turn_matrix_equal_the_walk_oracle():
+    # the complex build (its conjugating gather), power plan and trace reads, summed
+    # with no sampling error; n = 4 (65,536 matrices) takes about 1.5 s, so it stays out
+    assert dense_complex_sum_misses((2, 3)) == []
 
 
 def test_sign_matrix_trace_sums_equal_the_walk_polynomial():

@@ -7,6 +7,7 @@ digest would change as well, but it cannot say which route disagrees, so no
 test here leans on one.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ import test_walks
 from test_montecarlo import (
     FINITE_SIZE_CASES,
     banded_model_misses,
+    dense_complex_sum_misses,
     dense_sign_sum_misses,
     estimate_misses_exact_value,
 )
@@ -138,6 +140,31 @@ def test_a_diagonal_mis_scale_fails_the_exact_dense_sum(monkeypatch):
     monkeypatch.setattr(montecarlo, "_build_matrix", mis_scaled)
     sizes = range(2, 5)
     assert dense_sign_sum_misses(sizes) == [(n, k) for n in sizes for k in range(2, 11, 2)]
+
+
+def test_a_missing_conjugate_fails_the_exact_complex_dense_sum(monkeypatch):
+    # the lower triangle reads the upper entries themselves, as a real build does
+    # (the Hermitian and eigenvalue checks of GUE's dense build see it too); the
+    # Frobenius read of tr X^2 does not, so k = 2 still holds
+    right = montecarlo._gather_index
+    monkeypatch.setattr(montecarlo, "_gather_index", lambda n, conjugate: right(n, False))
+    assert dense_complex_sum_misses((2, 3)) == [(n, k) for n in (2, 3) for k in (4, 6, 8, 10)]
+
+
+def test_gaussian_sixth_moments_fail_only_the_exact_complex_dense_sum(monkeypatch):
+    # a complex model's E|W|^(2a), a >= 3, read as the circular Gaussian's
+    # a! sigma2^a: GUE is Gaussian and the random models' checks stop at nu, so
+    # only the quarter-turn entries (E|W|^(2a) = 1) see it, from k = 6
+    right = walks.MomentModel.offdiag_mixed
+
+    def gaussian_past_four(self, a, b):
+        value = right(self, a, b)
+        if self.is_real or a != b or a < 3:
+            return value
+        return math.factorial(a) * self.sigma2**a
+
+    monkeypatch.setattr(walks.MomentModel, "offdiag_mixed", gaussian_past_four)
+    assert dense_complex_sum_misses((2, 3)) == [(n, k) for n in (2, 3) for k in (6, 8, 10)]
 
 
 def test_a_diagonal_mis_scale_fails_the_exact_banded_sum(monkeypatch):
