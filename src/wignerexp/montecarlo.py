@@ -10,6 +10,20 @@ the even k up to 10: three products, one fewer than the half powers
 X^2..X^5), each into a buffer of its own that a thread's samples reuse; X
 itself is only read.  The sample is gathered from its drawn upper and
 diagonal entries in one indexing step, through a flat index cached per size.
+
+Integer samples (``_schedule``): when a sample's drawn entries are real
+integers with |w| <= B, the powers are formed from W itself, not from X.
+Every entry of W^c, and every partial sum of the product forming it, is at
+most n^(c-1) B^c; a product whose bound is at most 2^24 runs exactly in
+float32 (sgemm, about half the time of dgemm), the others in float64.  So
+for signs at n = 128 and 256, W^2 and W^4 run in float32 and W^8 in
+float64.  Each trace is read in float64 and divided once by
+(sigma sqrt(n))^k.  These traces are closer to exact than the ones formed
+from X, so their last bits differ from those; where sigma sqrt(n) is a power
+of two (n = 16 for signs) both are exact and agree.  Which route a sample
+takes is read from its own entries, so a sampler may mix both; non-integer
+and complex samples take the float64 route on X.
+
 The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
@@ -35,8 +49,9 @@ the blocks are split among threads, which leaves every value as it is.
 A dense run takes one of three routes (``_block_workers``): one thread per
 core, OpenBLAS at one thread throughout; below n = 128, one thread with
 OpenBLAS at one thread throughout; else one thread whose products use
-OpenBLAS's own threads and whose every trace is read at one.  So no trace
-depends on OPENBLAS_NUM_THREADS.
+OpenBLAS's own threads and whose every trace is read at one.  Float64
+products give the same bits at any thread count, and the float32 ones are
+exact, so no trace depends on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -85,9 +100,11 @@ MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
 # its unit costs were measured with one BLAS thread on a 2-core x86-64 host
 # (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries; the dense cost
-# counts the products of the power plan, and the estimate reads 0.8 to 3.1
-# times the actual time at n = 8..1024 and kmax = 2..32 (above 2 only for a
-# dense run at kmax 2, whose time is all matrix build)
+# counts the products of the power plan as float64 ones.  For Rademacher
+# signs, whose products partly run in float32, the estimate reads 0.9 to 4.9
+# times the actual time at n = 8..1024 and kmax = 2..32, one thread (above 4
+# only at kmax 2, whose time is all matrix build); all-float64 products read
+# 1.4 to 4.5 times on the same host and day
 MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
@@ -295,27 +312,46 @@ def _scale(sampler: EnsembleSampler, n: int) -> float:
     return math.sqrt(float(sampler.params.sigma2)) * math.sqrt(n)
 
 
-def _build_matrix(n: int, sampler: EnsembleSampler, rng: np.random.Generator) -> np.ndarray:
-    """Draw the upper entries, then the diagonal, and gather X from them."""
+def _integer_bound(entries: np.ndarray, limit: int) -> int:
+    """max(1, max |w|) if the real ``entries`` are integers with |w| <= ``limit``, else 0."""
+    peak = max(entries.max(), -entries.min())  # NaN when any entry is: refused below
+    if not peak <= limit or not np.array_equal(np.rint(entries), entries):
+        return 0
+    return max(int(peak), 1)
+
+
+def _build_sample(
+    n: int, sampler: EnsembleSampler, rng: np.random.Generator, limit: int
+) -> tuple[np.ndarray, int]:
+    """Draw the upper entries, then the diagonal, and gather a sample from them.
+
+    Returns (W, B) if the entries are real integers of magnitude at most
+    ``limit`` (B = max(1, max |w|); see ``_schedule``), else (X, 0).
+    """
     m = n * (n - 1) // 2
     conjugate, dtype = sampler.complex_entries, sampler.dtype
     entries = np.empty(2 * m + n if conjugate else m + n, dtype=dtype)
     # each draw divided straight into place, with no copy: the same divisions,
-    # element for element, as dividing the assembled W
+    # element for element, as dividing the assembled W; division by 1 is exact
     scale = _scale(sampler, n)
+    keep = limit and not conjugate
+    divisor = 1.0 if keep else scale
     if n > 1:
-        np.divide(sampler.offdiag(rng, m), scale, out=entries[:m], dtype=dtype)
-    np.divide(sampler.diag(rng, n), scale, out=entries[m : m + n], dtype=dtype)
+        np.divide(sampler.offdiag(rng, m), divisor, out=entries[:m], dtype=dtype)
+    np.divide(sampler.diag(rng, n), divisor, out=entries[m : m + n], dtype=dtype)
+    bound = _integer_bound(entries, limit) if keep else 0
+    if keep and not bound:
+        entries /= scale
     if conjugate:
         np.conj(entries[:m], out=entries[m + n :])
     # an index read, not ndarray.take: take copies a read-only index first
-    return entries[_gather_index(n, conjugate)].reshape(n, n)
+    return entries[_gather_index(n, conjugate)].reshape(n, n), bound
 
 
 def sample_matrix(n: int, sampler: EnsembleSampler, seed) -> np.ndarray:
     """One Hermitian matrix X = W/(sigma sqrt(n)); deterministic in (seed, n)."""
     n = _int_at_least(n, 1, "matrix size")
-    return _build_matrix(n, sampler, np.random.default_rng(seed))
+    return _build_sample(n, sampler, np.random.default_rng(seed), 0)[0]
 
 
 class _PowerPlan(NamedTuple):
@@ -393,20 +429,128 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
     return _PowerPlan(products, tuple(split(k, formed) for k in ks))
 
 
-def _dense_traces(
-    x: np.ndarray, plan: _PowerPlan, buffers: Sequence[np.ndarray], dot=np.vdot
-) -> list[float]:
-    """tr X^k per k of ``plan`` for Hermitian X, which is only read.
+# float32 holds every integer up to 2^24, so a product of integer matrices
+# whose every partial sum stays there is exact in float32 (Ozaki, Ogita, Oishi
+# and Rump, Numer. Algorithms 2012): the same bits from any kernel, summation
+# order or thread count
+_FLOAT32_EXACT = 2**24
 
-    Product i is written into ``buffers[i]``, so ``buffers`` holds at least
-    ``len(plan.products)`` n x n arrays and may be reused from sample to
-    sample.  Each trace is then read as ``dot`` (np.vdot or a pinned one) of
-    two powers.
+
+def _integer_limit(n: int, plan: _PowerPlan) -> int:
+    """The largest B whose integer samples of size n take the integer route.
+
+    That route needs W^2 formed in float32 (n B^2 <= 2^24), so a plan with
+    no product never takes it, and every k at most MAX_KMAX: then tr W^k
+    <= n^(k/2) (n B^2)^(k/2) stays far inside float64's range.
     """
-    powers = {1: x}
-    for i, (c, a, b) in enumerate(plan.products):
-        powers[c] = np.matmul(powers[a], powers[b], out=buffers[i])
-    return [float(dot(powers[a], powers[b]).real) for a, b in plan.pairs]
+    if not plan.products or max(map(sum, plan.pairs)) > MAX_KMAX:
+        return 0
+    return math.isqrt(_FLOAT32_EXACT // n)
+
+
+class _Schedule(NamedTuple):
+    """How ``_dense_traces`` forms one sample's powers and reads its traces.
+
+    ``steps`` holds (c, a, b, slot, widen) per product W^c = W^a W^b of the
+    plan, in order.  With ``slot`` None the product runs in float64 into
+    buffer i; otherwise in float32, from the operands' float32 copies into
+    float32 slot ``slot``, copied into buffer i when ``widen`` (W^c is read
+    in float64).  Slot s is half s % 2 of buffer s // 2; ``first`` is the
+    slot W is copied into, if any.  ``reads`` holds (a, b, divisor) per k:
+    tr = <W^a, W^b> / divisor.  ``rows`` is the buffers the slots need.
+    """
+
+    steps: tuple[tuple[int, int, int, int | None, bool], ...]
+    first: int | None
+    reads: tuple[tuple[int, int, float], ...]
+    rows: int
+
+
+@lru_cache(maxsize=64)
+def _schedule(n: int, plan: _PowerPlan, bound: int = 0, scale: float = 1.0) -> _Schedule:
+    """The schedule of ``plan`` for a sample X (``bound`` 0), or for an integer W.
+
+    For W with |w| <= B = ``bound``, every entry of W^c, and every partial
+    sum of the product forming it, is at most n^(c-1) B^c; the products
+    where that is at most 2^24, a prefix of the plan since c ascends, run
+    in float32.  Their float32 copies take the halves of the buffers that
+    float64 products write later, and further buffers past the plan's only
+    where those run out; a slot is taken back once no float32 product reads
+    it.  Each trace is read in float64 and divided once by ``scale``^k, with
+    ``scale`` sigma sqrt(n).  For X every product is float64 and no trace is
+    divided.
+    """
+    products = plan.products
+    in32 = sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
+    last = {}  # exponent -> the last float32 product reading it
+    for i, (_, a, b) in enumerate(products[:in32]):
+        last[a] = last[b] = i
+    wide = {e for a, b in plan.pairs for e in (a, b)}
+    wide.update(e for _, a, b in products[in32:] for e in (a, b))
+    free = [s for i in range(in32, len(products)) for s in (2 * i, 2 * i + 1)]
+    rows = len(products)
+
+    def take() -> int:
+        nonlocal rows
+        if not free:
+            free.extend((2 * rows, 2 * rows + 1))
+            rows += 1
+        return free.pop(0)
+
+    first = take() if in32 else None
+    held = {1: first}
+    steps = []
+    for i, (c, a, b) in enumerate(products):
+        if i >= in32:
+            steps.append((c, a, b, None, False))
+            continue
+        slot = take()  # before the operands' slots are given back: out never aliases them
+        for e in {a, b}:
+            if last[e] == i:
+                free.append(held.pop(e))
+        if c in last:
+            held[c] = slot
+        else:  # widened at once, and read by no later float32 product
+            free.append(slot)
+        steps.append((c, a, b, slot, c in wide))
+    reads = tuple((a, b, scale ** (a + b) if bound else 1.0) for a, b in plan.pairs)
+    return _Schedule(tuple(steps), first, reads, rows)
+
+
+def _dense_traces(
+    sample: np.ndarray,
+    plan: _PowerPlan,
+    buffers: np.ndarray,
+    dot=np.vdot,
+    bound: int = 0,
+    scale: float = 1.0,
+) -> list[float]:
+    """tr X^k per k of ``plan`` for a Hermitian sample, which is only read.
+
+    The sample is X, or with ``bound`` B >= 1 the integer W = sigma sqrt(n) X
+    with |w| <= B, ``scale`` being sigma sqrt(n) (see ``_schedule``).
+    Product i is written into ``buffers[i]``, in float64, or into a float32
+    slot in their bytes; so ``buffers``, one array of n x n rows, holds at
+    least ``_schedule(...).rows`` of them and may be reused from sample to
+    sample.  Each trace is then read as ``dot``
+    (np.vdot or a pinned one) of two float64 powers.
+    """
+    n = sample.shape[0]
+    steps, first, reads, _ = _schedule(n, plan, bound, scale)
+    powers = {1: sample}
+    if first is not None:
+        slots = buffers.view(np.float32).reshape(-1, n, n)
+        narrow = {1: slots[first]}
+        np.copyto(narrow[1], sample, casting="same_kind")
+    for i, (c, a, b, slot, widen) in enumerate(steps):
+        if slot is None:
+            powers[c] = np.matmul(powers[a], powers[b], out=buffers[i])
+            continue
+        narrow[c] = np.matmul(narrow[a], narrow[b], out=slots[slot])
+        if widen:
+            powers[c] = buffers[i]
+            np.copyto(powers[c], narrow[c])
+    return [float(dot(powers[a], powers[b]).real) / divisor for a, b, divisor in reads]
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
@@ -550,13 +694,26 @@ def _blas_threads() -> tuple:
     return tuple(found)
 
 
+def _dense_rows(n: int, plan: _PowerPlan, dtype) -> int:
+    """The n x n buffers of ``dtype`` one thread of a dense run forms powers in.
+
+    One per product, and for real entries as many as the integer route's
+    float32 copies need; B = 1 needs the most, since a larger B runs fewer
+    products in float32.
+    """
+    if np.dtype(dtype).kind == "c" or not _integer_limit(n, plan):
+        return len(plan.products)
+    return _schedule(n, plan, 1).rows
+
+
 def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
     """Bound on the arrays one thread of a dense run holds at once.
 
-    Its power buffers, the sample, the sample's drawn entries, and one more
-    n x n array for the temporaries of the entry generators.
+    Its power buffers (float32 copies included), the sample, the sample's
+    drawn entries, and one more n x n array for the temporaries of the entry
+    generators and of the integer check.
     """
-    return (len(plan.products) + 3) * n * n * np.dtype(dtype).itemsize
+    return (_dense_rows(n, plan, dtype) + 3) * n * n * np.dtype(dtype).itemsize
 
 
 def _thread_cap(n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
@@ -567,7 +724,11 @@ def _thread_cap(n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
 
 # below this size two threads ran a dense run 1.6-2.5 times slower than one
 # (n = 32..64, 2-core host): the interpreter lock, handed over at each BLAS
-# call, is what the threads wait for; at 96 they tie, from 128 they gain
+# call, is what the threads wait for.  With float32 products (2,000 signs at
+# kmax 10, 20 alternating pairs a size) two threads lost at 96 in 15 pairs,
+# won at 104 in 12, at 112 and 120 in 15 and at 128 in 20; one thread on
+# BLAS's threads lost to one pinned thread at 96..128 and tied it at 128 with
+# one block.  So both switches stay at 128
 _THREADED_SIZE = 128
 
 
@@ -641,6 +802,7 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     failed one, and at its next block if the calling thread is interrupted.
     """
     plan = _power_plan(tuple(ks))
+    limit, scale = _integer_limit(n, plan), _scale(sampler, n)
     _gather_index(n, sampler.complex_entries)  # built here once, not in each thread
     blocks = -(-out.shape[1] // _CHUNK)
     workers = _block_workers(blocks, n, plan, sampler.dtype, out.nbytes)
@@ -649,7 +811,12 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     stop = threading.Event()
 
     def share(first: int, dot) -> None:
-        buffers = list(np.empty((len(plan.products), n, n), dtype=sampler.dtype))
+        buffers = np.empty((_dense_rows(n, plan, sampler.dtype), n, n), dtype=sampler.dtype)
+
+        def traces(rng: np.random.Generator) -> list[float]:
+            sample, bound = _build_sample(n, sampler, rng, limit)
+            return _dense_traces(sample, plan, buffers, dot, bound, scale)
+
         for block in range(first, blocks, workers):
             with lock:
                 if stop.is_set() or any(failed < block for failed in failures):
@@ -657,10 +824,7 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
             columns = out[:, block * _CHUNK : (block + 1) * _CHUNK]
             try:
                 rng = _block_rng(seed, n, block)
-                columns[:] = np.array([
-                    _dense_traces(_build_matrix(n, sampler, rng), plan, buffers, dot)
-                    for _ in range(columns.shape[1])
-                ]).T
+                columns[:] = np.array([traces(rng) for _ in range(columns.shape[1])]).T
             except BaseException as exc:  # raised again below, in the calling thread
                 with lock:
                     failures[block] = exc

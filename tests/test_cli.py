@@ -1172,7 +1172,7 @@ GOLDEN = {
     "mc-rademacher-json": (
         ["mc", "--ensemble", "rademacher", "--kmax", "6", "--n", "16", "--samples", "200",
          "--seed", "5", "--format", "json"],
-        0, "89f243f785486a9ffcd014bedc5411ce3cd4dd2f294222d404c2cf49b8ff9672",
+        0, "fb6793fe13318582c9c8e19605b7673b8126a65a355c0ddd44e69fe471f09aad",
     ),
     "mc-goe-csv": (
         ["mc", "--ensemble", "goe", "--kmax", "4", "--n", "16", "--samples", "200",

@@ -519,9 +519,18 @@ def test_block_traces_match_each_sample_alone(make):
     got = montecarlo._sample_traces(ks, n, count, sampler, 606)
     assert got.shape == (len(ks), count)
     rng = montecarlo._block_rng(606, n, 0)
+    scale = montecarlo._scale(sampler, n)
     for s in range(count):
-        x = montecarlo._build_matrix(n, sampler, rng)
-        assert list(got[:, s] / n) == empirical_moments(x, kmax)[1:]
+        if sampler.complex_entries:
+            x = sample_matrix(n, sampler, rng)
+            assert list(got[:, s] / n) == empirical_moments(x, kmax)[1:]
+            continue
+        # signs take the integer route, whose traces are exact: the int64 ones,
+        # divided once by (sigma sqrt(n))^k = 3^k
+        w, bound = montecarlo._build_sample(n, sampler, rng, 1)
+        powers = [np.linalg.matrix_power(w.astype(np.int64), k) for k in ks]
+        assert bound == 1 and scale == 3.0
+        assert list(got[:, s]) == [int(np.trace(p)) / scale**k for k, p in zip(ks, powers)]
     # the even indices of mc take their own plan, with the same values
     evens = montecarlo._sample_traces(ks[::2], n, count, sampler, 606)
     assert np.allclose(evens, got[::2], rtol=1e-12, atol=1e-12)
@@ -533,7 +542,7 @@ def test_block_traces_match_each_sample_alone(make):
 def test_dense_traces_leave_x_bit_for_bit_alone(make):
     # every product goes to a buffer, so a caller's X needs no copy
     n = 7
-    x = montecarlo._build_matrix(n, make(), np.random.default_rng(12))
+    x = sample_matrix(n, make(), 12)
     kept = x.tobytes()
     ranges = [range(2, kmax + 1, step) for kmax in range(2, 42) for step in (2, 1)]
     for ks in dict.fromkeys(tuple(r) for r in ranges):
@@ -580,6 +589,88 @@ def test_dense_block_makes_one_matmul_per_planned_product(monkeypatch):
     assert len(calls) == len(plan.products) * count
     assert set(calls) == {(n, n)}
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 128])
+def test_integer_route_traces_equal_int64_traces(n):
+    # every partial sum stays below 2^53 for random signs at these sizes, so the
+    # undivided traces (scale 1) are exact whichever products ran in float32
+    sampler, ks = rademacher_sampler(), tuple(range(2, 11))
+    plan = montecarlo._power_plan(ks)
+    limit = montecarlo._integer_limit(n, plan)
+    buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        w, bound = montecarlo._build_sample(n, sampler, rng, limit)
+        assert bound == 1
+        got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+        power = np.eye(n, dtype=np.int64)
+        want = []
+        for k in range(1, ks[-1] + 1):
+            power = power @ w.astype(np.int64)
+            want += [float(np.trace(power))] if k in ks else []
+        assert got == want
+
+
+def all_ones_misses() -> list[tuple[int, int]]:
+    """(n, k), n = 256 and 257, even k = 2..10, where the integer route misses tr J^k = n^k.
+
+    The all-ones J is the bound's worst case: every entry of J^c, and every
+    partial sum forming it, is at most n^(c-1).  J^4 runs in float32 at
+    n = 256 (256^3 = 2^24) and in float64 at 257, where a float32 product
+    would round its entries 257^3 > 2^24.
+    """
+    ks = (2, 4, 6, 8, 10)
+    plan = montecarlo._power_plan(ks)
+    misses = []
+    for n in (256, 257):
+        buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
+        got = montecarlo._dense_traces(np.ones((n, n)), plan, buffers, bound=1)
+        # n^k itself where float64 holds it, else within rounding of the float64 reads
+        misses += [(n, k) for k, g in zip(ks, got) if abs(g - n**k) > 1e-14 * n**k]
+    return misses
+
+
+def test_all_ones_traces_are_exact_on_both_sides_of_two_to_the_24():
+    plan = montecarlo._power_plan((2, 4, 6, 8, 10))
+    routes = {n: [slot is not None for *_, slot, _ in montecarlo._schedule(n, plan, 1).steps]
+              for n in (256, 257)}
+    assert routes == {256: [True, True, False], 257: [True, False, False]}
+    assert all_ones_misses() == []
+
+
+def _alternating_sampler():
+    """Rademacher signs, the off-diagonal of every second sample scaled to +-3/4."""
+    signs = rademacher_sampler().offdiag
+    drawn = [0]
+
+    def offdiag(rng, size):
+        return signs(rng, size) * (0.75 if drawn[0] % 2 else 1.0)
+
+    def diag(rng, size):
+        drawn[0] += 1
+        return signs(rng, size)
+
+    return montecarlo.EnsembleSampler(RADEMACHER, "custom", offdiag, diag)
+
+
+def test_samples_alternating_integer_and_other_entries_take_their_own_routes(monkeypatch):
+    # one share's buffers serve both routes in turn: the integer route's float32
+    # copies live in the bytes of the buffer X^8 is formed in
+    ks, n, samples, seed = [2, 4, 6, 8, 10], 12, 70, 21
+    want = _one_at_a_time(ks, n, samples, _alternating_sampler(), seed)
+    build = montecarlo._build_sample
+    bounds = []
+
+    def recording(*args):
+        sample, bound = build(*args)
+        bounds.append(bound)
+        return sample, bound
+
+    monkeypatch.setattr(montecarlo, "_build_sample", recording)
+    got = montecarlo._sample_traces(ks, n, samples, _alternating_sampler(), seed)
+    assert bounds == [1, 0] * (samples // 2)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def _dense_tridiagonal(diag, off):
@@ -792,40 +883,45 @@ def test_banded_models_sum_exactly_to_the_walk_polynomial(name):
     assert banded_model_misses(name) == []
 
 
-def every_sign_pattern(n) -> montecarlo.EnsembleSampler:
+def every_sign_pattern(n, unit=1) -> montecarlo.EnsembleSampler:
     """A Rademacher sampler whose successive samples are the 2^(n(n+1)/2) sign matrices.
 
     Sample s takes its signs from the bits of s: the upper entries from the
-    low n(n-1)/2 bits, the diagonal from the next n.  ``_build_matrix`` draws
+    low n(n-1)/2 bits, the diagonal from the next n.  ``_build_sample`` draws
     a sample's upper entries, where it has any, and then its diagonal, so the
-    diagonal draw moves on to the next sample.
+    diagonal draw moves on to the next sample.  Entries are +-``unit``, with
+    parameters to match: X is the same for any unit, and off the integers it
+    takes the float route.
     """
     upper = n * (n - 1) // 2
     sample = [0]
+    params = EnsembleParams(1, unit**2, unit**2, unit**4)
 
     def signs(first, size):
-        return 2.0 * (sample[0] >> np.arange(first, first + size) & 1) - 1.0
+        return float(unit) * (2.0 * (sample[0] >> np.arange(first, first + size) & 1) - 1.0)
 
     def diag(rng, size):
         out = signs(upper, size)
         sample[0] += 1
         return out
 
-    return montecarlo.EnsembleSampler(RADEMACHER, "custom", lambda rng, size: signs(0, size), diag)
+    return montecarlo.EnsembleSampler(params, "custom", lambda rng, size: signs(0, size), diag)
 
 
-def dense_sign_sum_misses(sizes) -> list[tuple[int, int]]:
+def dense_sign_sum_misses(sizes, unit=1) -> list[tuple[int, int]]:
     """(n, k), even k = 2..10, where the dense estimate over every sign matrix is not exact.
 
     With each sign matrix drawn once, ``estimate_corrections`` reads the
     exact mean through the real build, power plan and trace reads, so its
-    point must equal n (m_k(n) - Cat(k/2)) of the walk oracle.
+    point must equal n (m_k(n) - Cat(k/2)) of the walk oracle.  ``unit``
+    is that of ``every_sign_pattern``.
     """
     model = rademacher_model()
     misses = []
     for n in sizes:
         ks = range(2, 11, 2)
-        estimates = estimate_corrections(ks, n, 2 ** (n * (n + 1) // 2), every_sign_pattern(n), 0)
+        samples = 2 ** (n * (n + 1) // 2)
+        estimates = estimate_corrections(ks, n, samples, every_sign_pattern(n, unit), 0)
         for k, est in zip(ks, estimates):
             want = float(n * (exact_moment(k, n, model) - semicircle_moment(k)))
             if est.point != pytest.approx(want, rel=1e-12, abs=1e-12):
@@ -834,7 +930,14 @@ def dense_sign_sum_misses(sizes) -> list[tuple[int, int]]:
 
 
 def test_dense_estimates_over_every_sign_pattern_equal_the_walk_oracle():
+    # signs take the integer route; half signs the float one, to n = 4 (1,024
+    # matrices) where n = 5 takes 32,768
+    plan = montecarlo._power_plan((2, 4, 6, 8, 10))
+    for n, unit, route in ((5, 1, 1), (4, Fraction(1, 2), 0)):
+        built = montecarlo._build_sample(n, every_sign_pattern(n, unit), None, 8)
+        assert built[1] == route and montecarlo._integer_limit(n, plan) >= 8
     assert dense_sign_sum_misses(range(2, 6)) == []
+    assert dense_sign_sum_misses(range(2, 5), Fraction(1, 2)) == []
 
 
 # the off-diagonal values of the complex exact sum: W^a conj(W)^b = i^(a - b)

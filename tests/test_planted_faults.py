@@ -17,6 +17,7 @@ import test_montecarlo
 import test_walks
 from test_montecarlo import (
     FINITE_SIZE_CASES,
+    all_ones_misses,
     banded_model_misses,
     dense_complex_sum_misses,
     dense_sign_sum_misses,
@@ -129,17 +130,32 @@ def test_wrong_chi_degrees_fail_the_exact_banded_sum(monkeypatch):
 
 
 def test_a_diagonal_mis_scale_fails_the_exact_dense_sum(monkeypatch):
-    # X_ii 1% too large after the build: every (n, k) moves, by 0.02 at k = 2
-    right = montecarlo._build_matrix
+    # W_ii 1% too large after the build that mc --ensemble rademacher runs, which
+    # found integer signs: every (n, k) moves, by 0.02 at k = 2
+    right = montecarlo._build_sample
 
-    def mis_scaled(n, sampler, rng):
-        x = right(n, sampler, rng)
-        x[np.diag_indices(n)] *= 1.01
-        return x
+    def mis_scaled(n, sampler, rng, limit):
+        sample, bound = right(n, sampler, rng, limit)
+        assert bound == 1
+        sample[np.diag_indices(n)] *= 1.01
+        return sample, bound
 
-    monkeypatch.setattr(montecarlo, "_build_matrix", mis_scaled)
+    monkeypatch.setattr(montecarlo, "_build_sample", mis_scaled)
     sizes = range(2, 5)
     assert dense_sign_sum_misses(sizes) == [(n, k) for n in sizes for k in range(2, 11, 2)]
+
+
+def test_a_float32_bound_past_two_to_the_24_fails_the_all_ones_traces(monkeypatch):
+    # at 2^25, J^4 = J^2 J^2 of the 257 x 257 all-ones J runs in float32, whose
+    # entries 257^3 it rounds: every trace read from J^4 or J^8 misses
+    montecarlo._schedule.cache_clear()
+    monkeypatch.setattr(montecarlo, "_FLOAT32_EXACT", 2**25)
+    try:
+        assert all_ones_misses() == [(257, 6), (257, 8), (257, 10)]
+    finally:
+        monkeypatch.undo()
+        montecarlo._schedule.cache_clear()
+    assert all_ones_misses() == []
 
 
 def test_a_missing_conjugate_fails_the_exact_complex_dense_sum(monkeypatch):
