@@ -604,12 +604,28 @@ def test_integer_route_traces_equal_int64_traces(n):
         w, bound = montecarlo._build_sample(n, sampler, rng, limit)
         assert bound == 1
         got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
-        power = np.eye(n, dtype=np.int64)
-        want = []
-        for k in range(1, ks[-1] + 1):
+        power, want = w.astype(np.int64), []
+        for k in range(2, ks[-1] + 1):
             power = power @ w.astype(np.int64)
-            want += [float(np.trace(power))] if k in ks else []
+            want.append(float(np.trace(power)))
         assert got == want
+
+
+def test_a_larger_entry_bound_moves_products_back_to_float64():
+    # entries 2 or 3 at n = 128: B = 3 puts W^4 (entries near 1.3e8) in float64,
+    # where B = 1 would have rounded it in float32
+    n, ks = 128, (2, 4, 6, 8, 10)
+    plan = montecarlo._power_plan(ks)
+    two_or_three = lambda rng, size: 2.0 + rng.integers(0, 2, size)  # noqa: E731
+    sampler = montecarlo.EnsembleSampler(RADEMACHER, "custom", two_or_three, two_or_three)
+    w, bound = montecarlo._build_sample(n, sampler, np.random.default_rng(5), 362)
+    assert bound == 3
+    steps = montecarlo._schedule(n, plan, bound).steps
+    assert [slot is not None for *_, slot, _ in steps] == [True, False, False]
+    buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
+    got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+    want = [np.trace(np.linalg.matrix_power(w, k)) for k in ks]
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def all_ones_misses() -> list[tuple[int, int]]:
