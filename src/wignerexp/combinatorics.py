@@ -52,18 +52,20 @@ def _frac(value, name: str) -> Fraction:
     )
 
 
-def _int_at_least(value, least: int, name: str) -> int:
+def _int_at_least(value, least: int | None, name: str) -> int:
     """``value`` as a plain int, refused unless it is an integer >= ``least``.
 
     The one integer rule of every route's arguments: a NumPy integer passes
     (``operator.index``); a bool, a float or any other type is refused.
+    With ``least`` None any integer passes.
     """
     try:
         number = None if isinstance(value, bool) else index(value)
     except TypeError:
         number = None
-    if number is None or number < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    if number is None or least is not None and number < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
     return number
 
 

@@ -17,12 +17,13 @@ Every entry of W^c, and every partial sum of the product forming it, is at
 most n^(c-1) B^c; a product whose bound is at most 2^24 runs exactly in
 float32 (sgemm, about half the time of dgemm), the others in float64.  So
 for signs at n = 128 and 256, W^2 and W^4 run in float32 and W^8 in
-float64.  Each trace is read in float64 and divided once by
-(sigma sqrt(n))^k.  These traces are closer to exact than the ones formed
-from X, so their last bits differ from those; where sigma sqrt(n) is a power
-of two (n = 16 for signs) both are exact and agree.  Which route a sample
-takes is read from its own entries, so a sampler may mix both; non-integer
-and complex samples take the float64 route on X.
+float64, in buffers laid out as ``_Schedule`` says.  Each trace is read in
+float64 and divided once by (sigma sqrt(n))^k.  These traces are closer to
+exact than the ones formed from X, so their last bits differ from those;
+where sigma sqrt(n) is a power of two (n = 16 for signs) both are exact and
+agree.  Which route a sample takes is read from its own entries, so a
+sampler may mix both; non-integer and complex samples take the float64
+route on X.
 
 The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
@@ -326,22 +327,17 @@ def _build_sample(
     """Draw the upper entries, then the diagonal, and gather a sample from them.
 
     Returns (W, B) if the entries are real integers of magnitude at most
-    ``limit`` (B = max(1, max |w|); see ``_schedule``), else (X, 0).
+    ``limit`` (B = max(1, max |w|); see ``_Schedule``), else (X, 0).
     """
     m = n * (n - 1) // 2
     conjugate, dtype = sampler.complex_entries, sampler.dtype
     entries = np.empty(2 * m + n if conjugate else m + n, dtype=dtype)
-    # each draw divided straight into place, with no copy: the same divisions,
-    # element for element, as dividing the assembled W; division by 1 is exact
-    scale = _scale(sampler, n)
-    keep = limit and not conjugate
-    divisor = 1.0 if keep else scale
     if n > 1:
-        np.divide(sampler.offdiag(rng, m), divisor, out=entries[:m], dtype=dtype)
-    np.divide(sampler.diag(rng, n), divisor, out=entries[m : m + n], dtype=dtype)
-    bound = _integer_bound(entries, limit) if keep else 0
-    if keep and not bound:
-        entries /= scale
+        np.copyto(entries[:m], sampler.offdiag(rng, m))
+    np.copyto(entries[m : m + n], sampler.diag(rng, n))
+    bound = _integer_bound(entries, limit) if limit and not conjugate else 0
+    if not bound:  # the divisions of the assembled W, element for element
+        entries[: m + n] /= _scale(sampler, n)
     if conjugate:
         np.conj(entries[:m], out=entries[m + n :])
     # an index read, not ndarray.take: take copies a read-only index first
@@ -451,17 +447,17 @@ def _integer_limit(n: int, plan: _PowerPlan) -> int:
 class _Schedule(NamedTuple):
     """How ``_dense_traces`` forms one sample's powers and reads its traces.
 
-    ``steps`` holds (c, a, b, slot, widen) per product W^c = W^a W^b of the
-    plan, in order.  With ``slot`` None the product runs in float64 into
-    buffer i; otherwise in float32, from the operands' float32 copies into
-    float32 slot ``slot``, copied into buffer i when ``widen`` (W^c is read
-    in float64).  Slot s is half s % 2 of buffer s // 2; ``first`` is the
-    slot W is copied into, if any.  ``reads`` holds (a, b, divisor) per k:
-    tr = <W^a, W^b> / divisor.  ``rows`` is the buffers the slots need.
+    Products 0 .. ``narrow`` - 1 of the plan run in float32 and the rest in
+    float64; product i is read in float64 from ``buffers[i]``, into which a
+    float32 product is widened at once.  The float32 copies, of W and then
+    of products 0 .. narrow - 1, take the halves of ``buffers[narrow:]`` in
+    order.  Only float64 products write those buffers, and only after every
+    float32 product has run, so no copy is overwritten before its last read.
+    ``rows`` is the buffers this needs: max(products, narrow + (narrow + 2)
+    // 2).  ``reads`` holds (a, b, divisor) per k: tr = <W^a, W^b> / divisor.
     """
 
-    steps: tuple[tuple[int, int, int, int | None, bool], ...]
-    first: int | None
+    narrow: int
     reads: tuple[tuple[int, int, float], ...]
     rows: int
 
@@ -473,48 +469,14 @@ def _schedule(n: int, plan: _PowerPlan, bound: int = 0, scale: float = 1.0) -> _
     For W with |w| <= B = ``bound``, every entry of W^c, and every partial
     sum of the product forming it, is at most n^(c-1) B^c; the products
     where that is at most 2^24, a prefix of the plan since c ascends, run
-    in float32.  Their float32 copies take the halves of the buffers that
-    float64 products write later, and further buffers past the plan's only
-    where those run out; a slot is taken back once no float32 product reads
-    it.  Each trace is read in float64 and divided once by ``scale``^k, with
-    ``scale`` sigma sqrt(n).  For X every product is float64 and no trace is
-    divided.
+    in float32.  Each trace is read in float64 and divided once by
+    ``scale``^k, with ``scale`` sigma sqrt(n).  For X every product is
+    float64 and no trace is divided.
     """
     products = plan.products
-    in32 = sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
-    last = {}  # exponent -> the last float32 product reading it
-    for i, (_, a, b) in enumerate(products[:in32]):
-        last[a] = last[b] = i
-    wide = {e for a, b in plan.pairs for e in (a, b)}
-    wide.update(e for _, a, b in products[in32:] for e in (a, b))
-    free = [s for i in range(in32, len(products)) for s in (2 * i, 2 * i + 1)]
-    rows = len(products)
-
-    def take() -> int:
-        nonlocal rows
-        if not free:
-            free.extend((2 * rows, 2 * rows + 1))
-            rows += 1
-        return free.pop(0)
-
-    first = take() if in32 else None
-    held = {1: first}
-    steps = []
-    for i, (c, a, b) in enumerate(products):
-        if i >= in32:
-            steps.append((c, a, b, None, False))
-            continue
-        slot = take()  # before the operands' slots are given back: out never aliases them
-        for e in {a, b}:
-            if last[e] == i:
-                free.append(held.pop(e))
-        if c in last:
-            held[c] = slot
-        else:  # widened at once, and read by no later float32 product
-            free.append(slot)
-        steps.append((c, a, b, slot, c in wide))
+    narrow = sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
     reads = tuple((a, b, scale ** (a + b) if bound else 1.0) for a, b in plan.pairs)
-    return _Schedule(tuple(steps), first, reads, rows)
+    return _Schedule(narrow, reads, max(len(products), narrow + (narrow + 2) // 2))
 
 
 def _dense_traces(
@@ -528,28 +490,26 @@ def _dense_traces(
     """tr X^k per k of ``plan`` for a Hermitian sample, which is only read.
 
     The sample is X, or with ``bound`` B >= 1 the integer W = sigma sqrt(n) X
-    with |w| <= B, ``scale`` being sigma sqrt(n) (see ``_schedule``).
-    Product i is written into ``buffers[i]``, in float64, or into a float32
-    slot in their bytes; so ``buffers``, one array of n x n rows, holds at
-    least ``_schedule(...).rows`` of them and may be reused from sample to
-    sample.  Each trace is then read as ``dot``
-    (np.vdot or a pinned one) of two float64 powers.
+    with |w| <= B, ``scale`` being sigma sqrt(n).  ``buffers``, one array of
+    n x n rows that may be reused from sample to sample, holds at least
+    ``_schedule(...).rows`` of them, laid out as ``_Schedule`` says.  Each
+    trace is then read as ``dot`` (np.vdot or a pinned one) of two float64
+    powers.
     """
     n = sample.shape[0]
-    steps, first, reads, _ = _schedule(n, plan, bound, scale)
+    narrow, reads, _ = _schedule(n, plan, bound, scale)
     powers = {1: sample}
-    if first is not None:
-        slots = buffers.view(np.float32).reshape(-1, n, n)
-        narrow = {1: slots[first]}
-        np.copyto(narrow[1], sample, casting="same_kind")
-    for i, (c, a, b, slot, widen) in enumerate(steps):
-        if slot is None:
-            powers[c] = np.matmul(powers[a], powers[b], out=buffers[i])
-            continue
-        narrow[c] = np.matmul(narrow[a], narrow[b], out=slots[slot])
-        if widen:
-            powers[c] = buffers[i]
-            np.copyto(powers[c], narrow[c])
+    if narrow:
+        slots = buffers[narrow:].view(np.float32).reshape(-1, n, n)
+        copies = {1: slots[0]}
+        np.copyto(copies[1], sample, casting="same_kind")
+    for i, (c, a, b) in enumerate(plan.products):
+        if i < narrow:
+            copies[c] = np.matmul(copies[a], copies[b], out=slots[i + 1])
+            np.copyto(buffers[i], copies[c])
+        else:
+            np.matmul(powers[a], powers[b], out=buffers[i])
+        powers[c] = buffers[i]
     return [float(dot(powers[a], powers[b]).real) / divisor for a, b, divisor in reads]
 
 
@@ -655,8 +615,9 @@ def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int],
     return samples * sum(40e-6 + 20e-9 * n**2 + products * (4e-6 + 0.06e-9 * n**3) for n in sizes)
 
 
-def _block_rng(seed, n: int, block: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) & (2**64 - 1), n, block))
+def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
+    """Block ``block``'s generator; seeds equal mod 2^64 share a stream."""
+    return np.random.default_rng((seed & (2**64 - 1), n, block))
 
 
 @lru_cache(maxsize=1)
@@ -697,8 +658,8 @@ def _blas_threads() -> tuple:
 def _dense_rows(n: int, plan: _PowerPlan, dtype) -> int:
     """The n x n buffers of ``dtype`` one thread of a dense run forms powers in.
 
-    One per product, and for real entries as many as the integer route's
-    float32 copies need; B = 1 needs the most, since a larger B runs fewer
+    One per product, and for real entries the integer route's layout (see
+    ``_Schedule``); B = 1 needs the most, since a larger B runs fewer
     products in float32.
     """
     if np.dtype(dtype).kind == "c" or not _integer_limit(n, plan):
@@ -880,8 +841,9 @@ def estimate_corrections(
 
     The sample stream depends only on (seed, n), so each returned record is
     bit-identical to a single-k call with the same arguments.  Each k must be
-    an even integer >= 2, n an integer >= 1 and samples an integer >= 2, for
-    a standard error; a NumPy integer passes and a bool is refused.
+    an even integer >= 2, n an integer >= 1, samples an integer >= 2, for a
+    standard error, and seed any integer; a NumPy integer passes and a bool
+    is refused.
     """
     ks = sorted({_int_at_least(k, 2, "moment index") for k in ks})
     if not ks:
@@ -891,6 +853,7 @@ def estimate_corrections(
             raise ValueError(f"correction estimates are defined for even k >= 2, got {k}")
     samples = _int_at_least(samples, 2, "samples")
     n = _int_at_least(n, 1, "matrix size")
+    seed = _int_at_least(seed, None, "seed")
     traces = _sample_traces(ks, n, samples, sampler, seed)
     out = []
     for row, k in enumerate(ks):

@@ -4,8 +4,9 @@ Each exported function's integer parameter (a moment index, half-order,
 size, order or count) is read by ``combinatorics._int_at_least``: a bool, a
 float or a value below the parameter's bound is refused with
 ``<name> must be an int >= <least>, got <value!r>``, and a NumPy integer
-gives the same answer as the plain int, with plain ints inside it.  This is
-the library twin of the command line's argv property in ``test_cli``.
+gives the same answer as the plain int, with plain ints inside it.  A Monte
+Carlo seed is read by the same rule with no bound.  This is the library
+twin of the command line's argv property in ``test_cli``.
 """
 
 import dataclasses
@@ -135,8 +136,6 @@ CASES = {**SURFACE, **SERIES_METHODS}
 
 # integer-annotated parameters the rule does not read, each with its reason
 EXCLUDED = {
-    ("estimate_corrections", "seed"): "any entropy numpy's default_rng accepts",
-    ("richardson_corrections", "seed"): "any entropy numpy's default_rng accepts",
     ("count_classes", "v"): "a query filter: any integer may be asked, and _possible answers 0",
     ("count_classes", "e"): "a query filter: any integer may be asked, and _possible answers 0",
     ("class_rows", "v"): "a query filter: any integer may be asked, and _possible answers 0",
@@ -158,10 +157,43 @@ def integer_parameters() -> set[tuple[str, str]]:
     return found
 
 
+# seeds, read by the rule with no bound: any integer, folded mod 2^64 into the stream
+SEEDS = {
+    ("estimate_corrections", "seed"): lambda v: wignerexp.estimate_corrections(
+        [2, 4], 4, 8, SAMPLER, v
+    ),
+    ("richardson_corrections", "seed"): lambda v: wignerexp.richardson_corrections(
+        [2, 4], 4, SAMPLER, 8, v
+    ),
+}
+
+
 def test_the_table_covers_every_integer_parameter_of_the_surface():
     found = integer_parameters()
     assert set(EXCLUDED) <= found
-    assert set(SURFACE) == found - set(EXCLUDED)
+    assert set(SURFACE) | set(SEEDS) == found - set(EXCLUDED)
+
+
+@pytest.mark.parametrize("value", [True, False, 12.9, 12.0, "12", None, [1, 2]], ids=repr)
+@pytest.mark.parametrize("key", list(SEEDS), ids="{0[0]}".format)
+def test_a_seed_that_is_no_int_is_refused_by_name_before_any_draw(key, value, monkeypatch):
+    # refused, not truncated: int("12"), int(12.9) and int(True) would name other streams
+    def no_draw(*args):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(montecarlo, "_block_rng", no_draw)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {value!r}")):
+        SEEDS[key](value)
+
+
+@pytest.mark.parametrize("key", list(SEEDS), ids="{0[0]}".format)
+def test_numpy_integer_seeds_give_the_plain_int_records(key):
+    call = SEEDS[key]
+    for seed, numpy_type in ((0, np.int64), (12, np.int64), (-5, np.int32), (2**63 + 1, np.uint64)):
+        got, want = call(numpy_type(seed)), call(seed)
+        assert got == want and plain(got), (seed, numpy_type)
+    # the stream reads the seed mod 2^64
+    assert call(-5) == call(2**64 - 5) != call(5)
 
 
 def refusal(key, value) -> str:

@@ -611,6 +611,126 @@ def test_integer_route_traces_equal_int64_traces(n):
         assert got == want
 
 
+# every power plan of mc's ranges: all k and even k, kmax 3 .. MAX_KMAX
+EVERY_PLAN = [
+    montecarlo._power_plan(tuple(range(2, kmax + 1, step)))
+    for kmax in range(3, montecarlo.MAX_KMAX + 1)
+    for step in (1, 2)
+]
+
+
+def _integer_sample(n: int, bound: int, rng) -> np.ndarray:
+    """A symmetric integer matrix with entries in -bound .. bound, one of them bound."""
+    upper = np.triu(rng.integers(-bound, bound + 1, (n, n)))
+    w = (upper + np.triu(upper, 1).T).astype(float)
+    w[0, 0] = bound
+    return w
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_integer_route_traces_equal_int_traces_over_every_plan(n, bound):
+    # up to 8 products run in float32 here, against 2 at kmax 10.  Every partial
+    # sum of a product forming W^c, c < k, and of the read <W^a, W^b> is at most
+    # n^k B^k, so each trace whose bound float64 holds is exact; the others are
+    # measured against tr |W|^k, the sum of the read's magnitudes, since odd
+    # traces cancel
+    rng = np.random.default_rng(100 * n + bound)
+    for _ in range(2):
+        w = _integer_sample(n, bound, rng)
+        # Python ints: W and |W| as object arrays, whose powers never round
+        entries, sizes = w.astype(int).astype(object), np.abs(w).astype(int).astype(object)
+        power, magnitude, exact, scale = entries, sizes, {}, {}
+        for k in range(2, montecarlo.MAX_KMAX + 1):
+            power, magnitude = power @ entries, magnitude @ sizes
+            exact[k], scale[k] = int(np.trace(power)), int(np.trace(magnitude))
+        for plan in EVERY_PLAN:
+            buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
+            got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+            for (a, b), g in zip(plan.pairs, got):
+                k = a + b
+                if (n * bound) ** k <= 2**53:
+                    assert g == exact[k], (plan.pairs, k)
+                else:
+                    assert abs(g - exact[k]) <= 1e-14 * scale[k], (plan.pairs, k)
+
+
+class _Recorder:
+    """Byte ranges each step of ``_dense_traces`` reads and writes, in order.
+
+    Stands in for np.matmul and np.copyto, and for the trace read, without
+    computing: the layout alone is checked, at any size.
+    """
+
+    def __init__(self):
+        self.steps = []
+
+    @staticmethod
+    def span(array: np.ndarray) -> tuple[int, int]:
+        assert array.flags.c_contiguous
+        start = array.__array_interface__["data"][0]
+        return start, start + array.nbytes
+
+    def matmul(self, a, b, *, out):
+        self.steps.append(([self.span(a), self.span(b)], self.span(out)))
+        return out
+
+    def copyto(self, dst, src, casting="same_kind"):
+        self.steps.append(([self.span(src)], self.span(dst)))
+
+    def dot(self, a, b) -> float:
+        self.steps.append(([self.span(a), self.span(b)], None))
+        return 0.0
+
+
+def _overlap(one: tuple[int, int], other: tuple[int, int]) -> bool:
+    return one[0] < other[1] and other[0] < one[1]
+
+
+def _layout_faults(recorder: _Recorder, sample: np.ndarray) -> list[str]:
+    """Each step that reads a range overwritten since the step that wrote it."""
+    faults, written = [], {_Recorder.span(sample): -1}
+    for t, (reads, write) in enumerate(recorder.steps):
+        for read in reads:
+            if read not in written:
+                faults.append(f"step {t} reads {read}, never written")
+            elif any(_overlap(read, w) for _, w in recorder.steps[written[read] + 1 : t] if w):
+                faults.append(f"step {t} reads a range overwritten since step {written[read]}")
+        if write is not None:
+            if any(_overlap(write, read) for read in reads):
+                faults.append(f"step {t} writes into its own operand")
+            written[write] = t
+    return faults
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 128, 256, 1024])
+def test_integer_route_layout_fits_its_rows_and_overwrites_nothing_still_read(n, monkeypatch):
+    # the layout of _Schedule, checked from the byte ranges each step touches:
+    # every one lies in the _dense_rows buffers, and no float32 copy or power
+    # is overwritten before its last read
+    recorder = _Recorder()
+    monkeypatch.setattr(np, "matmul", recorder.matmul)
+    monkeypatch.setattr(np, "copyto", recorder.copyto)
+    sample = np.zeros((n, n))
+    for plan in EVERY_PLAN:
+        rows = montecarlo._dense_rows(n, plan, float)
+        buffers = np.empty((rows + 2, n, n))  # untouched: nothing is computed
+        recorder.steps.clear()
+        montecarlo._dense_traces(sample, plan, buffers, recorder.dot, bound=1)
+        start, stop = _Recorder.span(buffers)
+        touched = [span for reads, write in recorder.steps for span in (*reads, write) if span]
+        highest = max((end for begin, end in touched if start <= begin < stop), default=start)
+        assert highest <= start + rows * n * n * 8, plan.pairs
+        assert _layout_faults(recorder, sample) == [], plan.pairs
+
+
+def test_dense_rows_at_the_largest_run_are_the_plan_products():
+    n = montecarlo.MAX_MATRIX_SIZE
+    for step in (1, 2):
+        plan = montecarlo._power_plan(tuple(range(2, montecarlo.MAX_KMAX + 1, step)))
+        assert montecarlo._dense_rows(n, plan, float) == len(plan.products)
+
+
 def test_a_larger_entry_bound_moves_products_back_to_float64():
     # entries 2 or 3 at n = 128: B = 3 puts W^4 (entries near 1.3e8) in float64,
     # where B = 1 would have rounded it in float32
@@ -620,8 +740,7 @@ def test_a_larger_entry_bound_moves_products_back_to_float64():
     sampler = montecarlo.EnsembleSampler(RADEMACHER, "custom", two_or_three, two_or_three)
     w, bound = montecarlo._build_sample(n, sampler, np.random.default_rng(5), 362)
     assert bound == 3
-    steps = montecarlo._schedule(n, plan, bound).steps
-    assert [slot is not None for *_, slot, _ in steps] == [True, False, False]
+    assert montecarlo._schedule(n, plan, bound).narrow == 1
     buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
     got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
     want = [np.trace(np.linalg.matrix_power(w, k)) for k in ks]
@@ -649,9 +768,8 @@ def all_ones_misses() -> list[tuple[int, int]]:
 
 def test_all_ones_traces_are_exact_on_both_sides_of_two_to_the_24():
     plan = montecarlo._power_plan((2, 4, 6, 8, 10))
-    routes = {n: [slot is not None for *_, slot, _ in montecarlo._schedule(n, plan, 1).steps]
-              for n in (256, 257)}
-    assert routes == {256: [True, True, False], 257: [True, False, False]}
+    routes = {n: montecarlo._schedule(n, plan, 1).narrow for n in (256, 257)}
+    assert routes == {256: 2, 257: 1}
     assert all_ones_misses() == []
 
 
