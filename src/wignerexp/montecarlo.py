@@ -11,13 +11,13 @@ X^2..X^5), each into a buffer of its own that a thread's samples reuse; X
 itself is only read.  The sample is gathered from its drawn upper and
 diagonal entries in one indexing step, through a flat index cached per size.
 
-Integer samples (``_schedule``): when a sample's drawn entries are real
+Integer samples (``_narrow``): when a sample's drawn entries are real
 integers with |w| <= B, the powers are formed from W itself, not from X.
 Every entry of W^c, and every partial sum of the product forming it, is at
 most n^(c-1) B^c; a product whose bound is at most 2^24 runs exactly in
 float32 (sgemm, about half the time of dgemm), the others in float64.  So
 for signs at n = 128 and 256, W^2 and W^4 run in float32 and W^8 in
-float64, in buffers laid out as ``_Schedule`` says.  Each trace is read in
+float64, in buffers laid out as ``_narrow`` says.  Each trace is read in
 float64 and divided once by (sigma sqrt(n))^k.  These traces are closer to
 exact than the ones formed from X, so their last bits differ from those;
 where sigma sqrt(n) is a power of two (n = 16 for signs) both are exact and
@@ -327,7 +327,7 @@ def _build_sample(
     """Draw the upper entries, then the diagonal, and gather a sample from them.
 
     Returns (W, B) if the entries are real integers of magnitude at most
-    ``limit`` (B = max(1, max |w|); see ``_Schedule``), else (X, 0).
+    ``limit`` (B = max(1, max |w|); see ``_narrow``), else (X, 0).
     """
     m = n * (n - 1) // 2
     conjugate, dtype = sampler.complex_entries, sampler.dtype
@@ -444,60 +444,41 @@ def _integer_limit(n: int, plan: _PowerPlan) -> int:
     return math.isqrt(_FLOAT32_EXACT // n)
 
 
-class _Schedule(NamedTuple):
-    """How ``_dense_traces`` forms one sample's powers and reads its traces.
-
-    Products 0 .. ``narrow`` - 1 of the plan run in float32 and the rest in
-    float64; product i is read in float64 from ``buffers[i]``, into which a
-    float32 product is widened at once.  The float32 copies, of W and then
-    of products 0 .. narrow - 1, take the halves of ``buffers[narrow:]`` in
-    order.  Only float64 products write those buffers, and only after every
-    float32 product has run, so no copy is overwritten before its last read.
-    ``rows`` is the buffers this needs: max(products, narrow + (narrow + 2)
-    // 2).  ``reads`` holds (a, b, divisor) per k: tr = <W^a, W^b> / divisor.
-    """
-
-    narrow: int
-    reads: tuple[tuple[int, int, float], ...]
-    rows: int
-
-
 @lru_cache(maxsize=64)
-def _schedule(n: int, plan: _PowerPlan, bound: int = 0, scale: float = 1.0) -> _Schedule:
-    """The schedule of ``plan`` for a sample X (``bound`` 0), or for an integer W.
+def _narrow(n: int, plan: _PowerPlan, bound: int) -> int:
+    """How many of ``plan``'s products run in float32 for a sample of size n.
 
-    For W with |w| <= B = ``bound``, every entry of W^c, and every partial
-    sum of the product forming it, is at most n^(c-1) B^c; the products
-    where that is at most 2^24, a prefix of the plan since c ascends, run
-    in float32.  Each trace is read in float64 and divided once by
-    ``scale``^k, with ``scale`` sigma sqrt(n).  For X every product is
-    float64 and no trace is divided.
+    For an integer W with |w| <= B = ``bound``, every entry of W^c, and
+    every partial sum of the product forming it, is at most n^(c-1) B^c;
+    the products where that is at most 2^24, a prefix of the plan since c
+    ascends, run in float32.  For X (``bound`` 0) every product is float64.
+
+    The float32 layout: product i is read in float64 from ``buffers[i]``,
+    into which a float32 product is widened at once.  The float32 copies,
+    of W and then of products 0 .. narrow - 1, take the halves of
+    ``buffers[narrow:]`` in order.  Only float64 products write those
+    buffers, and only after every float32 product has run, so no copy is
+    overwritten before its last read.  So a sample needs max(products,
+    narrow + (narrow + 2) // 2) buffers.
     """
     products = plan.products
-    narrow = sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
-    reads = tuple((a, b, scale ** (a + b) if bound else 1.0) for a, b in plan.pairs)
-    return _Schedule(narrow, reads, max(len(products), narrow + (narrow + 2) // 2))
+    return sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
 
 
 def _dense_traces(
-    sample: np.ndarray,
-    plan: _PowerPlan,
-    buffers: np.ndarray,
-    dot=np.vdot,
-    bound: int = 0,
-    scale: float = 1.0,
+    sample: np.ndarray, plan: _PowerPlan, buffers: np.ndarray, dot, bound: int, scale: float
 ) -> list[float]:
     """tr X^k per k of ``plan`` for a Hermitian sample, which is only read.
 
-    The sample is X, or with ``bound`` B >= 1 the integer W = sigma sqrt(n) X
-    with |w| <= B, ``scale`` being sigma sqrt(n).  ``buffers``, one array of
-    n x n rows that may be reused from sample to sample, holds at least
-    ``_schedule(...).rows`` of them, laid out as ``_Schedule`` says.  Each
-    trace is then read as ``dot`` (np.vdot or a pinned one) of two float64
-    powers.
+    The sample is X (``bound`` 0, ``scale`` 1.0), or with ``bound`` B >= 1
+    the integer W = sigma sqrt(n) X with |w| <= B, ``scale`` being sigma
+    sqrt(n).  ``buffers``, one array of n x n rows that may be reused from
+    sample to sample, is laid out as ``_narrow`` says.  Each trace is read
+    as ``dot`` (a pinned one, see ``_pinned_blas``) of two float64 powers
+    and divided by ``scale``^k.
     """
     n = sample.shape[0]
-    narrow, reads, _ = _schedule(n, plan, bound, scale)
+    narrow = _narrow(n, plan, bound)
     powers = {1: sample}
     if narrow:
         slots = buffers[narrow:].view(np.float32).reshape(-1, n, n)
@@ -510,19 +491,26 @@ def _dense_traces(
         else:
             np.matmul(powers[a], powers[b], out=buffers[i])
         powers[c] = buffers[i]
-    return [float(dot(powers[a], powers[b]).real) / divisor for a, b, divisor in reads]
+    return [float(dot(powers[a], powers[b]).real) / scale ** (a + b) for a, b in plan.pairs]
 
 
 def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
     """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from a power plan.
 
-    kmax is checked as the sizes of ``estimate_corrections`` are, and must be >= 1.
+    kmax is checked as the sizes of ``estimate_corrections`` are, and must be
+    >= 1; X must be a square matrix of size n >= 1.  The products keep
+    BLAS's threads and every trace is read at one (see ``_pinned_blas``),
+    so no value depends on OPENBLAS_NUM_THREADS.
     """
     kmax = _int_at_least(kmax, 1, "kmax")
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
+        raise ValueError(f"x must be a square matrix of size n >= 1, got shape {x.shape}")
     n = x.shape[0]
     plan = _power_plan(tuple(range(2, kmax + 1)))
     buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
-    traces = [float(np.trace(x).real), *_dense_traces(x, plan, buffers)]
+    with _pinned_blas(whole=False) as dot:
+        traces = [float(np.trace(x).real), *_dense_traces(x, plan, buffers, dot, 0, 1.0)]
     return [t / n for t in traces]
 
 
@@ -659,12 +647,13 @@ def _dense_rows(n: int, plan: _PowerPlan, dtype) -> int:
     """The n x n buffers of ``dtype`` one thread of a dense run forms powers in.
 
     One per product, and for real entries the integer route's layout (see
-    ``_Schedule``); B = 1 needs the most, since a larger B runs fewer
+    ``_narrow``); B = 1 needs the most, since a larger B runs fewer
     products in float32.
     """
     if np.dtype(dtype).kind == "c" or not _integer_limit(n, plan):
         return len(plan.products)
-    return _schedule(n, plan, 1).rows
+    narrow = _narrow(n, plan, 1)
+    return max(len(plan.products), narrow + (narrow + 2) // 2)
 
 
 def _dense_share_bytes(n: int, plan: _PowerPlan, dtype) -> int:
@@ -776,7 +765,7 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
 
         def traces(rng: np.random.Generator) -> list[float]:
             sample, bound = _build_sample(n, sampler, rng, limit)
-            return _dense_traces(sample, plan, buffers, dot, bound, scale)
+            return _dense_traces(sample, plan, buffers, dot, bound, scale if bound else 1.0)
 
         for block in range(first, blocks, workers):
             with lock:

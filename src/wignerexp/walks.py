@@ -434,6 +434,14 @@ def _census(k: int, pruned: bool) -> _Census:
     return MappingProxyType(shapes), tuple(reps)
 
 
+def _query(v, e) -> tuple[int | None, int | None]:
+    """A query's v and e, each None or read by the integer rule with no bound."""
+    return (
+        None if v is None else _int_at_least(v, None, "v"),
+        None if e is None else _int_at_least(e, None, "e"),
+    )
+
+
 def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
     """The test (v, e, cycle_type) -> bool of a query, or None for the empty query.
 
@@ -473,10 +481,12 @@ def count_classes(
 
     Summed from the class counts of ``_census``: of the pruned search for
     the queries that ``_pruned_answers`` accepts (the closed-form
-    families), of the full stream of all Bell(k) classes for any other.  A
-    (v, e) that no class has (see ``_possible``) is 0 with no search.
+    families), of the full stream of all Bell(k) classes for any other.
+    ``v`` and ``e`` are integers (see ``_query``), and a (v, e) that no
+    class has (see ``_possible``) is 0 with no search.
     """
     k = check_word_length(k)
+    v, e = _query(v, e)
     match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
     if not _possible(k, v, e):
         return 0
@@ -779,6 +789,7 @@ def _keyed_rows(
 ) -> Iterator[tuple[str, tuple[int, int, str, int, int]]]:
     """``class_rows``' rows as (word, tail), one ``tail`` tuple per key (v, code)."""
     k = check_word_length(k)
+    v, e = _query(v, e)
     match = _matcher(v, e, cycle_type)
     if not _possible(k, v, e):
         return

@@ -136,10 +136,6 @@ CASES = {**SURFACE, **SERIES_METHODS}
 
 # integer-annotated parameters the rule does not read, each with its reason
 EXCLUDED = {
-    ("count_classes", "v"): "a query filter: any integer may be asked, and _possible answers 0",
-    ("count_classes", "e"): "a query filter: any integer may be asked, and _possible answers 0",
-    ("class_rows", "v"): "a query filter: any integer may be asked, and _possible answers 0",
-    ("class_rows", "e"): "a query filter: any integer may be asked, and _possible answers 0",
     ("rademacher_model", "sigma2"): "a rational variance, not an index",
     ("rademacher_model", "s2"): "a rational variance, not an index",
 }
@@ -168,10 +164,19 @@ SEEDS = {
 }
 
 
+# walk query filters, read by the rule with no bound: an integer no class has answers 0
+QUERIES = {
+    ("count_classes", "v"): lambda v: wignerexp.count_classes(5, v=v),
+    ("count_classes", "e"): lambda v: wignerexp.count_classes(5, e=v),
+    ("class_rows", "v"): lambda v: list(wignerexp.class_rows(5, GOE_MODEL, v=v)),
+    ("class_rows", "e"): lambda v: list(wignerexp.class_rows(5, GOE_MODEL, e=v)),
+}
+
+
 def test_the_table_covers_every_integer_parameter_of_the_surface():
     found = integer_parameters()
     assert set(EXCLUDED) <= found
-    assert set(SURFACE) | set(SEEDS) == found - set(EXCLUDED)
+    assert set(SURFACE) | set(SEEDS) | set(QUERIES) == found - set(EXCLUDED)
 
 
 @pytest.mark.parametrize("value", [True, False, 12.9, 12.0, "12", None, [1, 2]], ids=repr)
@@ -194,6 +199,35 @@ def test_numpy_integer_seeds_give_the_plain_int_records(key):
         assert got == want and plain(got), (seed, numpy_type)
     # the stream reads the seed mod 2^64
     assert call(-5) == call(2**64 - 5) != call(5)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", [2]], ids=repr)
+@pytest.mark.parametrize("key", list(QUERIES), ids="{0[0]}:{0[1]}".format)
+def test_a_query_filter_that_is_no_int_is_refused_by_name_before_any_search(
+    key, value, monkeypatch
+):
+    # True answered as v = 1 and 2.0 as v = 2; "2" raised a bare TypeError from _possible
+    def no_search(*args):
+        raise AssertionError("a search was run")
+
+    monkeypatch.setattr(walks, "_search", no_search)
+    walks._census.cache_clear()
+    message = f"{key[1]} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QUERIES[key](value)
+
+
+@pytest.mark.parametrize("key", list(QUERIES), ids="{0[0]}:{0[1]}".format)
+def test_numpy_integer_query_filters_give_the_plain_int_answers(key):
+    call = QUERIES[key]
+    for value in (-3, 0, 1, 2, 3, 5, 6):
+        want = call(value)
+        for numpy_type in (np.int64, np.int32, np.uint8):
+            if value >= 0 or numpy_type is not np.uint8:
+                got = call(numpy_type(value))
+                assert got == want and plain(got), (value, numpy_type)
+    # no class of length 5 has v or e below 1 or above 5
+    assert call(2) and not any(call(value) for value in (-3, 0, 6))
 
 
 def refusal(key, value) -> str:

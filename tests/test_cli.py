@@ -1258,6 +1258,35 @@ def test_dense_mc_stdout_does_not_depend_on_the_blas_thread_count():
             outs.append(proc.stdout)
         assert outs[0] == outs[1], samples
 
+
+# empirical_moments of Gaussian samples at sizes where OpenBLAS splits a dot product
+EMPIRICAL_HEX = """
+import math
+import wignerexp
+normal = lambda rng, size: rng.standard_normal(size)
+diag = lambda rng, size: math.sqrt(2.0) * rng.standard_normal(size)
+sampler = wignerexp.custom_sampler(wignerexp.GOE, normal, diag)
+for n in (128, 256):
+    x = wignerexp.sample_matrix(n, sampler, 7)
+    print(n, *map(float.hex, wignerexp.empirical_moments(x, 10)))
+"""
+
+
+def test_empirical_moments_do_not_depend_on_the_blas_thread_count():
+    # the products keep BLAS's threads; every trace is read at one
+    outs = []
+    for threads in ("1", "2"):
+        env = package_env()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", EMPIRICAL_HEX], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 2
+    assert outs[0] == outs[1]
+
 # the benchmark's tracer wraps the public callables and hooks some of them by
 # name; this runs one call of each traced workload kind through it
 TRACED_RUN = """

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -146,6 +147,16 @@ def test_empirical_moments_refuse_a_kmax_that_is_no_integer(kmax):
     # 2.5 raised numpy's TypeError, and True answered as if kmax were 1
     with pytest.raises(ValueError, match=f"kmax must be an int >= 1, got {kmax!r}"):
         empirical_moments(np.eye(2), kmax)
+
+
+@pytest.mark.parametrize(
+    "x", [np.eye(3)[:2], np.zeros((0, 0)), np.ones(3), np.ones((2, 2, 2))], ids=repr
+)
+def test_empirical_moments_refuse_a_matrix_that_is_not_square(x):
+    # a 2 x 3 matrix answered [1.0, 1.0] and a 0 x 0 one raised ZeroDivisionError
+    message = f"x must be a square matrix of size n >= 1, got shape {x.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_moments(x, 2)
 
 
 def test_estimates_refuse_a_moment_index_that_is_no_integer():
@@ -548,7 +559,7 @@ def test_dense_traces_leave_x_bit_for_bit_alone(make):
     for ks in dict.fromkeys(tuple(r) for r in ranges):
         plan = montecarlo._power_plan(ks)
         buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
-        montecarlo._dense_traces(x, plan, buffers)
+        montecarlo._dense_traces(x, plan, buffers, np.vdot, 0, 1.0)
         assert x.tobytes() == kept, ks
 
 
@@ -561,7 +572,7 @@ def test_dense_traces_match_eigenvalue_power_sums(name):
         for ks in (tuple(range(2, kmax + 1)), tuple(range(2, kmax + 1, 2))):
             plan = montecarlo._power_plan(ks)
             buffers = np.empty((len(plan.products), n, n), dtype=x.dtype)
-            got = montecarlo._dense_traces(x, plan, buffers)
+            got = montecarlo._dense_traces(x, plan, buffers, np.vdot, 0, 1.0)
             want = [float(np.sum(eigs**k)) for k in ks]
             for k, g, w in zip(ks, got, want):
                 # odd power sums nearly cancel: measure them against sum |lambda|^k
@@ -603,7 +614,7 @@ def test_integer_route_traces_equal_int64_traces(n):
     for _ in range(3):
         w, bound = montecarlo._build_sample(n, sampler, rng, limit)
         assert bound == 1
-        got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+        got = montecarlo._dense_traces(w, plan, buffers, np.vdot, bound, 1.0)
         power, want = w.astype(np.int64), []
         for k in range(2, ks[-1] + 1):
             power = power @ w.astype(np.int64)
@@ -646,7 +657,7 @@ def test_integer_route_traces_equal_int_traces_over_every_plan(n, bound):
             exact[k], scale[k] = int(np.trace(power)), int(np.trace(magnitude))
         for plan in EVERY_PLAN:
             buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
-            got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+            got = montecarlo._dense_traces(w, plan, buffers, np.vdot, bound, 1.0)
             for (a, b), g in zip(plan.pairs, got):
                 k = a + b
                 if (n * bound) ** k <= 2**53:
@@ -705,7 +716,7 @@ def _layout_faults(recorder: _Recorder, sample: np.ndarray) -> list[str]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 128, 256, 1024])
 def test_integer_route_layout_fits_its_rows_and_overwrites_nothing_still_read(n, monkeypatch):
-    # the layout of _Schedule, checked from the byte ranges each step touches:
+    # the layout of _narrow, checked from the byte ranges each step touches:
     # every one lies in the _dense_rows buffers, and no float32 copy or power
     # is overwritten before its last read
     recorder = _Recorder()
@@ -716,7 +727,7 @@ def test_integer_route_layout_fits_its_rows_and_overwrites_nothing_still_read(n,
         rows = montecarlo._dense_rows(n, plan, float)
         buffers = np.empty((rows + 2, n, n))  # untouched: nothing is computed
         recorder.steps.clear()
-        montecarlo._dense_traces(sample, plan, buffers, recorder.dot, bound=1)
+        montecarlo._dense_traces(sample, plan, buffers, recorder.dot, 1, 1.0)
         start, stop = _Recorder.span(buffers)
         touched = [span for reads, write in recorder.steps for span in (*reads, write) if span]
         highest = max((end for begin, end in touched if start <= begin < stop), default=start)
@@ -740,9 +751,9 @@ def test_a_larger_entry_bound_moves_products_back_to_float64():
     sampler = montecarlo.EnsembleSampler(RADEMACHER, "custom", two_or_three, two_or_three)
     w, bound = montecarlo._build_sample(n, sampler, np.random.default_rng(5), 362)
     assert bound == 3
-    assert montecarlo._schedule(n, plan, bound).narrow == 1
+    assert montecarlo._narrow(n, plan, bound) == 1
     buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
-    got = montecarlo._dense_traces(w, plan, buffers, bound=bound)
+    got = montecarlo._dense_traces(w, plan, buffers, np.vdot, bound, 1.0)
     want = [np.trace(np.linalg.matrix_power(w, k)) for k in ks]
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
@@ -760,7 +771,7 @@ def all_ones_misses() -> list[tuple[int, int]]:
     misses = []
     for n in (256, 257):
         buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
-        got = montecarlo._dense_traces(np.ones((n, n)), plan, buffers, bound=1)
+        got = montecarlo._dense_traces(np.ones((n, n)), plan, buffers, np.vdot, 1, 1.0)
         # n^k itself where float64 holds it, else within rounding of the float64 reads
         misses += [(n, k) for k, g in zip(ks, got) if abs(g - n**k) > 1e-14 * n**k]
     return misses
@@ -768,7 +779,7 @@ def all_ones_misses() -> list[tuple[int, int]]:
 
 def test_all_ones_traces_are_exact_on_both_sides_of_two_to_the_24():
     plan = montecarlo._power_plan((2, 4, 6, 8, 10))
-    routes = {n: montecarlo._schedule(n, plan, 1).narrow for n in (256, 257)}
+    routes = {n: montecarlo._narrow(n, plan, 1) for n in (256, 257)}
     assert routes == {256: 2, 257: 1}
     assert all_ones_misses() == []
 

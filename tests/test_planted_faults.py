@@ -148,13 +148,13 @@ def test_a_diagonal_mis_scale_fails_the_exact_dense_sum(monkeypatch):
 def test_a_float32_bound_past_two_to_the_24_fails_the_all_ones_traces(monkeypatch):
     # at 2^25, J^4 = J^2 J^2 of the 257 x 257 all-ones J runs in float32, whose
     # entries 257^3 it rounds: every trace read from J^4 or J^8 misses
-    montecarlo._schedule.cache_clear()
+    montecarlo._narrow.cache_clear()
     monkeypatch.setattr(montecarlo, "_FLOAT32_EXACT", 2**25)
     try:
         assert all_ones_misses() == [(257, 6), (257, 8), (257, 10)]
     finally:
         monkeypatch.undo()
-        montecarlo._schedule.cache_clear()
+        montecarlo._narrow.cache_clear()
     assert all_ones_misses() == []
 
 

@@ -6,12 +6,20 @@ lines count for neither.  Standard library only.
 
     python tools/lines.py                  # every module of src/wignerexp
     python tools/lines.py FILE [FILE ...]  # the files named
+    python tools/lines.py --rev REV [FILE ...]
+
+With ``--rev``, each file is also counted as it is at the git revision REV
+(read with ``git show REV:path``) and printed beside the working tree's
+count, with the difference; a file missing on one side counts 0 there.
+Without files it takes the modules of src/wignerexp on either side.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -52,8 +60,52 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def _git(directory: Path, *args: str) -> str | None:
+    """Stdout of ``git args`` run in ``directory``, or None where git fails."""
+    proc = subprocess.run(
+        ["git", "-C", str(directory), *args], capture_output=True, encoding="utf-8"
+    )
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _counted(text: str | None) -> tuple[int, int]:
+    return (0, 0) if text is None else count(text)
+
+
+_ROW = "{:>7} {:>6} {:>7} {:>6} {:>+7} {:>+6}  {}"
+
+
+def _compare(rev: str, paths: list[Path]) -> int:
+    """Print each path's lines at ``rev``, in the working tree and their difference."""
+    where = paths[0].resolve().parent if paths else _PACKAGE
+    if _git(where, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}") is None:
+        print(f"error: no commit {rev!r}", file=sys.stderr)
+        return 2
+    if not paths:
+        names = (_git(_PACKAGE, "ls-tree", "--name-only", rev) or "").split()
+        at_rev = {_PACKAGE / name for name in names if name.endswith(".py")}
+        paths = sorted(at_rev | set(_PACKAGE.glob("*.py")))
+    totals = [0] * 6
+    print(f"{rev[:14]:>14} {'working tree':>14} {'difference':>14}")
+    print(f"{'total':>7} {'code':>6} " * 3 + " module")
+    for path in paths:
+        before = _counted(_git(path.resolve().parent, "show", f"{rev}:./{path.name}"))
+        after = _counted(path.read_text(encoding="utf-8") if path.exists() else None)
+        row = [*before, *after, after[0] - before[0], after[1] - before[1]]
+        totals = [t + c for t, c in zip(totals, row)]
+        print(_ROW.format(*row, path.name))
+    print(_ROW.format(*totals, "all"))
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    paths = [Path(arg) for arg in argv] or sorted(_PACKAGE.glob("*.py"))
+    parser = argparse.ArgumentParser(description="Total and code lines of Python modules.")
+    parser.add_argument("files", nargs="*", type=Path)
+    parser.add_argument("--rev", help="a git revision to count each file at as well")
+    args = parser.parse_args(argv)
+    if args.rev is not None:
+        return _compare(args.rev, args.files)
+    paths = args.files or sorted(_PACKAGE.glob("*.py"))
     totals = [0, 0]
     print(f"{'total':>7} {'code':>6}  module")
     for path in paths:
