@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
@@ -374,13 +374,8 @@ def _render(
     texts with the rest of the output.
     """
     parts, cell = _row_parts(config, columns)
-    # format(x, "") is str(x) for every value a table holds (int, float, str,
-    # Fraction, numpy float64, bool, None), str of a float its shortest
-    # round-trip repr: so a CSV row's values need no cell first
-    line = "{}".join(part.replace("{", "{{").replace("}", "}}") for part in parts).format
-    if config.format == "json":
-        rows = (map(cell, row) for row in rows)
-    return _frame(config, columns, starmap(line, rows), head_comments, tail_comments, extra_json)
+    texts = (_text_past(parts, cell, row) for row in rows)
+    return _frame(config, columns, texts, head_comments, tail_comments, extra_json)
 
 
 def _frame(
@@ -565,9 +560,10 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
     # by tail, the (v, e, cycle_type, exp_num, exp_den) every row of a key shares:
     # its text past the word, made once, and its rows so far
     tails: dict[tuple, list] = {}
+    keyed = walks._keyed_rows(k, model, v, e, cycle_type)
 
     def texts():
-        for word, tail in walks._keyed_rows(k, model, v, e, cycle_type):
+        for word, tail in keyed:
             entry = tails.get(tail)
             if entry is None:
                 entry = tails[tail] = [_text_past(parts, cell, tail), 0]

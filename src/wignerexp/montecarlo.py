@@ -29,16 +29,15 @@ The size-n correction estimate averages n (trace(X^k)/n - Cat(k/2));
 a Richardson combination across sizes n and 2n cancels the leading
 finite-size bias, leaving the correction-measure moment.
 
-GOE and GUE estimates sample the tridiagonal models of Dumitriu and
-Edelman ("Matrix models for beta ensembles", J. Math. Phys. 2002) instead
-of dense matrices: Householder reduction of the dense Gaussian matrix gives
-a symmetric tridiagonal matrix with the same spectrum, independent
-Gaussian diagonal and chi-distributed off-diagonal.  A banded sample forms
-only the half powers T^1 .. T^ceil(kmax/2), as bands, so it costs
-O(n kmax^2), and chunks of samples are processed as arrays, in work arrays
-made once per size (161 MiB at n = 1024, kmax 32, by tracemalloc) that
-every chunk reuses.  ``sample_matrix`` still returns the dense matrix, and
-Rademacher and custom ensembles are estimated from dense matrices.
+GOE and GUE estimates sample the tridiagonal models of Dumitriu and Edelman
+("Matrix models for beta ensembles", J. Math. Phys. 2002) instead of dense
+matrices: Householder reduction of the dense Gaussian matrix gives a
+symmetric tridiagonal matrix with the same spectrum, independent Gaussian
+diagonal and chi-distributed off-diagonal.  A banded sample forms only the
+half powers T^1 .. T^ceil(kmax/2), as bands, so it costs O(n kmax^2), and
+chunks of samples are processed as arrays, in work arrays made once per size
+that every chunk reuses.  ``sample_matrix`` still returns the dense matrix,
+and Rademacher and custom ensembles are estimated from dense matrices.
 
 Reproducibility: samples come in blocks of _CHUNK, and block b draws from
 one generator seeded by (seed, n, b), so the stream is a pure function of
@@ -83,29 +82,17 @@ from .combinatorics import (
 _CHUNK = 64
 # bounds on a command-line run, checked before the first draw: the largest
 # moment index, the samples per size, and the largest size sampled (2 max(n)).
-# At the bounds the arrays alive at once stay under _ARRAY_BUDGET: the trace
-# array (16 rows of 10^6 floats, 122 MiB), the gather-index cache (16 MiB) and
-# either the band work arrays and one chunk's draws (164 MiB peak, 161 of it
-# the work arrays, made once per size) or one share per thread of a dense
-# run, each within _dense_share_bytes: six power buffers, the sample, its
-# entries and the draws' temporaries, 144 MiB for complex entries and 72 MiB
-# for real (128 and 60 MiB peaks; every peak here measured with tracemalloc
-# at n = 1024, kmax 32).  So _thread_cap allows at most 2 threads there for
-# complex entries and 5 for real, and _block_workers runs one thread on a
-# host with more cores than that.  Building a size's index peaks at 28 MiB,
-# before any thread starts.
+# At the bounds the arrays alive at once (the traces, the index cache, and the
+# band arrays or one _dense_share_bytes per thread, as _thread_cap allows) stay
+# under _ARRAY_BUDGET; CHANGES.md holds the tracemalloc peaks
 MAX_KMAX = 32
 _ARRAY_BUDGET = 512 << 20
 MAX_SAMPLES = 1_000_000
 MAX_MATRIX_SIZE = 1024
 # bound on a command-line run's ``estimated_seconds``, checked with the above;
-# its unit costs were measured with one BLAS thread on a 2-core x86-64 host
-# (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), for real entries; the dense cost
-# counts the products of the power plan as float64 ones.  For Rademacher
-# signs, whose products partly run in float32, the estimate reads 0.9 to 4.9
-# times the actual time at n = 8..1024 and kmax = 2..32, one thread (above 4
-# only at kmax 2, whose time is all matrix build); all-float64 products read
-# 1.4 to 4.5 times on the same host and day
+# its unit costs were measured for real entries with one BLAS thread on a 2-core
+# x86-64 host (Python 3.11, numpy 2.4, OpenBLAS 0.3.31), and it counts every
+# dense product as float64, so it errs high; CHANGES.md holds its ratios
 MAX_RUN_SECONDS = 600
 # custom_sampler pilot: draws per entry kind, its own stream, and the
 # number of standard errors a claimed moment may miss by
@@ -313,14 +300,6 @@ def _scale(sampler: EnsembleSampler, n: int) -> float:
     return math.sqrt(float(sampler.params.sigma2)) * math.sqrt(n)
 
 
-def _integer_bound(entries: np.ndarray, limit: int) -> int:
-    """max(1, max |w|) if the real ``entries`` are integers with |w| <= ``limit``, else 0."""
-    peak = max(entries.max(), -entries.min())  # NaN when any entry is: refused below
-    if not peak <= limit or not np.array_equal(np.rint(entries), entries):
-        return 0
-    return max(int(peak), 1)
-
-
 def _build_sample(
     n: int, sampler: EnsembleSampler, rng: np.random.Generator, limit: int
 ) -> tuple[np.ndarray, int]:
@@ -335,7 +314,11 @@ def _build_sample(
     if n > 1:
         np.copyto(entries[:m], sampler.offdiag(rng, m))
     np.copyto(entries[m : m + n], sampler.diag(rng, n))
-    bound = _integer_bound(entries, limit) if limit and not conjugate else 0
+    bound = 0
+    if limit and not conjugate:
+        peak = max(entries.max(), -entries.min())  # NaN when any entry is: refused below
+        if peak <= limit and np.array_equal(np.rint(entries), entries):
+            bound = max(int(peak), 1)
     if not bound:  # the divisions of the assembled W, element for element
         entries[: m + n] /= _scale(sampler, n)
     if conjugate:
@@ -432,18 +415,6 @@ def _power_plan(ks: tuple[int, ...]) -> _PowerPlan:
 _FLOAT32_EXACT = 2**24
 
 
-def _integer_limit(n: int, plan: _PowerPlan) -> int:
-    """The largest B whose integer samples of size n take the integer route.
-
-    That route needs W^2 formed in float32 (n B^2 <= 2^24), so a plan with
-    no product never takes it, and every k at most MAX_KMAX: then tr W^k
-    <= n^(k/2) (n B^2)^(k/2) stays far inside float64's range.
-    """
-    if not plan.products or max(map(sum, plan.pairs)) > MAX_KMAX:
-        return 0
-    return math.isqrt(_FLOAT32_EXACT // n)
-
-
 @lru_cache(maxsize=64)
 def _narrow(n: int, plan: _PowerPlan, bound: int) -> int:
     """How many of ``plan``'s products run in float32 for a sample of size n.
@@ -451,7 +422,9 @@ def _narrow(n: int, plan: _PowerPlan, bound: int) -> int:
     For an integer W with |w| <= B = ``bound``, every entry of W^c, and
     every partial sum of the product forming it, is at most n^(c-1) B^c;
     the products where that is at most 2^24, a prefix of the plan since c
-    ascends, run in float32.  For X (``bound`` 0) every product is float64.
+    ascends, run in float32 (none unless n B^2 <= 2^24: the first is W^2).
+    Every product is float64 for X (``bound`` 0) and past MAX_KMAX; up to it
+    tr W^k <= n^(k/2) (n B^2)^(k/2) stays far inside float64's range.
 
     The float32 layout: product i is read in float64 from ``buffers[i]``,
     into which a float32 product is widened at once.  The float32 copies,
@@ -461,8 +434,8 @@ def _narrow(n: int, plan: _PowerPlan, bound: int) -> int:
     overwritten before its last read.  So a sample needs max(products,
     narrow + (narrow + 2) // 2) buffers.
     """
-    products = plan.products
-    return sum(bool(bound) and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in products)
+    fits = bool(bound) and max(map(sum, plan.pairs), default=0) <= MAX_KMAX
+    return sum(fits and n ** (c - 1) * bound**c <= _FLOAT32_EXACT for c, _, _ in plan.products)
 
 
 def _dense_traces(
@@ -582,18 +555,6 @@ def _band_traces(work: _BandArrays, count: int, ks: Sequence[int]) -> list[np.nd
     ]
 
 
-def _tridiagonal_traces(diag: np.ndarray, off: np.ndarray, ks: Sequence[int]) -> list[np.ndarray]:
-    """tr T^k for a batch of symmetric tridiagonal T, k >= 2 ascending.
-
-    ``diag`` has shape (S, n) and ``off`` shape (S, n - 1); see ``_band_traces``.
-    """
-    samples, n = diag.shape
-    work = _BandArrays.make(samples, n, ks)
-    work.diag[:] = diag
-    work.off[:] = off
-    return _band_traces(work, samples, ks)
-
-
 def estimated_seconds(sampler: EnsembleSampler, kmax: int, sizes: Sequence[int], samples: int):
     """Wall time of ``samples`` draws per size up to ``kmax``; see ``MAX_RUN_SECONDS``."""
     if sampler.tridiagonal is not None:
@@ -650,9 +611,8 @@ def _dense_rows(n: int, plan: _PowerPlan, dtype) -> int:
     ``_narrow``); B = 1 needs the most, since a larger B runs fewer
     products in float32.
     """
-    if np.dtype(dtype).kind == "c" or not _integer_limit(n, plan):
+    if np.dtype(dtype).kind == "c" or not (narrow := _narrow(n, plan, 1)):
         return len(plan.products)
-    narrow = _narrow(n, plan, 1)
     return max(len(plan.products), narrow + (narrow + 2) // 2)
 
 
@@ -672,13 +632,9 @@ def _thread_cap(n: int, plan: _PowerPlan, dtype, trace_bytes: int) -> int:
     return (_ARRAY_BUDGET - trace_bytes - 16 * n * n) // _dense_share_bytes(n, plan, dtype)
 
 
-# below this size two threads ran a dense run 1.6-2.5 times slower than one
-# (n = 32..64, 2-core host): the interpreter lock, handed over at each BLAS
-# call, is what the threads wait for.  With float32 products (2,000 signs at
-# kmax 10, 20 alternating pairs a size) two threads lost at 96 in 15 pairs,
-# won at 104 in 12, at 112 and 120 in 15 and at 128 in 20; one thread on
-# BLAS's threads lost to one pinned thread at 96..128 and tied it at 128 with
-# one block.  So both switches stay at 128
+# below this size a dense run takes one thread, with OpenBLAS pinned to one:
+# more threads wait for the interpreter lock, handed over at each BLAS call,
+# and BLAS's threads do not speed such products up (CHANGES.md holds the pairs)
 _THREADED_SIZE = 128
 
 
@@ -752,7 +708,8 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
     failed one, and at its next block if the calling thread is interrupted.
     """
     plan = _power_plan(tuple(ks))
-    limit, scale = _integer_limit(n, plan), _scale(sampler, n)
+    limit = math.isqrt(_FLOAT32_EXACT // n) if _narrow(n, plan, 1) else 0
+    scale = _scale(sampler, n)
     _gather_index(n, sampler.complex_entries)  # built here once, not in each thread
     blocks = -(-out.shape[1] // _CHUNK)
     workers = _block_workers(blocks, n, plan, sampler.dtype, out.nbytes)
@@ -780,8 +737,7 @@ def _dense_blocks(ks, n, sampler, seed, out) -> None:
                     failures[block] = exc
                 return
 
-    # below _THREADED_SIZE BLAS's threads do not speed the products up, and
-    # pinning each read would cost about 4 us a sample
+    # below _THREADED_SIZE BLAS's threads do not pay, and a pin per read costs about 4 us a sample
     with _pinned_blas(whole=workers > 1 or n < _THREADED_SIZE) as dot:
         threads = [threading.Thread(target=share, args=(s, dot)) for s in range(1, workers)]
         try:

@@ -771,7 +771,8 @@ def class_rows(
     ``WalkClass``; the query filters the leaf before its expectation is
     built, and a (v, e) that no class has (see ``_possible``) reads no
     search at all.  A query is read from the pruned search or the full one
-    as the module docstring's pruning rule says.
+    as the module docstring's pruning rule says.  Every argument is checked
+    at the call, before any row is read.
 
     The rows come from ``_keyed_rows``, which yields each as (word, tail):
     the row past its word is built once per key (v, code), from the first
@@ -787,31 +788,39 @@ def class_rows(
 def _keyed_rows(
     k: int, model: MomentModel, v: int | None, e: int | None, cycle_type: str | None
 ) -> Iterator[tuple[str, tuple[int, int, str, int, int]]]:
-    """``class_rows``' rows as (word, tail), one ``tail`` tuple per key (v, code)."""
+    """``class_rows``' rows as (word, tail), one ``tail`` tuple per key (v, code).
+
+    The query is checked at the call; the search runs as the rows are read.
+    """
     k = check_word_length(k)
     v, e = _query(v, e)
     match = _matcher(v, e, cycle_type)
-    if not _possible(k, v, e):
-        return
-    factors = _EdgeFactors(model)
-    # by v, then code: the row past its word, or () where the query refuses the class
-    tails: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
-    reads = [tail.get for tail in tails]
-    for word, crossings, cv, ones, text, code in _search(k, _pruned_answers(k, v, e, cycle_type)):
-        tail = reads[cv](code)
-        if tail is None:
-            pattern = _pattern(word, crossings)
-            shape = _leaf(cv, pattern)
-            if match is not None and not match(*shape):
-                tail = ()
-            elif ones:
-                tail = (*shape, 0, 1)
-            else:
-                product = _edge_product(factors, pattern)
-                tail = (*shape, product.numerator, product.denominator)
-            tails[cv][code] = tail
-        if tail:
-            yield text, tail
+
+    def rows() -> Iterator[tuple[str, tuple[int, int, str, int, int]]]:
+        if not _possible(k, v, e):
+            return
+        factors = _EdgeFactors(model)
+        # by v, then code: the row past its word, or () where the query refuses the class
+        tails: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
+        reads = [tail.get for tail in tails]
+        leaves = _search(k, _pruned_answers(k, v, e, cycle_type))
+        for word, crossings, cv, ones, text, code in leaves:
+            tail = reads[cv](code)
+            if tail is None:
+                pattern = _pattern(word, crossings)
+                shape = _leaf(cv, pattern)
+                if match is not None and not match(*shape):
+                    tail = ()
+                elif ones:
+                    tail = (*shape, 0, 1)
+                else:
+                    product = _edge_product(factors, pattern)
+                    tail = (*shape, product.numerator, product.denominator)
+                tails[cv][code] = tail
+            if tail:
+                yield text, tail
+
+    return rows()
 
 
 def walk_polynomial(k: int, model: MomentModel) -> tuple[int | Fraction, ...]:

@@ -230,6 +230,42 @@ def test_numpy_integer_query_filters_give_the_plain_int_answers(key):
     assert call(2) and not any(call(value) for value in (-3, 0, 6))
 
 
+# exported callables that return an iterator, each refusing a bad argument at the
+# call, before any search (a refusal at the first row read may come far from the
+# call): (callable, args, keyword args, the refusal's message)
+AT_THE_CALL = [
+    ("class_rows", (0, GOE_MODEL), {}, "word length must be an int >= 1, got 0"),
+    ("class_rows", (4, GOE_MODEL), {"v": True}, "v must be an int, got True"),
+    ("class_rows", (4, GOE_MODEL), {"e": 2.5}, "e must be an int, got 2.5"),
+    ("class_rows", (4, GOE_MODEL), {"cycle_type": "loop"}, "unknown cycle type 'loop'"),
+]
+# iterator-returning exports that refuse at the first next(), each with its reason
+AT_THE_FIRST_NEXT = {
+    "enumerate_canonical_words": (
+        "bench/tracing.py wraps it as a generator function, one span per item, and the "
+        "ROADMAP deletes it once the tracer no longer looks it up by name"
+    ),
+}
+
+
+def test_every_exported_iterator_refuses_a_bad_argument_at_the_call(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a search was run")
+
+    returns_iterator = set()
+    for name in dir(wignerexp):
+        function = getattr(wignerexp, name)
+        if inspect.isfunction(function):
+            if "Iterator" in str(inspect.signature(function).return_annotation):
+                returns_iterator.add(name)
+    assert set(AT_THE_FIRST_NEXT) <= returns_iterator
+    assert {case[0] for case in AT_THE_CALL} == returns_iterator - set(AT_THE_FIRST_NEXT)
+    monkeypatch.setattr(walks, "_search", no_search)
+    for name, args, kwargs, message in AT_THE_CALL:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            getattr(wignerexp, name)(*args, **kwargs)
+
+
 def refusal(key, value) -> str:
     with pytest.raises(ValueError) as info:
         CASES[key][3](value)

@@ -1319,7 +1319,8 @@ def test_traced_benchmark_still_runs():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0]
-    # the tracer wraps class_rows as a generator; its rows all reach the footer
+    # enumerate reads walks._keyed_rows, which the tracer leaves bare; every row
+    # still reaches the footer
     assert report["totals"] == ["# total_classes=52"]  # Bell(5)
     metrics = report["metrics"]
     for name in ("walks.expectations", "montecarlo.samples_drawn", "series.mul.calls"):

@@ -608,11 +608,11 @@ def test_integer_route_traces_equal_int64_traces(n):
     # undivided traces (scale 1) are exact whichever products ran in float32
     sampler, ks = rademacher_sampler(), tuple(range(2, 11))
     plan = montecarlo._power_plan(ks)
-    limit = montecarlo._integer_limit(n, plan)
+    assert montecarlo._narrow(n, plan, 1)  # W^2 at least runs in float32
     buffers = np.empty((montecarlo._dense_rows(n, plan, float), n, n))
     rng = np.random.default_rng(n)
     for _ in range(3):
-        w, bound = montecarlo._build_sample(n, sampler, rng, limit)
+        w, bound = montecarlo._build_sample(n, sampler, rng, 1)
         assert bound == 1
         got = montecarlo._dense_traces(w, plan, buffers, np.vdot, bound, 1.0)
         power, want = w.astype(np.int64), []
@@ -822,13 +822,22 @@ def _dense_tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _tridiagonal_traces(diag, off, ks):
+    """``_band_traces`` of the samples (diag (S, n), off (S, n - 1)), in arrays of their own."""
+    samples, n = diag.shape
+    work = montecarlo._BandArrays.make(samples, n, ks)
+    work.diag[:] = diag
+    work.off[:] = off
+    return montecarlo._band_traces(work, samples, ks)
+
+
 def test_banded_traces_match_dense_powers():
     rng = np.random.default_rng(31)
     ks = list(range(2, 12))
     for n in (1, 2, 3, 5, 16):
         diag = rng.standard_normal((7, n))
         off = rng.standard_normal((7, n - 1))
-        got = np.array(montecarlo._tridiagonal_traces(diag, off, ks))
+        got = np.array(_tridiagonal_traces(diag, off, ks))
         assert got.shape == (len(ks), 7)
         for s in range(7):
             t = _dense_tridiagonal(diag[s], off[s])
@@ -836,7 +845,7 @@ def test_banded_traces_match_dense_powers():
             assert np.allclose(got[:, s], want, rtol=1e-12, atol=1e-12)
         # a subset of indices, as estimate_corrections asks for them
         assert np.array_equal(
-            np.array(montecarlo._tridiagonal_traces(diag, off, [4, 10])), got[[2, 8]]
+            np.array(_tridiagonal_traces(diag, off, [4, 10])), got[[2, 8]]
         )
 
 
@@ -859,7 +868,7 @@ def _per_block_traces(ks, n, samples, sampler, seed):
     for block, start in enumerate(range(0, samples, 64)):
         count = min(64, samples - start)
         diag, off = sampler.tridiagonal(montecarlo._block_rng(seed, n, block), n, 64)
-        traces = montecarlo._tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks)
+        traces = _tridiagonal_traces(diag[:count] / scale, off[:count] / scale, ks)
         blocks.append(np.array(traces))
     return np.concatenate(blocks, axis=1)
 
@@ -1080,7 +1089,8 @@ def test_dense_estimates_over_every_sign_pattern_equal_the_walk_oracle():
     plan = montecarlo._power_plan((2, 4, 6, 8, 10))
     for n, unit, route in ((5, 1, 1), (4, Fraction(1, 2), 0)):
         built = montecarlo._build_sample(n, every_sign_pattern(n, unit), None, 8)
-        assert built[1] == route and montecarlo._integer_limit(n, plan) >= 8
+        # the run's limit is at least 8 exactly when W^2 with |w| <= 8 runs in float32
+        assert built[1] == route and montecarlo._narrow(n, plan, 8) >= 1
     assert dense_sign_sum_misses(range(2, 6)) == []
     assert dense_sign_sum_misses(range(2, 5), Fraction(1, 2)) == []
 
@@ -1405,7 +1415,7 @@ def test_dense_threads_are_capped_by_the_array_budget():
         assert _array_bound(n, plan, dtype, trace_bytes, cap) <= 512 << 20
         assert _array_bound(n, plan, dtype, trace_bytes, cap + 1) > 512 << 20
         caps[dtype] = cap
-    assert caps == {float: 5, complex: 2}  # as the comment above MAX_KMAX says
+    assert caps == {float: 5, complex: 2}
 
 
 def test_dense_runs_thread_only_where_threads_fill_the_cores(monkeypatch):
@@ -1426,6 +1436,24 @@ def test_dense_runs_thread_only_where_threads_fill_the_cores(monkeypatch):
     monkeypatch.setattr(montecarlo, "_blas_threads", lambda: ((None, None),))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert workers(16, 256) == 1
+
+
+def test_each_dense_route_pins_blas_as_its_docstring_says(monkeypatch):
+    # threads, and one thread below _THREADED_SIZE, pin OpenBLAS for the whole
+    # run; one thread from _THREADED_SIZE on pins only its trace reads
+    pinned, seen = montecarlo._pinned_blas, []
+
+    def recording(whole):
+        seen.append(whole)
+        return pinned(whole)
+
+    monkeypatch.setattr(montecarlo, "_pinned_blas", recording)
+    size = montecarlo._THREADED_SIZE
+    for workers, n, whole in ((2, size, True), (3, size - 1, True), (1, size - 1, True),
+                              (1, size, False)):
+        monkeypatch.setattr(montecarlo, "_block_workers", lambda *args, w=workers: w)
+        montecarlo._sample_traces([2, 4], n, 2, rademacher_sampler(), 5)
+        assert seen.pop() is whole and not seen, (workers, n)
 
 
 @pytest.mark.parametrize(

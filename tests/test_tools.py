@@ -1,10 +1,12 @@
 """The repository's own tools, on fixtures small enough to count by hand."""
 
+import ast
 import importlib.util
 import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PACKAGE = TOOLS.parent / "src" / "wignerexp"
 
 
 def _load(name: str):
@@ -70,3 +72,33 @@ def test_lines_at_a_revision_print_beside_the_working_tree(tmp_path, capsys):
         ["3", "1", "6", "3", "+3", "+2", "all"],
     ]
     assert lines.main(["--rev", "no-such-rev", str(module)]) == 2
+
+
+def unused_private_names(package: Path) -> list[str]:
+    """Private module-level functions and classes of ``package`` that no other
+    module-level statement of it names (as a name, an attribute or an import)."""
+    defined, referenced = {}, []
+    for path in sorted(package.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            referenced.append(names)
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(statement, kinds) and statement.name.startswith("_"):
+                if not statement.name.startswith("__"):
+                    defined[statement.name] = len(referenced) - 1
+    return sorted(
+        name for name, own in defined.items()
+        if not any(name in names for at, names in enumerate(referenced) if at != own)
+    )
+
+
+def test_every_private_function_and_class_of_the_package_is_used_in_it():
+    # one that only tests call belongs in the tests
+    assert unused_private_names(PACKAGE) == []

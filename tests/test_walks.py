@@ -350,19 +350,23 @@ def test_a_search_closed_partway_leaves_a_fresh_one_whole():
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("k", [0, -1])
 def test_search_readers_refuse_a_nonpositive_length(k, pruned):
-    # _search takes k as given: each reader checks it, a stream at its first next()
-    with pytest.raises(ValueError, match=f"^word length must be an int >= 1, got {k}$"):
+    # _search takes k as given: each reader checks it, class_rows at the call and
+    # enumerate_canonical_words, a generator, at its first next()
+    message = f"^word length must be an int >= 1, got {k}$"
+    with pytest.raises(ValueError, match=message):
         walks._census(k, pruned)
-    for stream in (enumerate_canonical_words(k), class_rows(k, goe_model())):
-        with pytest.raises(ValueError, match=f"^word length must be an int >= 1, got {k}$"):
-            next(stream)
+    with pytest.raises(ValueError, match=message):
+        class_rows(k, goe_model())
+    stream = enumerate_canonical_words(k)
+    with pytest.raises(ValueError, match=message):
+        next(stream)
 
 
 # each crashed inside _search with numpy's TypeError, or, for True, counted k = 1
 # (call, the refusal's tail): walk_polynomial takes k = 0, the search readers k >= 1
 NON_INTEGER_LENGTHS = {
     "count_classes(4.0)": (lambda: count_classes(4.0), "1, got 4.0"),
-    "class_rows(4.0)": (lambda: next(class_rows(4.0, goe_model())), "1, got 4.0"),
+    "class_rows(4.0)": (lambda: class_rows(4.0, goe_model()), "1, got 4.0"),
     "walk_polynomial(4.0)": (lambda: walk_polynomial(4.0, goe_model()), "0, got 4.0"),
     "count_classes(True)": (lambda: count_classes(True), "1, got True"),
 }
