@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
@@ -355,9 +355,9 @@ def _row_parts(config: RunConfig, columns: Sequence[str]) -> tuple[list[str], Ca
     return ["", *[","] * (len(columns) - 1), ""], str
 
 
-def _text_past(parts: Sequence[str], cell: Callable, values: Sequence) -> str:
-    """A row's text from its last ``len(values)`` values on, in ``_row_parts``' layout."""
-    return "".join(map(str.__add__, parts[-1 - len(values) : -1], map(cell, values))) + parts[-1]
+def _template(parts: Sequence[str]) -> Callable[..., str]:
+    """``str.format`` of the text with ``parts`` around its values: "{}" between each two."""
+    return "{}".join(part.replace("{", "{{").replace("}", "}}") for part in parts).format
 
 
 def _render(
@@ -374,7 +374,12 @@ def _render(
     texts with the rest of the output.
     """
     parts, cell = _row_parts(config, columns)
-    texts = (_text_past(parts, cell, row) for row in rows)
+    # format(x, "") is str(x) for every value a table holds (int, float, str,
+    # Fraction, numpy float64, bool, None), str of a float its shortest
+    # round-trip repr: so a CSV row's values need no cell first
+    if config.format == "json":
+        rows = (map(cell, row) for row in rows)
+    texts = starmap(_template(parts), rows)
     return _frame(config, columns, texts, head_comments, tail_comments, extra_json)
 
 
@@ -556,7 +561,7 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
     model = walks.PRESET_MODELS[config.ensemble]()
     columns = ["word", "v", "e", "cycle_type", "exp_num", "exp_den"]
     parts, cell = _row_parts(config, columns)
-    lead = parts[0]
+    lead, past = parts[0], _template(parts[1:])
     # by tail, the (v, e, cycle_type, exp_num, exp_den) every row of a key shares:
     # its text past the word, made once, and its rows so far
     tails: dict[tuple, list] = {}
@@ -566,7 +571,7 @@ def cmd_enumerate(config: RunConfig, k: int, v, e, cycle_type) -> int:
         for word, tail in keyed:
             entry = tails.get(tail)
             if entry is None:
-                entry = tails[tail] = [_text_past(parts, cell, tail), 0]
+                entry = tails[tail] = [past(*map(cell, tail)), 0]
             entry[1] += 1
             yield lead + cell(word) + entry[0]
 

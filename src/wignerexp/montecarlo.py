@@ -471,12 +471,15 @@ def empirical_moments(x: np.ndarray, kmax: int) -> list[float]:
     """[trace(X^j)/n for j = 1..kmax] for Hermitian X, from a power plan.
 
     kmax is checked as the sizes of ``estimate_corrections`` are, and must be
-    >= 1; X must be a square matrix of size n >= 1.  The products keep
+    >= 1; X must be a square matrix of size n >= 1.  A bool or integer X is
+    read as float64, so no power overflows its dtype.  The products keep
     BLAS's threads and every trace is read at one (see ``_pinned_blas``),
     so no value depends on OPENBLAS_NUM_THREADS.
     """
     kmax = _int_at_least(kmax, 1, "kmax")
     x = np.asarray(x)
+    if x.dtype.kind in "biu":
+        x = x.astype(np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
         raise ValueError(f"x must be a square matrix of size n >= 1, got shape {x.shape}")
     n = x.shape[0]

@@ -60,9 +60,10 @@ whole subtree.  At the last letter only the two steps into it and back to
 letter 1 are left, so there it tries only the letters those two steps
 close (``_closing_letters``), and each one tried is a leaf; a prefix with
 none is cut.  It yields exactly the leaves with ``ones == 0``, in the same
-order.  A (v, e, cycle_type) query that lies wholly among those classes
-(``_pruned_answers``) reads the pruned search; any other reads the full
-one.  Every query is tested by the one matcher ``_matcher``.
+order.  One reader, ``_query``, checks a (v, e, cycle_type) query and picks
+its search: none for a (v, e) that no class has, the pruned one for a query
+that lies wholly among those classes, and the full one for any other.  One
+test, ``_matches``, holds a class's shape against it.
 
 The census.  ``_census(k, pruned)`` reads one search once, with one tally
 a leaf: its count per key (v, code), and each key's first word and
@@ -101,7 +102,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combinatorics import EnsembleParams, _frac, _int_at_least
 
@@ -126,8 +127,6 @@ _Leaf = tuple[list[int], list[int], int, int, str, int]
 _State = tuple[bool, int, int]
 # a census: class count per (v, e, cycle_type), and (representative, class count) pairs
 _Census = tuple[Mapping[tuple[int, int, str], int], tuple[tuple["WalkClass", int], ...]]
-# the test of a (v, e, cycle_type) query, as ``_matcher`` builds it
-_Match = Callable[[int, int, str], bool]
 
 
 class _CodeTables(NamedTuple):
@@ -434,41 +433,47 @@ def _census(k: int, pruned: bool) -> _Census:
     return MappingProxyType(shapes), tuple(reps)
 
 
-def _query(v, e) -> tuple[int | None, int | None]:
-    """A query's v and e, each None or read by the integer rule with no bound."""
-    return (
-        None if v is None else _int_at_least(v, None, "v"),
-        None if e is None else _int_at_least(e, None, "e"),
-    )
+def _query(k: int, v, e, cycle_type) -> tuple[int, tuple, bool | None]:
+    """The checked k and (v, e, cycle_type) of a class query, and the search that answers it.
 
-
-def _matcher(v: int | None, e: int | None, cycle_type: str | None) -> _Match | None:
-    """The test (v, e, cycle_type) -> bool of a query, or None for the empty query.
-
-    The cycle type is checked here, before any class is read.
+    k is read by ``check_word_length``, v and e by the integer rule with no
+    bound, and the cycle type must be one of ``CYCLE_TYPES``; each of the
+    three may be None.  The search is None when no class of length k has
+    that v and e: a class's graph is connected and its k steps cross every
+    edge, so 1 <= v <= k, 1 <= e <= k and e >= v - 1.  It is True, the pruned
+    search, when every class matching the query crosses each edge at least
+    twice, since the pruned search yields exactly those classes; a closed
+    walk crosses every edge of its graph at least once.
+    - Trees (``cycle_type`` tree, or e = v - 1, which forces a tree): every
+      edge is a bridge, and a closed walk crosses a bridge as often one way
+      as the other, so an even number of times, hence at least twice.
+    - Both cycle types are defined by f + b = 2 on every edge.
+    - A self-loop class with v = e = k/2: connecting v vertices takes v - 1
+      non-loop edges, so of its e = v edges one is a loop and the others
+      form a spanning tree.  The tree's bridges take an even count >= 2
+      each, at least 2(v - 1) = k - 2 of the k steps and an even number of
+      them, so k - 2 (the loop needs one).  The loop takes the other two.
+    It is False, the full search, for any other query.
     """
+    k = check_word_length(k)
+    v = None if v is None else _int_at_least(v, None, "v")
+    e = None if e is None else _int_at_least(e, None, "e")
     if cycle_type is not None and cycle_type not in CYCLE_TYPES:
         raise ValueError(f"unknown cycle type {cycle_type!r}; expected one of {CYCLE_TYPES}")
-    if v is None and e is None and cycle_type is None:
-        return None
-    return lambda cv, ce, kind: (
-        (v is None or cv == v)
-        and (e is None or ce == e)
-        and (cycle_type is None or kind == cycle_type)
+    query = (v, e, cycle_type)
+    within = all(value is None or 1 <= value <= k for value in (v, e))
+    if not within or (v is not None and e is not None and e < v - 1):
+        return k, query, None
+    return k, query, (
+        cycle_type in (TREE, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS)
+        or (v is not None and e == v - 1)
+        or (cycle_type == SELF_LOOP and v is not None and e == v and 2 * v == k)
     )
 
 
-def _possible(k: int, v: int | None, e: int | None) -> bool:
-    """False when no class of length k has the given v or e.
-
-    A class's graph is connected and its k steps cross every edge, so
-    1 <= v <= k, 1 <= e <= k and e >= v - 1.
-    """
-    return (
-        (v is None or 1 <= v <= k)
-        and (e is None or 1 <= e <= k)
-        and (v is None or e is None or e >= v - 1)
-    )
+def _matches(shape: _Shape, query: tuple) -> bool:
+    """True when a class's (v, e, cycle_type) meets a ``_query``; a None there matches anything."""
+    return all(want is None or have == want for have, want in zip(shape, query))
 
 
 def count_classes(
@@ -479,42 +484,16 @@ def count_classes(
 ) -> int:
     """Number of classes of length k matching the given (v, e, cycle_type).
 
-    Summed from the class counts of ``_census``: of the pruned search for
-    the queries that ``_pruned_answers`` accepts (the closed-form
-    families), of the full stream of all Bell(k) classes for any other.
-    ``v`` and ``e`` are integers (see ``_query``), and a (v, e) that no
-    class has (see ``_possible``) is 0 with no search.
+    Summed from the class counts of the ``_census`` of the search that
+    ``_query`` picks: the pruned one for the closed-form families, the full
+    stream of all Bell(k) classes for any other.  A (v, e) that no class
+    has is 0 with no search.
     """
-    k = check_word_length(k)
-    v, e = _query(v, e)
-    match = _matcher(v, e, cycle_type)  # before a stream of Bell(k) classes
-    if not _possible(k, v, e):
+    k, query, pruned = _query(k, v, e, cycle_type)  # before a stream of Bell(k) classes
+    if pruned is None:
         return 0
-    shapes, _ = _census(k, _pruned_answers(k, v, e, cycle_type))
-    return sum(count for shape, count in shapes.items() if match is None or match(*shape))
-
-
-def _pruned_answers(k: int, v: int | None, e: int | None, cycle_type: str | None) -> bool:
-    """True when every class matching the query crosses each edge at least twice.
-
-    Then the pruned search, which yields exactly those classes, counts and
-    lists the query in full.  A closed walk crosses every edge of its graph
-    at least once.
-    - Trees (``cycle_type`` tree, or e = v - 1, which forces a tree): every
-      edge is a bridge, and a closed walk crosses a bridge as often one way
-      as the other, so an even number of times, hence at least twice.
-    - Both cycle types are defined by f + b = 2 on every edge.
-    - A self-loop class with v = e = k/2: connecting v vertices takes v - 1
-      non-loop edges, so of its e = v edges one is a loop and the others
-      form a spanning tree.  The tree's bridges take an even count >= 2
-      each, at least 2(v - 1) = k - 2 of the k steps and an even number of
-      them, so k - 2 (the loop needs one).  The loop takes the other two.
-    """
-    if cycle_type in (TREE, CYCLE_ONE_WAY, CYCLE_BOTH_WAYS):
-        return True
-    if v is not None and e == v - 1:
-        return True
-    return cycle_type == SELF_LOOP and v is not None and e == v and 2 * v == k
+    shapes, _ = _census(k, pruned)
+    return sum(count for shape, count in shapes.items() if _matches(shape, query))
 
 
 # -- entry moment models ---------------------------------------------------
@@ -530,10 +509,11 @@ class MomentModel:
     are real in both cases.  Tables must reach the longest word the oracle
     will see (one edge can absorb every step of a word).  The tables are
     stored as tuples, a complex grid's rows too, so a caller's lists can be
-    changed afterwards without changing the model.  Each entry is read by
-    the one moment rule of ``EnsembleParams``' scalars (``_frac``): an int,
-    a NumPy integer or a Fraction, stored as a Fraction; a bool, a float or
-    a str is refused, naming the entry.
+    changed afterwards without changing the model.  ``is_real`` must be a
+    bool, checked first.  Each entry is read by the one moment rule of
+    ``EnsembleParams``' scalars (``_frac``): an int, a NumPy integer or a
+    Fraction, stored as a Fraction; a bool, a float or a str is refused,
+    naming the entry.
 
     ``walk_polynomial`` keeps each word length's coefficients, with
     sigma^k, in the model's own memo, which no comparison or hash reads
@@ -548,6 +528,8 @@ class MomentModel:
     )
 
     def __post_init__(self):
+        if not isinstance(self.is_real, bool):
+            raise ValueError(f"is_real must be a bool, got {self.is_real!r}")
         diag, off = tuple(self.diag_moments), tuple(self.offdiag_moments)
         if len(diag) < 3:
             raise ValueError("diagonal table must cover orders 0..2 at least")
@@ -768,11 +750,10 @@ def class_rows(
     joins the canonical letters with "-", and exp_num / exp_den is the
     ``expected_word_product`` of the class in lowest terms.  Each row is read
     straight from a search leaf, its word the leaf's text, with no
-    ``WalkClass``; the query filters the leaf before its expectation is
-    built, and a (v, e) that no class has (see ``_possible``) reads no
-    search at all.  A query is read from the pruned search or the full one
-    as the module docstring's pruning rule says.  Every argument is checked
-    at the call, before any row is read.
+    ``WalkClass``; the query (``_query``) is held against each class by
+    ``_matches`` before its expectation is built, and reads the search that
+    ``_query`` picks, none for a (v, e) that no class has.  Every argument
+    is checked at the call, before any row is read.
 
     The rows come from ``_keyed_rows``, which yields each as (word, tail):
     the row past its word is built once per key (v, code), from the first
@@ -792,24 +773,21 @@ def _keyed_rows(
 
     The query is checked at the call; the search runs as the rows are read.
     """
-    k = check_word_length(k)
-    v, e = _query(v, e)
-    match = _matcher(v, e, cycle_type)
+    k, query, pruned = _query(k, v, e, cycle_type)
 
     def rows() -> Iterator[tuple[str, tuple[int, int, str, int, int]]]:
-        if not _possible(k, v, e):
+        if pruned is None:
             return
         factors = _EdgeFactors(model)
         # by v, then code: the row past its word, or () where the query refuses the class
         tails: list[dict[int, tuple]] = [{} for _ in range(k + 1)]
         reads = [tail.get for tail in tails]
-        leaves = _search(k, _pruned_answers(k, v, e, cycle_type))
-        for word, crossings, cv, ones, text, code in leaves:
+        for word, crossings, cv, ones, text, code in _search(k, pruned):
             tail = reads[cv](code)
             if tail is None:
                 pattern = _pattern(word, crossings)
                 shape = _leaf(cv, pattern)
-                if match is not None and not match(*shape):
+                if not _matches(shape, query):
                     tail = ()
                 elif ones:
                     tail = (*shape, 0, 1)

@@ -206,7 +206,7 @@ def test_numpy_integer_seeds_give_the_plain_int_records(key):
 def test_a_query_filter_that_is_no_int_is_refused_by_name_before_any_search(
     key, value, monkeypatch
 ):
-    # True answered as v = 1 and 2.0 as v = 2; "2" raised a bare TypeError from _possible
+    # True answered as v = 1 and 2.0 as v = 2; "2" raised a bare TypeError from the bounds check
     def no_search(*args):
         raise AssertionError("a search was run")
 
@@ -396,6 +396,17 @@ def test_a_bool_is_refused_in_a_moment_table():
     # the same tables in ints are GOE's and GUE's
     assert wignerexp.MomentModel(True, (1, 0, 1, 0, 3), diag).params == GOE
     assert wignerexp.MomentModel(False, ((1, 0, 0), (0, 1, 0), (0, 0, 2)), (1, 0, 1)).params == GUE
+
+
+@pytest.mark.parametrize("is_real", ["no", 1, 0, None, np.bool_(True)], ids=repr)
+def test_an_is_real_that_is_no_bool_is_refused_by_name(is_real):
+    # "no" built a real model and 0 a complex one, whatever the tables held
+    message = f"^is_real must be a bool, got {re.escape(repr(is_real))}$"
+    with pytest.raises(ValueError, match=message):
+        wignerexp.MomentModel(is_real, (1, 0, 1, 0, 3), (1, 0, 2))
+    # before the tables are read: these tables fit neither case
+    with pytest.raises(ValueError, match="^is_real must be a bool"):
+        wignerexp.MomentModel(is_real, (), ())
 
 
 # -- the moment rule ----------------------------------------------------------------

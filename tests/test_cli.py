@@ -454,16 +454,22 @@ def test_enumerate_makes_each_row_tail_text_once(monkeypatch, fmt):
     # word, take fewer values still: each value's text is made once
     tails = {row[1:] for row in walks.class_rows(10, walks.goe_model())}
     calls = []
-    text_past = cli._text_past
+    template = cli._template
 
-    def counted(parts, cell, values):
-        calls.append(values)
-        return text_past(parts, cell, values)
+    def counted(parts):
+        line = template(parts)
 
-    monkeypatch.setattr(cli, "_text_past", counted)
+        def made(*texts):
+            calls.append(texts)
+            return line(*texts)
+
+        return made
+
+    monkeypatch.setattr(cli, "_template", counted)
     assert main(["enumerate", "--k", "10", "--format", fmt, "--out", os.devnull]) == 0
     assert len(calls) == len(tails) == len(set(calls))
-    assert set(calls) == tails
+    cell = str if fmt == "csv" else json.dumps
+    assert set(calls) == {tuple(map(cell, tail)) for tail in tails}
 
 
 def test_csv_enumerate_streams(tmp_path):

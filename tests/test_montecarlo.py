@@ -159,6 +159,21 @@ def test_empirical_moments_refuse_a_matrix_that_is_not_square(x):
         empirical_moments(x, 2)
 
 
+def test_empirical_moments_read_integer_matrices_as_float64():
+    # the powers were formed in the input's dtype: at n = 128, trace(W^10)/n of a sign
+    # matrix read 0.0 as int8 and 1,753,422 as int32, and [[100]] as int8 read
+    # [100.0, 16.0, 64.0, 0.0]
+    signs = np.random.default_rng(96).choice([-1, 1], size=(128, 128))
+    w = np.triu(signs) + np.triu(signs, 1).T
+    want = empirical_moments(w.astype(np.float64), 10)
+    assert want[-1] > 2**40
+    for dtype in (np.int8, np.int32, np.int64):
+        assert empirical_moments(w.astype(dtype), 10) == want, dtype
+    adjacency = w > 0
+    assert empirical_moments(adjacency, 6) == empirical_moments(adjacency.astype(float), 6)
+    assert empirical_moments(np.array([[100]], dtype=np.int8), 4) == [100.0, 1e4, 1e6, 1e8]
+
+
 def test_estimates_refuse_a_moment_index_that_is_no_integer():
     with pytest.raises(ValueError, match="moment index must be an int >= 2, got 2.0"):
         estimate_corrections([2.0], 8, 4, rademacher_sampler(), 1)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import subprocess
 from pathlib import Path
 
@@ -102,3 +103,36 @@ def unused_private_names(package: Path) -> list[str]:
 def test_every_private_function_and_class_of_the_package_is_used_in_it():
     # one that only tests call belongs in the tests
     assert unused_private_names(PACKAGE) == []
+
+
+def stale_private_names(package: Path) -> list[str]:
+    """Private names in double backquotes in ``package``'s modules that it does not define.
+
+    A dotted name is read by its last part.  A name is defined when some module
+    of the package makes it a function, a class, an assignment target or a field.
+    """
+    defined, quoted = set(), set()
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for part in ast.walk(target):
+                        if isinstance(part, ast.Name):
+                            defined.add(part.id)
+                        elif isinstance(part, ast.Attribute):
+                            defined.add(part.attr)
+        for literal in re.findall(r"``([^`]+)``", source):
+            for name in re.findall(r"[A-Za-z_][\w.]*", literal):
+                last = name.rsplit(".", 1)[-1]
+                if last.startswith("_") and not (last.startswith("__") and last.endswith("__")):
+                    quoted.add((path.name, last))
+    return sorted(f"{module}: {name}" for module, name in quoted if name not in defined)
+
+
+def test_every_private_name_the_package_quotes_is_defined_in_it():
+    # a docstring or comment that names a deleted helper points the reader nowhere
+    assert stale_private_names(PACKAGE) == []

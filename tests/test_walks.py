@@ -200,17 +200,16 @@ def test_pruned_tallies_match_full_stream(k, monkeypatch):
     families = [(l + 1, l, None), (l, l - 1, None), (None, None, "tree")]
     families += [(l, l, "cycle-one-way"), (l, l, "cycle-both-ways")]
     families += [(l, l, "self-loop")] if k % 2 == 0 else []
-    assert all(walks._pruned_answers(k, *query) for query in families)
+    assert all(walks._query(k, *query)[2] is not False for query in families)
     queries = [
         (v, e, kind)
         for v in (None, *range(1, k + 2))
         for e in (None, *range(k + 2))
         for kind in (None, *walks.CYCLE_TYPES)
-        if walks._pruned_answers(k, v, e, kind)
+        if walks._query(k, v, e, kind)[2] is not False
     ]
     for v, e, kind in queries:
-        match = walks._matcher(v, e, kind)
-        want_count = sum(c for s, c in full_shapes.items() if match is None or match(*s))
+        want_count = sum(c for s, c in full_shapes.items() if walks._matches(s, (v, e, kind)))
         assert count_classes(k, v, e, kind) == want_count, (v, e, kind)
     assert streamed == {(k, True): 1}
 
@@ -823,7 +822,7 @@ def test_family_rows_read_the_pruned_search(monkeypatch):
     model = ROW_MODELS[-1]
     for k in range(1, 10):
         full = list(class_rows(k, model))
-        # the families of _pruned_answers' docstring
+        # the families of _query's docstring
         queries = [(None, None, kind) for kind in ("tree", "cycle-one-way", "cycle-both-ways")]
         queries += [(v, v - 1, kind) for v in range(1, k + 2) for kind in (None, "tree")]
         queries += [(k // 2, k // 2, kind) for kind in ("cycle-one-way", "cycle-both-ways")]
